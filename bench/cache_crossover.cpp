@@ -51,8 +51,6 @@ run(double theta, bool cached, std::uint64_t keys, bool quick,
         g_cli->configureCache(cfg.smart);
     }
     g_cli->configureShards(cfg);
-    if (cap != nullptr)
-        g_cli->configureTimeline(cfg);
 
     HtBenchParams p;
     p.numKeys = keys;

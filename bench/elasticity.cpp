@@ -10,7 +10,8 @@
  * against the re-placed partition, so no operation is ever surfaced to
  * the application as failed.
  *
- * Gates (exit 1 on violation):
+ * Expected (gated by scripts/check_bench_json.py; the bench only
+ * reports):
  *  - failed_ops == 0 (every op fenced/redirected, none lost)
  *  - post-crash throughput >= 0.9x pre-event steady state
  */
@@ -120,11 +121,7 @@ main(int argc, char **argv)
     // +1 slot on thread 0 for the membership plane's migration worker.
     cfg.smart.corosPerThread = coros + 1;
     RunCapture *cap = cli.nextCapture("elasticity");
-    if (cap != nullptr) {
-        cfg.traceSampleNs = sim::usec(500);
-        cli.configureSpans(cfg);
-        cli.configureTimeline(cfg);
-    }
+    observe(cfg, cap);
     Testbed tb(cfg);
     SmartRuntime &rt = tb.compute(0);
 
@@ -259,19 +256,5 @@ main(int argc, char **argv)
              "affected access is fenced by the cluster view and retried "
              "after re-placement; post recovers to >=90% of pre on the "
              "surviving two-thirds capacity plus the joined blade.");
-
-    bool bad = false;
-    if (sh.failedOps != 0) {
-        std::cerr << "elasticity: " << sh.failedOps
-                  << " ops surfaced as failed (want 0)\n";
-        bad = true;
-    }
-    if (ratio < 0.9) {
-        std::cerr << "elasticity: post/pre throughput ratio " << ratio
-                  << " < 0.9\n";
-        bad = true;
-    }
-    if (bad)
-        return 1;
     return cli.finish();
 }

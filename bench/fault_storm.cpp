@@ -11,8 +11,9 @@
  * A second scenario exercises membership churn: the FaultPlane fires
  * periodic faults at the membership plane's "drain.mb1" target, so the
  * blade gracefully drains (live migration out) and rejoins (rebalance
- * back) on a timer while readers keep running. Gates: zero failed ops
- * and post/pre >= 0.9 there as well.
+ * back) on a timer while readers keep running. Expected: zero failed
+ * ops and post/pre >= 0.9 there as well. The bench only reports;
+ * scripts/check_bench_json.py gates every threshold.
  */
 
 #include <iostream>
@@ -140,10 +141,7 @@ main(int argc, char **argv)
     cli.configureCache(cfg.smart);
     cfg.smart.corosPerThread = coros;
     RunCapture *cap = cli.nextCapture("storm");
-    if (cap != nullptr) {
-        cfg.traceSampleNs = sim::usec(500);
-        cli.configureSpans(cfg);
-    }
+    observe(cfg, cap);
     Testbed tb(cfg);
 
     // The fault schedule: mb1 crashes at 12 ms and restarts at 20 ms
@@ -172,12 +170,12 @@ main(int argc, char **argv)
         {"post", sim::msec(24), sim::msec(34)},
     };
 
-    tb.sim().runUntil(phases.front().start); // warmup
+    tb.runUntil(phases.front().start); // warmup
     for (Phase &ph : phases) {
-        tb.sim().runUntil(ph.start); // settle gap between phases
+        tb.runUntil(ph.start); // settle gap between phases
         std::uint64_t ops0 = rt.appOps.value();
         std::uint64_t failed0 = sh.failedOps;
-        tb.sim().runUntil(ph.end);
+        tb.runUntil(ph.end);
         ph.ops = rt.appOps.value() - ops0;
         ph.failed = sh.failedOps - failed0;
     }
@@ -216,11 +214,6 @@ main(int argc, char **argv)
              "budget while it is down) but stays well above zero (mb0 "
              "unaffected); post_mops recovers to within 10% of pre_mops "
              "once mb1 restarts and clients pick up its new rkey.");
-    if (ratio < 0.9) {
-        std::cerr << "fault_storm: post/pre throughput ratio " << ratio
-                  << " < 0.9\n";
-        return 1;
-    }
 
     // ---- scenario 2: membership churn -----------------------------------
     // A separate cluster where the FaultPlane drives periodic graceful
@@ -275,12 +268,12 @@ main(int argc, char **argv)
             {"churn", sim::msec(6), sim::msec(21)},
             {"post", sim::msec(21), sim::msec(25)},
         };
-        ctb.sim().runUntil(cphases.front().start);
+        ctb.runUntil(cphases.front().start);
         for (Phase &ph : cphases) {
-            ctb.sim().runUntil(ph.start);
+            ctb.runUntil(ph.start);
             std::uint64_t ops0 = crt.appOps.value();
             std::uint64_t failed0 = csh.failedOps;
-            ctb.sim().runUntil(ph.end);
+            ctb.runUntil(ph.end);
             ph.ops = crt.appOps.value() - ops0;
             ph.failed = csh.failedOps - failed0;
         }
@@ -320,17 +313,6 @@ main(int argc, char **argv)
         cli.addTable("fault_storm_churn_summary", cs);
 
         plane.stopHealthMonitor();
-
-        if (csh.failedOps != 0) {
-            std::cerr << "fault_storm: churn surfaced " << csh.failedOps
-                      << " failed ops (want 0)\n";
-            return 1;
-        }
-        if (cratio < 0.9) {
-            std::cerr << "fault_storm: churn post/pre throughput ratio "
-                      << cratio << " < 0.9\n";
-            return 1;
-        }
     }
     return cli.finish();
 }

@@ -37,7 +37,6 @@ main(int argc, char **argv)
         cfg.threadsPerBlade = t;
         cfg.bladeBytes = 2ull << 30;
         cfg.smart = presets::baseline();
-        cli.configureSpans(cfg);
         cli.configureShards(cfg);
 
         HtBenchParams p;

@@ -19,7 +19,6 @@ using namespace smart::harness;
 namespace {
 
 std::uint64_t g_seed = 0;           // from BenchCli --seed
-std::uint32_t g_span_every = 0;     // from BenchCli --trace-spans
 const BenchCli *g_cli = nullptr;    // for --cache-* flags
 
 HtBenchResult
@@ -36,7 +35,6 @@ run(std::uint32_t compute_blades, std::uint32_t threads, bool smart_on,
     cfg.smart.withBenchTimescale();
     g_cli->configureCache(cfg.smart);
     g_cli->configureShards(cfg);
-    cfg.spanSampleEvery = g_span_every;
 
     HtBenchParams p;
     p.numKeys = keys;
@@ -54,7 +52,6 @@ main(int argc, char **argv)
 {
     BenchCli cli(argc, argv, "fig07_hashtable");
     g_seed = cli.seed();
-    g_span_every = cli.spanSampleEvery();
     g_cli = &cli;
     bool quick = cli.quick();
     std::uint64_t keys = quick ? 200'000 : 1'000'000;

@@ -60,7 +60,6 @@ main(int argc, char **argv)
                 cfg.smart = s.cfg;
                 cfg.smart.withBenchTimescale();
                 cli.configureCache(cfg.smart);
-                cli.configureSpans(cfg);
                 cli.configureShards(cfg);
 
                 HtBenchParams p;

@@ -43,7 +43,6 @@ main(int argc, char **argv)
             cfg.smart = smart_on ? presets::full() : presets::baseline();
             cfg.smart.withBenchTimescale();
             cli.configureCache(cfg.smart);
-            cli.configureSpans(cfg);
             cli.configureShards(cfg);
 
             HtBenchParams p;

@@ -36,7 +36,6 @@ main(int argc, char **argv)
             p.workload = w;
             p.threads = thr;
             p.seed = cli.seed();
-            p.spanSampleEvery = cli.spanSampleEvery();
             p.shards = cli.shards();
             p.numAccounts = cli.quick() ? 20'000 : 100'000;
             p.measureNs = cli.quick() ? sim::msec(2) : sim::msec(4);

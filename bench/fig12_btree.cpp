@@ -49,7 +49,6 @@ main(int argc, char **argv)
                 p.threadsPerServer = thr;
                 p.seed = cli.seed();
                 p.shards = cli.shards();
-                p.spanSampleEvery = cli.spanSampleEvery();
                 p.mix = mix;
                 p.measureNs = quick ? sim::msec(2) : sim::msec(4);
                 RunCapture *cap =

@@ -20,7 +20,6 @@ using namespace smart::harness;
 namespace {
 
 std::uint64_t g_seed = 0;       // from BenchCli --seed
-std::uint32_t g_span_every = 0; // from BenchCli --trace-spans
 const BenchCli *g_cli = nullptr; // for --cache-* flags
 
 struct Variant
@@ -57,7 +56,6 @@ run(const SmartConfig &smart, std::uint32_t threads, std::uint64_t keys,
     cfg.smart.withBenchTimescale();
     g_cli->configureCache(cfg.smart);
     g_cli->configureShards(cfg);
-    cfg.spanSampleEvery = g_span_every;
 
     HtBenchParams p;
     p.numKeys = keys;
@@ -75,7 +73,6 @@ main(int argc, char **argv)
 {
     BenchCli cli(argc, argv, "fig14_conflict");
     g_seed = cli.seed();
-    g_span_every = cli.spanSampleEvery();
     g_cli = &cli;
     bool quick = cli.quick();
     std::uint64_t keys = quick ? 200'000 : 1'000'000;

@@ -22,18 +22,17 @@
  * frames), then runs a measured window during which a global
  * operator-new hook counts heap allocations. resume_storm, timer_wheel,
  * spawn_churn and both span_storm runs must be exactly allocation-free
- * in steady state: any counted allocation fails the bench (exit 1). The
- * span runs additionally gate that the tracer never perturbs the
- * simulation: span_storm_off must process exactly resume_storm's event
- * count (the guard is one pointer load), and span_storm_on must process
- * the same events again while recording. shard_scaling gates that every
- * shard count processes exactly the same events and delivers the same
- * wire messages as the single-shard run (the determinism gate); the
- * wall-clock speedup column is informational here and gated by
- * scripts/compare_bench.py only on hosts with >= 4 cores. These are the
- * acceptance gates for the inline-event design, the observe-only span
- * layer and the sharded engine; there are no in-binary wall-clock
- * thresholds (a 1-core CI runner cannot demonstrate speedup).
+ * in steady state. The span runs must show that the tracer never
+ * perturbs the simulation: span_storm_off must process exactly
+ * resume_storm's event count (the guard is one pointer load), and
+ * span_storm_on must process the same events again while recording.
+ * shard_scaling must process exactly the same events and deliver the
+ * same wire messages at every shard count as the single-shard run (the
+ * determinism gate). These are the acceptance gates for the inline-event
+ * design, the observe-only span layer and the sharded engine. The bench
+ * only reports them; scripts/check_bench_json.py enforces them, and
+ * scripts/compare_bench.py gates the wall-clock speedup column only on
+ * hosts with >= 4 cores (a 1-core CI runner cannot demonstrate speedup).
  */
 
 #include <chrono>
@@ -392,17 +391,16 @@ main(int argc, char **argv)
     {
         const char *name;
         WorkloadResult r;
-        bool mustBeAllocFree;
     };
     std::uint64_t span_records = 0;
     Row rows[] = {
-        {"resume_storm", runResumeStorm(lanes, warmup, window), true},
-        {"timer_wheel", runTimerWheel(lanes, warmup, window), true},
-        {"two_tier_mix", runTwoTierMix(lanes, warmup, window), false},
-        {"spawn_churn", runSpawnChurn(lanes, warmup, window), true},
-        {"span_storm_off", runSpanStorm(lanes, warmup, window, false), true},
+        {"resume_storm", runResumeStorm(lanes, warmup, window)},
+        {"timer_wheel", runTimerWheel(lanes, warmup, window)},
+        {"two_tier_mix", runTwoTierMix(lanes, warmup, window)},
+        {"spawn_churn", runSpawnChurn(lanes, warmup, window)},
+        {"span_storm_off", runSpanStorm(lanes, warmup, window, false)},
         {"span_storm_on",
-         runSpanStorm(lanes, warmup, window, true, &span_records), true},
+         runSpanStorm(lanes, warmup, window, true, &span_records)},
     };
 
     std::printf("== DES kernel stress (lanes=%u, window=%llu us) ==\n",
@@ -411,7 +409,6 @@ main(int argc, char **argv)
     smart::sim::Table table({"workload", "events", "wall_ms",
                              "events_per_sec", "allocs",
                              "allocs_per_1k_events", "peak_depth"});
-    bool fail = false;
     for (const Row &row : rows) {
         const WorkloadResult &r = row.r;
         double wall_s = r.wallMs > 0 ? r.wallMs / 1000.0 : 1e-9;
@@ -427,14 +424,6 @@ main(int argc, char **argv)
             .cell(r.allocs)
             .cell(per_1k, 3)
             .cell(r.peakDepth);
-        if (row.mustBeAllocFree && r.allocs > 0) {
-            fail = true;
-            std::fprintf(stderr,
-                         "FAIL: %s made %llu heap allocations in its "
-                         "steady-state window (must be 0)\n",
-                         row.name,
-                         static_cast<unsigned long long>(r.allocs));
-        }
     }
     cli.addTable("kernel_stress", table);
 
@@ -445,29 +434,6 @@ main(int argc, char **argv)
     const WorkloadResult &resume = rows[0].r;
     const WorkloadResult &span_off = rows[4].r;
     const WorkloadResult &span_on = rows[5].r;
-    if (span_off.events != resume.events) {
-        fail = true;
-        std::fprintf(stderr,
-                     "FAIL: span_storm_off processed %llu events, "
-                     "resume_storm %llu (disabled tracer perturbed the "
-                     "simulation)\n",
-                     static_cast<unsigned long long>(span_off.events),
-                     static_cast<unsigned long long>(resume.events));
-    }
-    if (span_on.events != span_off.events) {
-        fail = true;
-        std::fprintf(stderr,
-                     "FAIL: span_storm_on processed %llu events, "
-                     "span_storm_off %llu (recording perturbed the "
-                     "simulation)\n",
-                     static_cast<unsigned long long>(span_on.events),
-                     static_cast<unsigned long long>(span_off.events));
-    }
-    if (span_records == 0) {
-        fail = true;
-        std::fprintf(stderr,
-                     "FAIL: span_storm_on recorded no spans\n");
-    }
     double disabled_overhead_pct = resume.wallMs > 0.0
         ? 100.0 * (span_off.wallMs - resume.wallMs) / resume.wallMs
         : 0.0;
@@ -488,8 +454,8 @@ main(int argc, char **argv)
 
     // Shard-scaling sweep: same workload, 1/2/4/8 shards. The gate is
     // determinism (identical event + delivery totals at every count);
-    // the speedup column is informational in-binary and enforced by
-    // scripts/compare_bench.py only when the host has >= 4 cores.
+    // the speedup column is gated by scripts/compare_bench.py only when
+    // the host has >= 4 cores.
     const Time ss_warmup = smart::sim::usec(cli.quick() ? 20 : 50);
     const Time ss_window = smart::sim::usec(cli.quick() ? 100 : 1000);
     std::printf("== shard scaling (8 blades, window=%llu us) ==\n",
@@ -511,19 +477,6 @@ main(int argc, char **argv)
             .cell(r.wallMs, 3)
             .cell(static_cast<double>(r.events) / wall_s, 0)
             .cell(speedup, 2);
-        if (r.events != ss_base.events || r.delivered != ss_base.delivered) {
-            fail = true;
-            std::fprintf(stderr,
-                         "FAIL: shard_scaling at %u shards processed "
-                         "%llu events / %llu deliveries; 1 shard "
-                         "processed %llu / %llu (sharding changed the "
-                         "simulation)\n",
-                         r.shards,
-                         static_cast<unsigned long long>(r.events),
-                         static_cast<unsigned long long>(r.delivered),
-                         static_cast<unsigned long long>(ss_base.events),
-                         static_cast<unsigned long long>(ss_base.delivered));
-        }
     }
     cli.addTable("kernel_stress_shard_scaling", ss_table);
 
@@ -533,6 +486,5 @@ main(int argc, char **argv)
              "change the processed-event count, and every shard count "
              "must replay the single-shard simulation exactly.");
 
-    int rc = cli.finish();
-    return fail ? 1 : rc;
+    return cli.finish();
 }

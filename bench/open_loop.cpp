@@ -16,7 +16,8 @@
  * mid-measure through the MembershipPlane (fenced ops retried, never
  * surfaced as failed).
  *
- * Gates (exit 1 on violation):
+ * Expected (gated by scripts/check_bench_json.py; the bench only
+ * reports):
  *  - per app, p99 is monotonically non-decreasing (5% tolerance) up to
  *    the knee;
  *  - the 1.4x point sheds load or engages the degradation ladder;
@@ -83,11 +84,7 @@ makeRig(const std::string &app, const Shape &sh, BenchCli &cli,
     cli.configureCache(cfg.smart);
     cfg.smart.corosPerThread = sh.coros;
     cli.configureShards(cfg);
-    if (cap != nullptr) {
-        cfg.traceSampleNs = sim::usec(500);
-        cli.configureSpans(cfg);
-        cli.configureTimeline(cfg);
-    }
+    observe(cfg, cap);
     rig.tb = std::make_unique<Testbed>(cfg);
     Testbed &tb = *rig.tb;
 
@@ -385,9 +382,9 @@ measureChurnCapacity(const Shape &sh, BenchCli &cli)
     }
     const Time warm = sim::msec(1);
     const Time measure = sim::msec(2);
-    tb.sim().runUntil(warm);
+    tb.runUntil(warm);
     std::uint64_t ops0 = rt.appOps.value();
-    tb.sim().runUntil(warm + measure);
+    tb.runUntil(warm + measure);
     std::uint64_t ops = rt.appOps.value() - ops0;
     return static_cast<double>(ops) /
            (static_cast<double>(measure) / 1000.0);
@@ -423,7 +420,6 @@ main(int argc, char **argv)
               : std::vector<double>{0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4};
 
     sim::Json slo = sim::Json::object();
-    bool bad = false;
 
     sim::Table knee_table(
         {"app", "capacity_mops", "closed_p99_ns", "knee_x", "overload_x"});
@@ -481,28 +477,6 @@ main(int argc, char **argv)
             .cell(knee_x, 1)
             .cell(overload_x, 1);
 
-        // Gate: p99 monotonically non-decreasing (5% tolerance) up to
-        // the knee.
-        for (std::size_t i = 1; i < pts.size(); ++i) {
-            if (pts[i].offeredX > knee_x)
-                break;
-            if (static_cast<double>(pts[i].p99) <
-                0.95 * static_cast<double>(pts[i - 1].p99)) {
-                std::cerr << "open_loop: " << app << " p99 dips at "
-                          << pts[i].offeredX << "x (" << pts[i].p99
-                          << " < " << pts[i - 1].p99 << ")\n";
-                bad = true;
-            }
-        }
-        // Gate: the 1.4x point visibly overloads.
-        const PointResult &top = pts.back();
-        if (top.rejected == 0 && top.ladder == 0) {
-            std::cerr << "open_loop: " << app
-                      << " 1.4x point neither sheds nor engages the "
-                         "degradation ladder\n";
-            bad = true;
-        }
-
         for (std::size_t i = 0; i < fracs.size(); ++i) {
             char key[32];
             std::snprintf(key, sizeof key, "%s/%.1fx", app.c_str(),
@@ -530,11 +504,7 @@ main(int argc, char **argv)
         // (both abort on a sharded simulation), so --shards is not
         // applied here.
         RunCapture *cap = cli.nextCapture("churn/0.9x");
-        if (cap != nullptr) {
-            cfg.traceSampleNs = sim::usec(500);
-            cli.configureSpans(cfg);
-            cli.configureTimeline(cfg);
-        }
+        observe(cfg, cap);
         Testbed tb(cfg);
         SmartRuntime &rt = tb.compute(0);
 
@@ -598,7 +568,9 @@ main(int argc, char **argv)
         std::vector<Phase> phases = {{"pre", warm, drain_at},
                                      {"drain", drain_at, rejoin_at},
                                      {"rejoin", rejoin_at, end}};
-        sim::Table ct({"phase", "completed_kops", "p99_ns", "rejected"});
+        // failed_ops: ops surfaced as failed since the arm started.
+        sim::Table ct({"phase", "completed_kops", "p99_ns", "rejected",
+                       "failed_ops"});
         for (const Phase &ph : phases) {
             driver.resetWindow();
             tb.runUntil(ph.b);
@@ -609,16 +581,11 @@ main(int argc, char **argv)
                 .cell(std::string(ph.name))
                 .cell(kops, 1)
                 .cell(s.latency.p99())
-                .cell(s.rejected.value());
+                .cell(s.rejected.value())
+                .cell(failed_ops);
         }
         cli.addTable("open_loop_churn", ct);
         captureRun(tb, cap);
-
-        if (failed_ops != 0) {
-            std::cerr << "open_loop: churn surfaced " << failed_ops
-                      << " failed ops (want 0)\n";
-            bad = true;
-        }
     }
 
     cli.setSlo(slo);
@@ -626,8 +593,5 @@ main(int argc, char **argv)
              "rise past it, shedding + degradation ladder at 1.2-1.4x; "
              "weighted-fair admission keeps web p99 bounded while burst "
              "spikes absorb their own queue.");
-
-    if (bad)
-        return 1;
     return cli.finish();
 }

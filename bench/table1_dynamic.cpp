@@ -29,8 +29,6 @@ using sim::Time;
 
 namespace {
 
-std::uint32_t g_span_every = 0; // from BenchCli --trace-spans
-
 struct Shared
 {
     std::uint32_t activeThreads = 96;
@@ -81,10 +79,7 @@ run(bool throttle, Time interval, Time window, std::uint64_t seed,
     cfg.smart = throttle ? presets::workReqThrot() : presets::thdResAlloc();
     cfg.smart.corosPerThread = 1;
     cfg.smart.withBenchTimescale();
-    if (cap != nullptr) {
-        cfg.traceSampleNs = sim::usec(500);
-        cfg.spanSampleEvery = g_span_every;
-    }
+    observe(cfg, cap);
 
     Testbed tb(cfg);
     Shared shared;
@@ -97,9 +92,9 @@ run(bool throttle, Time interval, Time window, std::uint64_t seed,
         controller(tb.compute(0).sim(), shared, interval, seed));
 
     Time warmup = sim::msec(8);
-    tb.sim().runUntil(warmup);
+    tb.runUntil(warmup);
     std::uint64_t wrs0 = tb.compute(0).rnic().perf().wrsCompleted.value();
-    tb.sim().runUntil(warmup + window);
+    tb.runUntil(warmup + window);
     std::uint64_t wrs =
         tb.compute(0).rnic().perf().wrsCompleted.value() - wrs0;
     captureRun(tb, cap);
@@ -113,7 +108,6 @@ int
 main(int argc, char **argv)
 {
     BenchCli cli(argc, argv, "table1_dynamic");
-    g_span_every = cli.spanSampleEvery();
     bool quick = cli.quick();
 
     std::vector<Time> intervals =

@@ -4,17 +4,22 @@
 Usage:
     check_bench_json.py REPORT.json
     check_bench_json.py --run BENCH_BINARY [ARGS...]
-    check_bench_json.py --same-timeseries A.json B.json
+    check_bench_json.py --same-runs A.json B.json
 
-With --run, executes the bench with --quick --json into a temp directory
-and validates the report it writes. Exits 0 when the report is valid,
-1 with a diagnostic otherwise. Used both as a ctest and for eyeballing
-reports by hand.
+This script is the one home of every bench threshold: the benches only
+emit data (and exit 0 unless the report cannot be written), and the
+per-bench validators below gate it.
 
-With --same-timeseries, checks that two reports carry identical
-windowed time-series blocks for every common run label (the shard-count
-byte-identity gate: a --shards 4 run must sample exactly what the
---shards 1 run did).
+With --run, executes the bench with --quick --trace --json into a temp
+directory and validates the report it writes. Exits 0 when the report is
+valid, 1 with a diagnostic otherwise. Used both as a ctest and for
+eyeballing reports by hand.
+
+With --same-runs, checks that two reports of one bench carry identical
+tables and identical runs: every key of every run entry (label, at_ns,
+metrics, timeseries) but spans must match. This is the byte-identity
+gate: e.g. a --shards 4 run must simulate and sample exactly what the
+--shards 1 run did.
 """
 
 import json
@@ -29,6 +34,11 @@ SCHEMA = "smart-bench-report/v1"
 # SMART threads or controller, so the thread-metrics / controller-timeline
 # requirements below do not apply to them. The perf block still does.
 KERNEL_BENCHES = {"kernel_stress"}
+
+# Adaptive-controller series (Algorithm 1's C_max, the §4.3 t_max) that
+# some run's timeseries block must carry for >= CTRL_MIN_WINDOWS windows.
+CTRL_SERIES = ("smart.ctrl.credit_cmax", "smart.ctrl.tmax_cycles")
+CTRL_MIN_WINDOWS = 5
 
 
 def fail(msg):
@@ -99,38 +109,20 @@ def validate(report):
         ts = run.get("timeseries")
         if ts is not None:
             validate_timeseries(run["label"], ts)
-
-        trace = run.get("trace")
-        if trace is None:
-            continue
-        t_ns = trace.get("t_ns")
-        check(isinstance(t_ns, list),
-              f"run {run['label']}: trace missing t_ns")
-        series = {s["name"]: s for s in trace.get("series", [])}
-        for s in series.values():
-            check(len(s["values"]) == len(t_ns),
-                  f"run {run['label']}: series {s['name']} length "
-                  f"{len(s['values'])} != {len(t_ns)} samples")
-        if ("smart.ctrl.credit_cmax" in series
-                and "smart.ctrl.tmax_cycles" in series
-                and len(t_ns) >= 5):
-            saw_ctrl_timeline = True
+            points = {s["name"]: len(s["points"]) for s in ts["series"]}
+            if all(points.get(name, 0) >= CTRL_MIN_WINDOWS
+                   for name in CTRL_SERIES):
+                saw_ctrl_timeline = True
 
     if report["bench"] not in KERNEL_BENCHES:
         check(saw_thread_metrics,
               "no run carries per-thread doorbell_wait_ns + wqe_refetches")
         check(saw_ctrl_timeline,
-              "no run has a C_max + t_max timeline with >= 5 samples")
-    if report["bench"] == "kernel_stress":
-        validate_kernel_stress(report)
-    if report["bench"] == "fault_storm":
-        validate_fault_storm(report)
-    if report["bench"] == "cache_crossover":
-        validate_cache_crossover(report)
-    if report["bench"] == "elasticity":
-        validate_elasticity(report)
-    if report["bench"] == "open_loop":
-        validate_open_loop(report)
+              f"no run has a C_max + t_max timeseries with >= "
+              f"{CTRL_MIN_WINDOWS} windows (run with --trace)")
+    gate = BENCH_VALIDATORS.get(report["bench"])
+    if gate is not None:
+        gate(report)
     print(f"check_bench_json: OK: {report['bench']} "
           f"({len(report['tables'])} tables, {len(report['runs'])} runs)")
 
@@ -334,13 +326,50 @@ def validate_perf(report):
           f"perf.peak_queue_depth {perf['peak_queue_depth']}")
 
 
+# kernel_stress workloads whose steady-state window must not allocate.
+ALLOC_FREE_WORKLOADS = ("resume_storm", "timer_wheel", "spawn_churn",
+                        "span_storm_off", "span_storm_on")
+
+
 def validate_kernel_stress(report):
-    """The shard-scaling sweep must be present and deterministic: every
-    shard count replays the single-shard simulation exactly (identical
-    event and wire-delivery totals). Wall-clock speedup is gated
-    separately by compare_bench.py --shard-scaling, and only on hosts
-    with enough cores to demonstrate it."""
+    """The DES kernel's acceptance gates: the alloc-free workloads made
+    zero heap allocations in their steady-state window; the span tracer
+    never perturbs the simulation (span_storm_off/on replay resume_storm's
+    event count, and recording produced spans); and the shard-scaling
+    sweep is deterministic — every shard count replays the single-shard
+    simulation exactly (identical event and wire-delivery totals).
+    Wall-clock speedup is gated separately by compare_bench.py
+    --shard-scaling, and only on hosts with enough cores to demonstrate
+    it."""
     tables = {t["name"]: t for t in report["tables"]}
+
+    ks = tables.get("kernel_stress")
+    check(ks is not None, "kernel_stress report missing workload table")
+    cols = {name: i for i, name in enumerate(ks["header"])}
+    for col in ("workload", "events", "allocs"):
+        check(col in cols, f"kernel_stress missing column {col!r}")
+    allocs = {row[cols["workload"]]: int(row[cols["allocs"]])
+              for row in ks["rows"]}
+    for name in ALLOC_FREE_WORKLOADS:
+        check(name in allocs, f"kernel_stress missing workload {name!r}")
+        check(allocs[name] == 0,
+              f"{name} made {allocs[name]} heap allocations in its "
+              "steady-state window (must be 0)")
+
+    sg = tables.get("kernel_stress_span_gates")
+    check(sg is not None, "kernel_stress report missing span_gates table")
+    cols = {name: i for i, name in enumerate(sg["header"])}
+    for col in ("span_records", "off_events_match", "on_events_match"):
+        check(col in cols, f"kernel_stress_span_gates missing column {col!r}")
+    row = sg["rows"][0]
+    check(row[cols["off_events_match"]] == "yes",
+          "span_storm_off's event count differs from resume_storm's "
+          "(the disabled span tracer perturbed the simulation)")
+    check(row[cols["on_events_match"]] == "yes",
+          "span_storm_on's event count differs from span_storm_off's "
+          "(span recording perturbed the simulation)")
+    check(int(row[cols["span_records"]]) > 0,
+          "span_storm_on recorded no spans")
     ss = tables.get("kernel_stress_shard_scaling")
     check(ss is not None,
           "kernel_stress report missing shard_scaling table")
@@ -513,7 +542,7 @@ def validate_open_loop(report):
               f"open_loop report missing open_loop_{app} table")
         cols = {name: i for i, name in enumerate(sweep["header"])}
         for col in ("offered_x", "offered_mops", "completed_mops",
-                    "p50_ns", "p99_ns", "p999_ns", "rejected"):
+                    "p50_ns", "p99_ns", "p999_ns", "rejected", "ladder"):
             check(col in cols, f"open_loop_{app} missing column {col!r}")
         rows = sweep["rows"]
         check(len(rows) >= 3, f"open_loop_{app} has {len(rows)} points "
@@ -541,6 +570,11 @@ def validate_open_loop(report):
             check(p99s[i] >= 0.95 * p99s[i - 1],
                   f"open_loop_{app}: p99 dips below the knee at "
                   f"{xs[i]}x ({p99s[i]} < {p99s[i - 1]})")
+
+        top = rows[-1]
+        check(int(top[cols["rejected"]]) > 0 or int(top[cols["ladder"]]) > 0,
+              f"open_loop_{app}: the {xs[-1]}x point neither sheds nor "
+              "engages the degradation ladder")
 
     kt = tables.get("open_loop_knee")
     check(kt is not None, "open_loop report missing open_loop_knee table")
@@ -579,6 +613,17 @@ def validate_open_loop(report):
             saw_tenant_metrics = True
     check(saw_tenant_metrics,
           "no run carries smart.tenant.offered + smart.tenant.latency_ns")
+
+    churn = tables.get("open_loop_churn")
+    if churn is not None:
+        cols = {name: i for i, name in enumerate(churn["header"])}
+        check("failed_ops" in cols, "open_loop_churn missing column "
+              "'failed_ops'")
+        for row in churn["rows"]:
+            check(int(row[cols["failed_ops"]]) == 0,
+                  f"open_loop churn: {row[cols['failed_ops']]} ops "
+                  f"surfaced as failed by the end of phase {row[0]} "
+                  "(want 0)")
 
     # ---- time-series gates (runs with --ts-window) ----
     ts_runs = {run["label"]: run["timeseries"]
@@ -693,34 +738,48 @@ def validate_cache_crossover(report):
           "no run carries a non-zero smart.cache.hits counter")
 
 
-def same_timeseries(path_a, path_b):
-    """Byte-identity gate: both reports must carry equal timeseries
-    blocks for every common run label (e.g. --shards 1 vs --shards 4)."""
+BENCH_VALIDATORS = {
+    "kernel_stress": validate_kernel_stress,
+    "fault_storm": validate_fault_storm,
+    "cache_crossover": validate_cache_crossover,
+    "elasticity": validate_elasticity,
+    "open_loop": validate_open_loop,
+}
+
+
+def same_runs(path_a, path_b):
+    """Byte-identity gate: two reports of one bench (e.g. --shards 1 vs
+    --shards 4) must carry equal tables and equal run entries, key by
+    key (label, at_ns, metrics, timeseries). Spans are left out: at
+    --shards > 1 the stages a memory blade records on its own shard
+    (atomic, part of link) are not attributed to the op."""
     a = json.loads(Path(path_a).read_text())
     b = json.loads(Path(path_b).read_text())
-    ts_a = {r["label"]: r["timeseries"] for r in a.get("runs", [])
-            if r.get("timeseries")}
-    ts_b = {r["label"]: r["timeseries"] for r in b.get("runs", [])
-            if r.get("timeseries")}
-    common = sorted(set(ts_a) & set(ts_b))
-    check(common, f"no common timeseries-carrying run labels between "
-          f"{path_a} and {path_b}")
-    for label in common:
-        check(ts_a[label] == ts_b[label],
-              f"run {label}: timeseries blocks differ between "
-              f"{path_a} and {path_b}")
-    print(f"check_bench_json: OK: identical timeseries for "
-          f"{len(common)} run(s): {', '.join(common)}")
+    where = f"between {path_a} and {path_b}"
+    tables_a = [t["name"] for t in a["tables"]]
+    check(tables_a == [t["name"] for t in b["tables"]],
+          f"table lists differ {where}")
+    for ta, tb in zip(a["tables"], b["tables"]):
+        check(ta == tb, f"table {ta['name']} differs {where}")
+    labels = [r["label"] for r in a["runs"]]
+    check(labels == [r["label"] for r in b["runs"]],
+          f"run labels differ {where}")
+    for ra, rb in zip(a["runs"], b["runs"]):
+        for key in sorted((set(ra) | set(rb)) - {"spans"}):
+            check(ra.get(key) == rb.get(key),
+                  f"run {ra['label']}: {key} differs {where}")
+    print(f"check_bench_json: OK: identical {len(tables_a)} tables and "
+          f"{len(labels)} runs")
 
 
 def main(argv):
-    if len(argv) == 3 and argv[0] == "--same-timeseries":
-        same_timeseries(argv[1], argv[2])
+    if len(argv) == 3 and argv[0] == "--same-runs":
+        same_runs(argv[1], argv[2])
         return 0
     if len(argv) >= 2 and argv[0] == "--run":
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "report.json"
-            cmd = argv[1:] + ["--quick", "--json", str(out),
+            cmd = argv[1:] + ["--quick", "--trace", "--json", str(out),
                               "--out-dir", tmp]
             proc = subprocess.run(cmd)
             check(proc.returncode == 0,

@@ -6,6 +6,9 @@
 #include "harness/bench_cli.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -34,8 +37,8 @@ usage(const std::string &bench, int exit_code)
           "  --out-dir DIR  directory for CSV/JSON outputs (default .)\n"
           "  --seed N       perturb workload RNG seeds (recorded in the "
           "JSON report)\n"
-          "  --trace        capture controller timelines (implies a "
-          "JSON report)\n"
+          "  --trace        alias for --ts-window 500us (the time "
+          "series carry the controller timelines)\n"
           "  --trace-spans[=N]  record per-op latency spans, sampling "
           "every Nth op (default 1; implies a JSON report and writes a "
           "Perfetto trace per captured run)\n"
@@ -57,26 +60,43 @@ usage(const std::string &bench, int exit_code)
     std::exit(exit_code);
 }
 
-/** Parse a virtual-time value: plain number = ns, us/ms suffixes. */
+/**
+ * Parse an unsigned integer flag value (decimal, 0x hex or 0 octal) no
+ * larger than @p max. Signs, trailing garbage and overflow are usage
+ * errors, so "--seed 7x" cannot silently become 7.
+ */
+std::uint64_t
+parseUint(const std::string &bench, const char *flag, const std::string &text,
+          std::uint64_t max = UINT64_MAX)
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(text.c_str(), &end, 0);
+    bool digits = !text.empty() && text[0] >= '0' && text[0] <= '9';
+    if (!digits || *end != '\0' || errno == ERANGE || v > max) {
+        std::cerr << bench << ": " << flag << " needs an unsigned integer"
+                  << " <= " << max << ", got '" << text << "'\n";
+        usage(bench, 2);
+    }
+    return v;
+}
+
+/** Parse a virtual-time value: plain number = ns, ns/us/ms suffixes. */
 sim::Time
 parseTimeNs(const std::string &bench, const char *flag,
             const std::string &text)
 {
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 0);
-    std::string suffix = end != nullptr ? std::string(end) : std::string();
-    sim::Time ns = static_cast<sim::Time>(v);
-    if (suffix == "us") {
-        ns = sim::usec(v);
-    } else if (suffix == "ms") {
-        ns = sim::msec(v);
-    } else if (suffix == "ns" || suffix.empty()) {
-        // plain nanoseconds
-    } else {
-        std::cerr << bench << ": " << flag << " '" << text
-                  << "' has an unknown suffix (expected ns/us/ms)\n";
-        usage(bench, 2);
+    std::string num = text;
+    sim::Time unit = 1;
+    if (num.size() > 2) {
+        std::string suffix = num.substr(num.size() - 2);
+        if (suffix == "us" || suffix == "ms" || suffix == "ns") {
+            unit = suffix == "us" ? sim::usec(1)
+                 : suffix == "ms" ? sim::msec(1) : 1;
+            num.resize(num.size() - 2);
+        }
     }
+    sim::Time ns = parseUint(bench, flag, num, UINT64_MAX / unit) * unit;
     if (ns == 0) {
         std::cerr << bench << ": " << flag << " needs a value > 0\n";
         usage(bench, 2);
@@ -122,14 +142,16 @@ BenchCli::BenchCli(int argc, char **argv, std::string bench_name)
         } else if (arg == "--out-dir") {
             outDir_ = value(i, "--out-dir");
         } else if (arg == "--seed") {
-            seed_ = std::strtoull(value(i, "--seed").c_str(), nullptr, 0);
+            seed_ = parseUint(benchName_, "--seed", value(i, "--seed"));
         } else if (arg == "--trace") {
             trace = true;
         } else if (arg == "--trace-spans") {
             spanSampleEvery_ = 1;
         } else if (arg.rfind("--trace-spans=", 0) == 0) {
-            spanSampleEvery_ = static_cast<std::uint32_t>(std::strtoul(
-                arg.c_str() + sizeof("--trace-spans=") - 1, nullptr, 0));
+            spanSampleEvery_ = static_cast<std::uint32_t>(
+                parseUint(benchName_, "--trace-spans=N",
+                          arg.substr(sizeof("--trace-spans=") - 1),
+                          UINT32_MAX));
             if (spanSampleEvery_ == 0) {
                 std::cerr << benchName_
                           << ": --trace-spans=N needs N >= 1\n";
@@ -138,8 +160,8 @@ BenchCli::BenchCli(int argc, char **argv, std::string bench_name)
         } else if (arg == "--flame") {
             flamePath_ = value(i, "--flame");
         } else if (arg == "--cache-mb") {
-            cacheMb_ = static_cast<int>(
-                std::strtoul(value(i, "--cache-mb").c_str(), nullptr, 0));
+            cacheMb_ = static_cast<int>(parseUint(
+                benchName_, "--cache-mb", value(i, "--cache-mb"), INT_MAX));
         } else if (arg == "--cache-policy") {
             std::string p = value(i, "--cache-policy");
             if (p == "clock") {
@@ -155,8 +177,8 @@ BenchCli::BenchCli(int argc, char **argv, std::string bench_name)
         } else if (arg == "--no-cache") {
             noCache_ = true;
         } else if (arg == "--shards") {
-            shards_ = static_cast<std::uint32_t>(
-                std::strtoul(value(i, "--shards").c_str(), nullptr, 0));
+            shards_ = static_cast<std::uint32_t>(parseUint(
+                benchName_, "--shards", value(i, "--shards"), UINT32_MAX));
             if (shards_ == 0) {
                 std::cerr << benchName_ << ": --shards N needs N >= 1\n";
                 usage(benchName_, 2);
@@ -179,8 +201,9 @@ BenchCli::BenchCli(int argc, char **argv, std::string bench_name)
         outDir_ = ".";
     if (!flamePath_.empty() && spanSampleEvery_ == 0)
         spanSampleEvery_ = 1;
-    if ((trace || spanSampleEvery_ > 0 || tsWindowNs_ > 0) &&
-        jsonPath_.empty())
+    if (trace && tsWindowNs_ == 0)
+        tsWindowNs_ = sim::usec(500);
+    if ((spanSampleEvery_ > 0 || tsWindowNs_ > 0) && jsonPath_.empty())
         jsonPath_ = outDir_ + "/" + benchName_ + "_report.json";
 
     std::error_code ec;
@@ -207,9 +230,11 @@ BenchCli::nextCapture(std::string label)
         }
         return nullptr;
     }
-    captures_.emplace_back();
-    captures_.back().label = std::move(label);
-    return &captures_.back();
+    RunCapture &cap = captures_.emplace_back();
+    cap.label = std::move(label);
+    cap.spanSampleEvery = spanSampleEvery_;
+    cap.tsWindowNs = tsWindowNs_;
+    return &cap;
 }
 
 void

@@ -10,7 +10,8 @@
  *   --out-dir DIR  directory for CSV/JSON outputs (default ".")
  *   --seed N       perturb every bench's workload RNG streams (recorded
  *                  in the JSON report; same seed => identical run)
- *   --trace        capture controller timelines (implies a JSON report)
+ *   --trace        alias for --ts-window 500us: the windowed time series
+ *                  carry the adaptive-controller timelines (smart.ctrl.*)
  *   --trace-spans[=N]  record per-op spans, sampling every Nth op
  *                  (default every op; implies a JSON report; also writes
  *                  <out-dir>/<bench>_<label>_trace.json per captured run)
@@ -29,6 +30,10 @@
  *                  <out-dir>/<bench>_<label>_timeseries.csv per run)
  *   --ts-out PATH  additionally concatenate every captured run's
  *                  time-series CSV into PATH
+ *
+ * Numeric values (--seed, --shards, --cache-mb, --trace-spans=N, the
+ * number of --ts-window) are unsigned integers — decimal, 0x hex or 0
+ * octal; a value with trailing garbage is a usage error (exit 2).
  */
 
 #ifndef SMART_HARNESS_BENCH_CLI_HPP
@@ -74,34 +79,11 @@ class BenchCli
     /** @return true when runs should fill RunCaptures (JSON requested). */
     bool capturing() const { return !jsonPath_.empty(); }
 
-    /** Span sampling stride from --trace-spans (0 = spans off). */
-    std::uint32_t spanSampleEvery() const { return spanSampleEvery_; }
-
-    /** Flamegraph output path from --flame (empty = not requested). */
-    const std::string &flamePath() const { return flamePath_; }
-
-    /** Apply the span flags to a testbed config (call before building). */
-    void
-    configureSpans(TestbedConfig &cfg) const
-    {
-        cfg.spanSampleEvery = spanSampleEvery_;
-    }
-
     /** Shard count from --shards (default 1). */
     std::uint32_t shards() const { return shards_; }
 
     /** Apply --shards to a testbed config (call before building). */
     void configureShards(TestbedConfig &cfg) const { cfg.shards = shards_; }
-
-    /** Time-series window from --ts-window, ns (0 = plane off). */
-    sim::Time tsWindowNs() const { return tsWindowNs_; }
-
-    /** Apply --ts-window to a testbed config (call before building). */
-    void
-    configureTimeline(TestbedConfig &cfg) const
-    {
-        cfg.tsWindowNs = tsWindowNs_;
-    }
 
     /**
      * Apply the cache flags onto @p cfg. Bench defaults survive unless a
@@ -129,10 +111,11 @@ class BenchCli
 
     /**
      * Reserve a capture slot for the next measured run, labelled
-     * @p label. @return nullptr when no report was requested (or the
+     * @p label, carrying the observers --trace-spans / --ts-window ask
+     * for. @return nullptr when no report was requested (or the
      * per-report capture cap was reached) — benches pass the result
-     * straight to the run functions, which treat nullptr as "don't
-     * capture".
+     * straight to the run functions, which switch its observers on
+     * (observe()) and treat nullptr as "don't capture".
      */
     RunCapture *nextCapture(std::string label);
 

@@ -58,10 +58,7 @@ runBtBench(const BtBenchParams &params, RunCapture *capture)
     cfg.smart.corosPerThread = params.corosPerThread;
     cfg.smart.withBenchTimescale();
     cfg.shards = params.shards;
-    if (capture != nullptr) {
-        cfg.traceSampleNs = sim::usec(500);
-        cfg.spanSampleEvery = params.spanSampleEvery;
-    }
+    observe(cfg, capture);
     Testbed tb(cfg);
 
     std::vector<memblade::MemoryBlade *> blades;

@@ -49,9 +49,6 @@ struct BtBenchParams
     sim::Time measureNs = sim::msec(4);
     /** Workload RNG seed (from BenchCli --seed); 0 = default stream. */
     std::uint64_t seed = 0;
-    /** Span sampling stride (BenchCli --trace-spans); used only for
-     *  captured runs, 0 = off. */
-    std::uint32_t spanSampleEvery = 0;
     /** Simulation shard count (BenchCli --shards); clamped to blades. */
     std::uint32_t shards = 1;
 };
@@ -68,7 +65,8 @@ struct BtBenchResult
 /**
  * Run one B+Tree benchmark configuration.
  * @param capture when non-null, filled with the run's full metrics
- *        snapshot and trace (tracing is auto-enabled for the run).
+ *        snapshot; its observers (spans, time series) are switched on
+ *        for the run.
  */
 BtBenchResult runBtBench(const BtBenchParams &params,
                          RunCapture *capture = nullptr);

@@ -35,9 +35,6 @@ struct DtxBenchParams
     sim::Time interTxnDelayNs = 0; ///< Fig. 11 throughput throttling
     /** Workload RNG seed (from BenchCli --seed); 0 = default stream. */
     std::uint64_t seed = 0;
-    /** Span sampling stride (BenchCli --trace-spans); used only for
-     *  captured runs, 0 = off. */
-    std::uint32_t spanSampleEvery = 0;
     /** Simulation shard count (BenchCli --shards); clamped to blades. */
     std::uint32_t shards = 1;
 };
@@ -53,7 +50,8 @@ struct DtxBenchResult
 
 /**
  * @param capture when non-null, filled with the run's full metrics
- *        snapshot and trace (tracing is auto-enabled for the run).
+ *        snapshot; its observers (spans, time series) are switched on
+ *        for the run.
  */
 DtxBenchResult runDtxBench(const DtxBenchParams &params,
                            RunCapture *capture = nullptr);

@@ -77,10 +77,7 @@ runHtBench(const TestbedConfig &cfg, const HtBenchParams &params,
 {
     TestbedConfig tb_cfg = cfg;
     tb_cfg.smart.corosPerThread = params.corosPerThread;
-    if (capture != nullptr && tb_cfg.traceSampleNs == 0)
-        tb_cfg.traceSampleNs = sim::usec(500);
-    if (capture == nullptr)
-        tb_cfg.spanSampleEvery = 0; // spans are per-capture artifacts
+    observe(tb_cfg, capture);
     Testbed tb(tb_cfg);
 
     std::vector<memblade::MemoryBlade *> blades;

@@ -59,7 +59,8 @@ struct HtBenchResult
 /**
  * Run the benchmark on a fresh testbed built from @p cfg.
  * @param capture when non-null, filled with the run's full metrics
- *        snapshot and trace (tracing is auto-enabled for the run).
+ *        snapshot; its observers (spans, time series) are switched on
+ *        for the run.
  */
 HtBenchResult runHtBench(const TestbedConfig &cfg,
                          const HtBenchParams &params,

@@ -173,7 +173,7 @@ using ServiceFn = std::function<sim::Task(
  * `smart.tenant.*` metrics on the testbed's registry; destruction
  * unregisters them. start() spawns the per-tenant arrival coroutines
  * plus the worker coroutines; the simulation is then advanced by the
- * caller (tb.sim().runUntil) exactly like a closed-loop run.
+ * caller (tb.runUntil) exactly like a closed-loop run.
  */
 class OpenLoopDriver
 {

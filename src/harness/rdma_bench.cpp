@@ -62,8 +62,7 @@ runRdmaBench(const TestbedConfig &cfg, const RdmaBenchParams &params,
 {
     TestbedConfig tb_cfg = cfg;
     tb_cfg.bladeBytes = params.regionBytes;
-    if (capture != nullptr && tb_cfg.traceSampleNs == 0)
-        tb_cfg.traceSampleNs = sim::usec(500);
+    observe(tb_cfg, capture);
     Testbed tb(tb_cfg);
 
     for (std::uint32_t c = 0; c < tb.numComputeBlades(); ++c) {

@@ -47,7 +47,8 @@ struct RdmaBenchResult
  * client/server pair).
  *
  * @param capture when non-null, filled with the run's full metrics
- *        snapshot and trace (tracing is auto-enabled for the run).
+ *        snapshot; its observers (spans, time series) are switched on
+ *        for the run.
  */
 RdmaBenchResult runRdmaBench(const TestbedConfig &cfg,
                              const RdmaBenchParams &params,

@@ -38,8 +38,6 @@ Reporter::addRun(const RunCapture &cap)
     jr.set("label", Json(cap.label));
     jr.set("at_ns", Json(cap.metrics.at));
     jr.set("metrics", cap.metrics.toJson());
-    if (cap.trace.samples() > 0)
-        jr.set("trace", cap.trace.toJson());
     if (cap.spans.isObject())
         jr.set("spans", cap.spans);
     if (cap.timeseries.isObject())

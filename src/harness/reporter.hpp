@@ -2,7 +2,7 @@
  * @file
  * Reporter: assembles a full machine-readable record of one bench
  * invocation — configuration, result tables, per-run metrics snapshots
- * and controller timelines — and serializes it as JSON
+ * and time series — and serializes it as JSON
  * (schema "smart-bench-report/v1"). scripts/check_bench_json.py
  * validates the schema; EXPERIMENTS.md documents it.
  */
@@ -72,7 +72,7 @@ class Reporter
     /** Record a result table under @p name (also the CSV base name). */
     void addTable(const std::string &name, const sim::Table &t);
 
-    /** Record one measured run (snapshot + optional trace). */
+    /** Record one measured run (snapshot + optional spans/time series). */
     void addRun(const RunCapture &cap);
 
     /** Record a free-form note (the benches' "Paper shape" blurbs). */

@@ -22,7 +22,6 @@
 #include "sim/simulator.hpp"
 #include "sim/span.hpp"
 #include "sim/timeline.hpp"
-#include "sim/trace.hpp"
 #include "smart/smart_config.hpp"
 #include "smart/smart_runtime.hpp"
 
@@ -44,18 +43,10 @@ struct TestbedConfig
      * the wire propagation latency as lookahead (see sim/wire.hpp).
      * Clamped to the blade count; 1 (the default) is the classic
      * single-threaded engine. Seeded results are byte-identical at any
-     * value. Incompatible with the fault plane, the membership plane and
-     * the metrics tracer (those hold cross-blade state on one shard).
+     * value. Incompatible with the fault plane and the membership plane
+     * (those hold cross-blade state on one shard).
      */
     std::uint32_t shards = 1;
-
-    /**
-     * Virtual-time sampling cadence of the built-in tracer; 0 disables
-     * tracing entirely (no sampling coroutine is spawned).
-     */
-    sim::Time traceSampleNs = 0;
-    /** Hard cap on trace samples (bounds report size). */
-    std::size_t traceMaxSamples = 4096;
 
     /**
      * Span recording cadence: every Nth application op per coroutine is
@@ -113,24 +104,6 @@ class Testbed
             for (std::uint32_t s = 0; s < shards; ++s)
                 timeline_->attach(group_.shard(s));
         }
-        if (cfg.traceSampleNs > 0) {
-            // The tracer samples every blade's metrics from one shard;
-            // its constructor rejects grouped shards (always-on check).
-            // Metric timelines are a single-shard observability feature:
-            // on a sharded testbed they are skipped (the run itself is
-            // unaffected — counters still merge at snapshot time).
-            if (group_.size() > 1) {
-                std::fprintf(stderr,
-                             "Testbed: metric timelines disabled at "
-                             "shards=%u (single-shard feature)\n",
-                             static_cast<unsigned>(group_.size()));
-            } else {
-                tracer_ =
-                    std::make_unique<sim::Tracer>(sim(), sim().metrics());
-                tracer_->start(cfg.traceSampleNs, defaultTraceFilter,
-                               cfg.traceMaxSamples);
-            }
-        }
     }
 
     /**
@@ -180,9 +153,6 @@ class Testbed
     {
         return *computeBlades_[i];
     }
-
-    /** @return the built-in tracer (nullptr unless traceSampleNs > 0). */
-    sim::Tracer *tracer() { return tracer_.get(); }
 
     /** @return the time-series plane (nullptr unless tsWindowNs > 0). */
     sim::Timeline *timeline() { return timeline_.get(); }
@@ -236,25 +206,6 @@ class Testbed
         return sim::MetricsRegistry::mergedSnapshot(sim().now(), regs);
     }
 
-    /**
-     * Default trace filter: blade-level series plus the adaptive
-     * controller gauges of thread 0 (one exemplar thread keeps report
-     * size independent of the thread count; per-thread data is still
-     * available in full through snapshot()).
-     */
-    static bool
-    defaultTraceFilter(const sim::MetricId &id, sim::MetricKind kind)
-    {
-        (void)kind;
-        if (id.name.rfind("rnic.", 0) == 0 ||
-            id.name.rfind("app.", 0) == 0 ||
-            id.name.rfind("memblade.", 0) == 0)
-            return true;
-        if (id.name.rfind("smart.ctrl.", 0) == 0)
-            return id.label("thread") == "0";
-        return false;
-    }
-
   private:
     static std::uint32_t
     effectiveShards(const TestbedConfig &cfg)
@@ -277,19 +228,21 @@ class Testbed
     std::vector<std::unique_ptr<sim::SpanTracer>> spans_;
     // Declared after group_: uninstalls itself from every shard.
     std::unique_ptr<sim::Timeline> timeline_;
-    // Declared last: sampling coroutine references members above.
-    std::unique_ptr<sim::Tracer> tracer_;
 };
 
 /**
  * Everything a bench captures about one measured run: the final metrics
- * snapshot and (when tracing was on) the controller/throughput timelines.
+ * snapshot plus whatever the observers it asked for recorded (spans, the
+ * windowed time series — including the controller timelines).
  */
 struct RunCapture
 {
     std::string label;
+    /** Span stride for the captured testbed (0 = spans off). */
+    std::uint32_t spanSampleEvery = 0;
+    /** Time-series window for the captured testbed (0 = plane off). */
+    sim::Time tsWindowNs = 0;
     sim::MetricsSnapshot metrics;
-    sim::TraceData trace;
     /** Per-stage latency attribution (null unless spans were recorded). */
     sim::Json spans;
     /** Chrome/Perfetto trace JSON text (empty unless spans recorded). */
@@ -302,6 +255,22 @@ struct RunCapture
     std::string timeseriesCsv;
 };
 
+/**
+ * Switch on the observers @p cap asks for in @p cfg (call before building
+ * the testbed). A null @p cap, or an observer it leaves at 0, keeps
+ * @p cfg's own setting.
+ */
+inline void
+observe(TestbedConfig &cfg, const RunCapture *cap)
+{
+    if (cap == nullptr)
+        return;
+    if (cap->spanSampleEvery > 0)
+        cfg.spanSampleEvery = cap->spanSampleEvery;
+    if (cap->tsWindowNs > 0)
+        cfg.tsWindowNs = cap->tsWindowNs;
+}
+
 /** Fill @p cap (if non-null) from @p tb after a finished run. */
 inline void
 captureRun(Testbed &tb, RunCapture *cap)
@@ -309,10 +278,6 @@ captureRun(Testbed &tb, RunCapture *cap)
     if (cap == nullptr)
         return;
     cap->metrics = tb.snapshot();
-    if (tb.tracer() != nullptr) {
-        tb.tracer()->stop();
-        cap->trace = tb.tracer()->take();
-    }
     sim::Timeline *tl = tb.timeline();
     if (tb.mergedSpanTracer() != nullptr) {
         sim::SpanTracer &sp = *tb.mergedSpanTracer();

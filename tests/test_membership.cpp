@@ -92,8 +92,9 @@ TEST(Jitter, DecorrelatedIsDeterministicAndBounded)
         EXPECT_GE(va, t0);
         EXPECT_LE(va, tmax);
         // Decorrelated growth: next draw never exceeds 3x the previous.
-        if (i > 0)
+        if (i > 0) {
             EXPECT_LE(va, std::max(seq_a[i - 1] * 3, t0));
+        }
         if (va != vc)
             diverged = true;
     }

@@ -2,18 +2,23 @@
  * @file
  * Unit tests for the observability layer: MetricsRegistry registration /
  * snapshot / delta / unregistration, snapshot JSON round-trip, histogram
- * bucket boundary behaviour, and the virtual-time Tracer capturing the
- * adaptive-controller timelines (C_max, t_max) through a Testbed run.
+ * bucket boundary behaviour, the Timeline capturing the adaptive-
+ * controller timelines (C_max, t_max) through a Testbed run, and
+ * BenchCli's strict numeric flag parsing.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "harness/bench_cli.hpp"
 #include "harness/testbed.hpp"
 #include "sim/json.hpp"
 #include "sim/metrics.hpp"
-#include "sim/trace.hpp"
+#include "sim/timeline.hpp"
 #include "smart/smart_ctx.hpp"
 
 using namespace smart;
@@ -285,7 +290,26 @@ TEST(Testbed, SnapshotExposesPerThreadMetrics)
     EXPECT_NE(s.find("memblade.free_bytes"), nullptr);
 }
 
-TEST(Tracer, CapturesControllerTimeline)
+namespace {
+
+/** The Timeline series @p name on thread @p thread (its "start" and
+ *  "points"), or nullptr when the block has no such series. */
+const sim::Json *
+findSeries(const sim::Json &ts, const std::string &name,
+           const std::string &thread)
+{
+    for (const sim::Json &s : ts.find("series")->asArray()) {
+        const sim::Json *t = s.find("labels")->find("thread");
+        if (s.find("name")->asString() == name && t != nullptr &&
+            t->asString() == thread)
+            return &s;
+    }
+    return nullptr;
+}
+
+} // namespace
+
+TEST(Timeline, CapturesControllerTimeline)
 {
     TestbedConfig cfg;
     cfg.computeBlades = 1;
@@ -293,32 +317,85 @@ TEST(Tracer, CapturesControllerTimeline)
     cfg.threadsPerBlade = 4;
     cfg.bladeBytes = 1 << 20;
     cfg.smart = presets::workReqThrot().withBenchTimescale();
-    cfg.traceSampleNs = sim::usec(500);
+    cfg.tsWindowNs = sim::usec(500);
     Testbed tb(cfg);
     for (std::uint32_t t = 0; t < 4; ++t)
         tb.compute(0).spawnWorker(t, readWorker);
     // Long enough for several 1 ms candidate probes => C_max moves.
-    tb.sim().runUntil(sim::msec(10));
+    tb.runUntil(sim::msec(10));
 
-    ASSERT_NE(tb.tracer(), nullptr);
-    const sim::TraceData &trace = tb.tracer()->data();
-    EXPECT_GE(trace.samples(), 5u);
+    ASSERT_NE(tb.timeline(), nullptr);
+    EXPECT_GE(tb.timeline()->windows(), 5u);
+    sim::Json ts = tb.timeline()->toJson();
 
-    const sim::TraceSeries *cmax =
-        trace.find("smart.ctrl.credit_cmax", "0");
+    const sim::Json *cmax = findSeries(ts, "smart.ctrl.credit_cmax", "0");
     ASSERT_NE(cmax, nullptr);
-    ASSERT_EQ(cmax->values.size(), trace.samples());
-    std::set<double> distinct(cmax->values.begin(), cmax->values.end());
+    // Sampled in every window: born at the first window, never a gap.
+    EXPECT_EQ(cmax->find("start")->asUint(), 0u);
+    const sim::Json::Array &points = cmax->find("points")->asArray();
+    ASSERT_EQ(points.size(), tb.timeline()->windows());
+    std::set<double> distinct;
+    for (const sim::Json &v : points)
+        distinct.insert(v.asDouble());
     // Algorithm 1 probes the candidate set during the epoch, so the
     // timeline must show C_max actually changing, not a flat line.
     EXPECT_GE(distinct.size(), 2u);
 
-    EXPECT_NE(trace.find("smart.ctrl.tmax_cycles", "0"), nullptr);
-    // The default filter keeps controller gauges only for thread 0.
-    EXPECT_EQ(trace.find("smart.ctrl.credit_cmax", "1"), nullptr);
+    EXPECT_NE(findSeries(ts, "smart.ctrl.tmax_cycles", "0"), nullptr);
+    // The default filter keeps per-thread series only for thread 0.
+    EXPECT_EQ(findSeries(ts, "smart.ctrl.credit_cmax", "1"), nullptr);
 
-    // Trace JSON shape: t_ns array matches every series' length.
-    sim::Json j = trace.toJson();
-    ASSERT_NE(j.find("t_ns"), nullptr);
-    EXPECT_EQ(j.find("t_ns")->asArray().size(), trace.samples());
+    // JSON shape: one t_ns entry per sampled window.
+    EXPECT_EQ(ts.find("t_ns")->asArray().size(), tb.timeline()->windows());
+}
+
+// ------------------------------------------------------- BenchCli flags
+
+namespace {
+
+/** Parse @p args (after argv[0]) the way a bench main does. */
+std::unique_ptr<BenchCli>
+parseCli(std::vector<std::string> args)
+{
+    std::vector<char *> argv{const_cast<char *>("bench")};
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    return std::make_unique<BenchCli>(static_cast<int>(argv.size()),
+                                      argv.data(), "bench");
+}
+
+} // namespace
+
+TEST(BenchCliDeathTest, RejectsMalformedNumericFlags)
+{
+    const char *msg = "needs an unsigned integer";
+    EXPECT_EXIT(parseCli({"--seed", "abc"}), testing::ExitedWithCode(2), msg);
+    EXPECT_EXIT(parseCli({"--seed", "7x"}), testing::ExitedWithCode(2), msg);
+    EXPECT_EXIT(parseCli({"--seed", "-1"}), testing::ExitedWithCode(2), msg);
+    EXPECT_EXIT(parseCli({"--seed", "99999999999999999999"}),
+                testing::ExitedWithCode(2), msg);
+    EXPECT_EXIT(parseCli({"--shards", "2x"}), testing::ExitedWithCode(2),
+                msg);
+    EXPECT_EXIT(parseCli({"--cache-mb", "1.5"}), testing::ExitedWithCode(2),
+                msg);
+    EXPECT_EXIT(parseCli({"--trace-spans=4x"}), testing::ExitedWithCode(2),
+                msg);
+    EXPECT_EXIT(parseCli({"--ts-window", "5s"}), testing::ExitedWithCode(2),
+                msg);
+}
+
+TEST(BenchCli, ParsesNumericFlags)
+{
+    EXPECT_EQ(parseCli({"--seed", "7"})->seed(), 7u);
+    EXPECT_EQ(parseCli({"--seed", "0x10"})->seed(), 16u);
+    EXPECT_EQ(parseCli({"--shards", "3"})->shards(), 3u);
+    EXPECT_EQ(parseCli({"--cache-mb", "8"})->cacheMb(), 8);
+    EXPECT_FALSE(parseCli({})->capturing());
+
+    // --trace is --ts-window 500us, handed to every captured run.
+    std::unique_ptr<BenchCli> traced = parseCli({"--trace"});
+    RunCapture *cap = traced->nextCapture("run");
+    ASSERT_NE(cap, nullptr);
+    EXPECT_EQ(cap->tsWindowNs, sim::usec(500));
+    EXPECT_EQ(cap->spanSampleEvery, 0u);
 }

@@ -133,50 +133,83 @@ RaceTable::initSegment(std::uint32_t blade, std::uint64_t seg_off,
     }
 }
 
-bool
-RaceTable::hostTryPlace(std::uint64_t key, std::uint64_t value)
+void
+RaceTable::hostGroups(std::uint64_t key, std::uint8_t *group[2]) const
 {
     std::uint64_t h1 = hash1(key);
-    std::uint64_t h2 = hash2(key);
-    std::uint32_t gd = globalDepth();
-    std::uint64_t dir_idx = h1 & mask(gd);
-    DirEntry e = readDir(dir_idx);
+    DirEntry e = readDir(h1 & mask(globalDepth()));
+    std::uint32_t groups = cfg_.groupsPerSegment;
+    group[0] = segBytes(e, groupOffset(groupIndex(h1, groups)));
+    group[1] = segBytes(e, groupOffset(groupIndex(hash2(key), groups)));
+}
+
+RaceTable::HostScan
+RaceTable::hostScan(std::uint64_t key) const
+{
+    HostScan sc;
+    hostGroups(key, sc.group);
     std::uint8_t fp = fingerprint(key);
-
-    std::uint32_t g[2] = {groupIndex(h1, cfg_.groupsPerSegment),
-                          groupIndex(h2, cfg_.groupsPerSegment)};
-
-    // Overwrite if present.
+    // Group 0 before group 1, slots in order: with the tie rule in
+    // hostTryPlace this order fixes where every key lands, and the
+    // simulated results depend on that layout.
     for (int gi = 0; gi < 2; ++gi) {
         for (std::uint32_t s = 0; s < kSlotsPerGroup; ++s) {
             Slot slot;
-            std::memcpy(&slot.raw,
-                        segBytes(e, groupOffset(g[gi]) + slotOffset(s)), 8);
-            if (slot.empty() || slot.fp() != fp)
+            std::memcpy(&slot.raw, sc.group[gi] + slotOffset(s), 8);
+            if (slot.empty()) {
+                if (sc.freeCount[gi]++ == 0)
+                    sc.firstFree[gi] = s;
                 continue;
-            std::uint8_t *kv =
-                blades_[slot.blade()]->bytesAt(slot.offset());
+            }
+            if (slot.fp() != fp)
+                continue;
+            std::uint8_t *kv = blades_[slot.blade()]->bytesAt(slot.offset());
             std::uint64_t k = 0;
             std::memcpy(&k, kv, 8);
             if (k == key) {
-                std::memcpy(kv + 8, &value, 8);
-                return true;
+                sc.kv = kv;
+                return sc;
             }
         }
     }
+    return sc;
+}
 
-    // Choose the emptier group; place in its first empty slot.
-    int free_count[2] = {0, 0};
-    for (int gi = 0; gi < 2; ++gi) {
-        for (std::uint32_t s = 0; s < kSlotsPerGroup; ++s) {
-            Slot slot;
-            std::memcpy(&slot.raw,
-                        segBytes(e, groupOffset(g[gi]) + slotOffset(s)), 8);
-            free_count[gi] += slot.empty();
-        }
+void
+RaceTable::prefetchStream(std::uint64_t key)
+{
+    // Bulk loads and verification sweeps walk keys in order, and each
+    // key's groups sit at random offsets: fetch them a few keys ahead so
+    // the scan finds them in cache instead of stalling on each one.
+    constexpr std::uint64_t kDistance = 16;
+    bool stream = key == lastHostKey_ + 1;
+    lastHostKey_ = key;
+    if (!stream)
+        return;
+    std::uint8_t *group[2];
+    hostGroups(key + kDistance, group);
+    for (std::uint8_t *g : group) {
+        // The blade's host buffer is only guaranteed 16 B alignment, so
+        // a 128 B group may span three cache lines.
+        __builtin_prefetch(g);
+        __builtin_prefetch(g + 64);
+        __builtin_prefetch(g + kGroupBytes - 1);
     }
-    int gi = free_count[0] >= free_count[1] ? 0 : 1;
-    if (free_count[gi] == 0)
+}
+
+bool
+RaceTable::hostTryPlace(std::uint64_t key, std::uint64_t value)
+{
+    HostScan sc = hostScan(key);
+    if (sc.kv != nullptr) {
+        std::memcpy(sc.kv + 8, &value, 8); // overwrite in place
+        return true;
+    }
+
+    // Choose the emptier group (group 0 on a tie); place in its first
+    // empty slot.
+    int gi = sc.freeCount[0] >= sc.freeCount[1] ? 0 : 1;
+    if (sc.freeCount[gi] == 0)
         return false; // both groups full -> split
 
     std::uint32_t lb = loadArenaBlade_;
@@ -184,22 +217,15 @@ RaceTable::hostTryPlace(std::uint64_t key, std::uint64_t value)
     std::uint64_t kv_off = blades_[lb]->alloc(kKvBytes);
     std::memcpy(blades_[lb]->bytesAt(kv_off), &key, 8);
     std::memcpy(blades_[lb]->bytesAt(kv_off) + 8, &value, 8);
-    Slot nv = Slot::make(fp, kKvBytes / 8, lb, kv_off);
-    for (std::uint32_t s = 0; s < kSlotsPerGroup; ++s) {
-        std::uint8_t *sp = segBytes(e, groupOffset(g[gi]) + slotOffset(s));
-        Slot slot;
-        std::memcpy(&slot.raw, sp, 8);
-        if (slot.empty()) {
-            std::memcpy(sp, &nv.raw, 8);
-            return true;
-        }
-    }
-    return false;
+    Slot nv = Slot::make(fingerprint(key), kKvBytes / 8, lb, kv_off);
+    std::memcpy(sc.group[gi] + slotOffset(sc.firstFree[gi]), &nv.raw, 8);
+    return true;
 }
 
 void
 RaceTable::loadInsert(std::uint64_t key, std::uint64_t value)
 {
+    prefetchStream(key);
     while (!hostTryPlace(key, value)) {
         std::uint64_t dir_idx = hash1(key) & mask(globalDepth());
         hostSplit(dir_idx);
@@ -276,33 +302,14 @@ RaceTable::hostSplit(std::uint64_t dir_idx)
 }
 
 bool
-RaceTable::hostLookup(std::uint64_t key, std::uint64_t &value) const
+RaceTable::hostLookup(std::uint64_t key, std::uint64_t &value)
 {
-    std::uint64_t h1 = hash1(key);
-    std::uint64_t h2 = hash2(key);
-    std::uint64_t dir_idx = h1 & mask(globalDepth());
-    DirEntry e = readDir(dir_idx);
-    std::uint8_t fp = fingerprint(key);
-    std::uint32_t g[2] = {groupIndex(h1, cfg_.groupsPerSegment),
-                          groupIndex(h2, cfg_.groupsPerSegment)};
-    for (int gi = 0; gi < 2; ++gi) {
-        for (std::uint32_t s = 0; s < kSlotsPerGroup; ++s) {
-            Slot slot;
-            std::memcpy(&slot.raw,
-                        segBytes(e, groupOffset(g[gi]) + slotOffset(s)), 8);
-            if (slot.empty() || slot.fp() != fp)
-                continue;
-            const std::uint8_t *kv =
-                blades_[slot.blade()]->bytesAt(slot.offset());
-            std::uint64_t k = 0;
-            std::memcpy(&k, kv, 8);
-            if (k == key) {
-                std::memcpy(&value, kv + 8, 8);
-                return true;
-            }
-        }
-    }
-    return false;
+    prefetchStream(key);
+    HostScan sc = hostScan(key);
+    if (sc.kv == nullptr)
+        return false;
+    std::memcpy(&value, sc.kv + 8, 8);
+    return true;
 }
 
 memblade::RemoteArena

@@ -80,11 +80,13 @@ class RaceTable
     /** Current global depth (host view). */
     std::uint32_t globalDepth() const;
 
-    /** Host-side insert for bulk loading (splits handled host-side). */
+    /** Host-side insert for bulk loading (splits handled host-side).
+     *  Fastest when keys arrive in ascending order (k, k + 1, ...). */
     void loadInsert(std::uint64_t key, std::uint64_t value);
 
-    /** Host-side lookup for verification. */
-    bool hostLookup(std::uint64_t key, std::uint64_t &value) const;
+    /** Host-side lookup for verification. Non-const: it shares
+     *  loadInsert's key-stream state. */
+    bool hostLookup(std::uint64_t key, std::uint64_t &value);
 
     /** Count of host-side splits performed during loading. */
     std::uint32_t loadSplits() const { return loadSplits_; }
@@ -104,6 +106,21 @@ class RaceTable
     void hostSplit(std::uint64_t dir_idx);
     bool hostTryPlace(std::uint64_t key, std::uint64_t value);
 
+    /** One read of a key's two candidate groups (host view). */
+    struct HostScan
+    {
+        std::uint8_t *kv = nullptr; ///< KV block holding the key, if any
+        std::uint8_t *group[2] = {nullptr, nullptr};
+        std::uint32_t freeCount[2] = {0, 0};
+        std::uint32_t firstFree[2] = {0, 0}; ///< valid if freeCount > 0
+    };
+    HostScan hostScan(std::uint64_t key) const;
+    /** Bases of @p key's two candidate groups in host memory. */
+    void hostGroups(std::uint64_t key, std::uint8_t *group[2]) const;
+    /** On a key stream (key == previous key + 1), prefetch the groups
+     *  of a key further down the stream. */
+    void prefetchStream(std::uint64_t key);
+
     RaceConfig cfg_;
     std::vector<memblade::MemoryBlade *> blades_;
     std::uint64_t dirOffset_ = 0;
@@ -115,6 +132,8 @@ class RaceTable
     std::uint32_t loadSplits_ = 0;
     std::uint32_t nextArenaBlade_ = 0;
     std::uint32_t nextSegBlade_ = 0;
+    /** Last key passed to loadInsert/hostLookup (stream detection). */
+    std::uint64_t lastHostKey_ = 0;
 };
 
 /**

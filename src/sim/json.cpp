@@ -123,7 +123,7 @@ struct Parser
 {
     const std::string &text;
     std::size_t pos = 0;
-    std::string error;
+    std::string error{};
 
     bool
     fail(const std::string &msg)

@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <vector>
 
 #include "apps/race/race.hpp"
+#include "harness/ht_bench.hpp"
 #include "harness/testbed.hpp"
 
 using namespace smart;
@@ -106,6 +109,83 @@ tinyConfig()
     return rcfg;
 }
 
+/** Call @p fn with the base of every distinct segment the directory
+ *  points at, in first-seen directory order. */
+template <typename Fn>
+void
+forEachSegment(RaceTable &t, Fn &&fn)
+{
+    memblade::MemoryBlade &b0 = *t.blades()[0];
+    std::vector<std::uint64_t> seen;
+    for (std::uint64_t j = 0; j < (1ull << t.globalDepth()); ++j) {
+        DirEntry e;
+        std::memcpy(&e.raw, b0.bytesAt(t.dirOffset() + j * 8), 8);
+        std::uint64_t where = e.raw & ~(0xffull << 56); // blade + offset
+        if (std::find(seen.begin(), seen.end(), where) != seen.end())
+            continue;
+        seen.push_back(where);
+        fn(t.blades()[e.blade()]->bytesAt(e.offset()));
+    }
+}
+
+/** Slot word @p s of group @p g in the segment at @p seg. */
+Slot
+slotAt(const std::uint8_t *seg, std::uint32_t g, std::uint32_t s)
+{
+    Slot slot;
+    std::memcpy(&slot.raw,
+                seg + groupOffset(g) + (s / kSlotsPerBucket) * kBucketBytes +
+                    8 + (s % kSlotsPerBucket) * 8,
+                8);
+    return slot;
+}
+
+/**
+ * FNV-1a over the table's logical bytes: the global-depth word, every
+ * directory word, each distinct segment (header line and all groups), and
+ * the KV block every non-empty slot references. Raw blade memory is never
+ * hashed whole: allocation padding between KV blocks is uninitialized.
+ */
+std::uint64_t
+layoutHash(RaceTable &t)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mixIn = [&h](const std::uint8_t *p, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i)
+            h = (h ^ p[i]) * 0x100000001b3ull;
+    };
+    memblade::MemoryBlade &b0 = *t.blades()[0];
+    mixIn(b0.bytesAt(t.gdOffset()), 8);
+    mixIn(b0.bytesAt(t.dirOffset()), 8ull << t.config().maxDepth);
+    std::uint32_t groups = t.config().groupsPerSegment;
+    forEachSegment(t, [&](const std::uint8_t *seg) {
+        mixIn(seg, segmentBytes(groups));
+        for (std::uint32_t g = 0; g < groups; ++g) {
+            for (std::uint32_t s = 0; s < kSlotsPerGroup; ++s) {
+                Slot slot = slotAt(seg, g, s);
+                if (!slot.empty())
+                    mixIn(t.blades()[slot.blade()]->bytesAt(slot.offset()),
+                          kKvBytes);
+            }
+        }
+    });
+    return h;
+}
+
+/** Non-empty slots over all segments. */
+std::uint64_t
+occupiedSlots(RaceTable &t)
+{
+    std::uint64_t n = 0;
+    std::uint32_t groups = t.config().groupsPerSegment;
+    forEachSegment(t, [&](const std::uint8_t *seg) {
+        for (std::uint32_t g = 0; g < groups; ++g)
+            for (std::uint32_t s = 0; s < kSlotsPerGroup; ++s)
+                n += !slotAt(seg, g, s).empty();
+    });
+    return n;
+}
+
 } // namespace
 
 TEST_F(RaceFixture, HostLoadAndLookup)
@@ -120,10 +200,18 @@ TEST_F(RaceFixture, HostLoadAndLookup)
     }
     std::uint64_t v = 0;
     EXPECT_FALSE(table->hostLookup(999999, v));
+    for (std::uint64_t k = 5000; k < 6000; ++k) { // absent, in key order
+        v = 0xdead;
+        EXPECT_FALSE(table->hostLookup(k, v)) << "key " << k;
+        EXPECT_EQ(v, 0xdeadu);
+    }
     // 5000 keys in 4 initial segments of 8 groups x 14 slots forces
     // many host-side splits.
-    EXPECT_GT(table->loadSplits(), 0u);
     EXPECT_GT(table->globalDepth(), 2u);
+    EXPECT_EQ(occupiedSlots(*table), 5000u);
+    // Golden layout with splits (see GoldenLayoutSizedSequentialLoad).
+    EXPECT_EQ(table->loadSplits(), 60u);
+    EXPECT_EQ(layoutHash(*table), 15853422093524777036ull);
 }
 
 TEST_F(RaceFixture, HostOverwriteKeepsOneCopy)
@@ -134,6 +222,42 @@ TEST_F(RaceFixture, HostOverwriteKeepsOneCopy)
     std::uint64_t v = 0;
     ASSERT_TRUE(table->hostLookup(42, v));
     EXPECT_EQ(v, 2u);
+    // A whole key range overwritten in key order, across splits.
+    for (std::uint64_t k = 0; k < 3000; ++k)
+        table->loadInsert(k, k);
+    for (std::uint64_t k = 0; k < 3000; ++k)
+        table->loadInsert(k, k + 1'000'000);
+    EXPECT_EQ(occupiedSlots(*table), 3000u);
+    for (std::uint64_t k = 0; k < 3000; ++k) {
+        ASSERT_TRUE(table->hostLookup(k, v)) << "key " << k;
+        EXPECT_EQ(v, k + 1'000'000);
+    }
+}
+
+// The bulk loader's placement decisions fix every simulated result that
+// follows, so its layout is pinned byte for byte. A change to these
+// constants changes the paper figures and needs a named model fix.
+TEST_F(RaceFixture, GoldenLayoutSizedSequentialLoad)
+{
+    build(presets::full(), 1, sizedRaceConfig(200'000));
+    for (std::uint64_t k = 0; k < 200'000; ++k)
+        table->loadInsert(k, k);
+    EXPECT_EQ(table->loadSplits(), 0u);
+    EXPECT_EQ(layoutHash(*table), 14351802405660356030ull);
+}
+
+TEST_F(RaceFixture, HostReverseLoadFindsEveryKey)
+{
+    build(presets::full(), 1, tinyConfig());
+    for (std::uint64_t k = 5000; k-- > 0;)
+        table->loadInsert(k, k + 3);
+    EXPECT_GT(table->loadSplits(), 0u);
+    for (std::uint64_t k = 5000; k-- > 0;) {
+        std::uint64_t v = 0;
+        ASSERT_TRUE(table->hostLookup(k, v)) << "key " << k;
+        EXPECT_EQ(v, k + 3);
+    }
+    EXPECT_EQ(occupiedSlots(*table), 5000u);
 }
 
 // ----------------------------------------------------------- client ops

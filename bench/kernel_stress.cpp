@@ -15,7 +15,7 @@
  *                 guards, run twice: tracer absent (span_storm_off) and
  *                 installed with sampling (span_storm_on)
  *   shard_scaling the same blade-partitioned workload run on 1/2/4/8
- *                 shards (real threads, conservative lookahead): local
+ *                 shards (real threads, lookahead windows): local
  *                 loopers plus cross-blade wire pings per blade
  *
  * Each single-shard workload warms up (growing buffers, pooling
@@ -303,7 +303,7 @@ runSpanStorm(std::uint32_t lanes, Time warmup, Time window, bool traced,
  * event and delivery counts must be identical at every shard count —
  * that invariance is this workload's determinism gate. Allocation
  * counting stays off here: the global tally is not thread-safe and the
- * cross-shard rings legitimately touch the allocator on overflow.
+ * cross-shard outboxes legitimately grow on first use.
  */
 struct PingCount
 {
@@ -317,7 +317,7 @@ pingLooper(Simulator &sim, smart::sim::WireEndpoint &ep, Simulator &dst,
            std::uint64_t *counter, std::uint32_t blade)
 {
     // Blade-unique (shard-count-independent) cadence; delivery exactly
-    // one lookahead ahead, the tightest legal cross-shard horizon.
+    // one lookahead ahead, the tightest legal cross-shard send.
     const Time period = 200 + (blade * 31) % 277;
     for (;;) {
         co_await sim.delay(period);
@@ -455,9 +455,12 @@ main(int argc, char **argv)
     // Shard-scaling sweep: same workload, 1/2/4/8 shards. The gate is
     // determinism (identical event + delivery totals at every count);
     // the speedup column is gated by scripts/compare_bench.py only when
-    // the host has >= 4 cores.
+    // the host has >= 4 cores. The window is long enough (about 4.4 M
+    // events per point at --quick, over 150 ms of wall time per point on
+    // a 4-core Xeon host) that the speedup measures the engine rather
+    // than timer noise.
     const Time ss_warmup = smart::sim::usec(cli.quick() ? 20 : 50);
-    const Time ss_window = smart::sim::usec(cli.quick() ? 100 : 1000);
+    const Time ss_window = smart::sim::msec(cli.quick() ? 15 : 60);
     std::printf("== shard scaling (8 blades, window=%llu us) ==\n",
                 static_cast<unsigned long long>(ss_window / 1000));
     smart::sim::Table ss_table({"shards", "events", "delivered", "wall_ms",

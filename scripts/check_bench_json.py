@@ -17,9 +17,9 @@ eyeballing reports by hand.
 
 With --same-runs, checks that two reports of one bench carry identical
 tables and identical runs: every key of every run entry (label, at_ns,
-metrics, timeseries) but spans must match. This is the byte-identity
-gate: e.g. a --shards 4 run must simulate and sample exactly what the
---shards 1 run did.
+metrics, timeseries, spans) must match. This is the byte-identity
+gate: e.g. a --shards 4 run must simulate, sample and attribute exactly
+what the --shards 1 run did.
 """
 
 import json
@@ -750,9 +750,7 @@ BENCH_VALIDATORS = {
 def same_runs(path_a, path_b):
     """Byte-identity gate: two reports of one bench (e.g. --shards 1 vs
     --shards 4) must carry equal tables and equal run entries, key by
-    key (label, at_ns, metrics, timeseries). Spans are left out: at
-    --shards > 1 the stages a memory blade records on its own shard
-    (atomic, part of link) are not attributed to the op."""
+    key (label, at_ns, metrics, timeseries, spans)."""
     a = json.loads(Path(path_a).read_text())
     b = json.loads(Path(path_b).read_text())
     where = f"between {path_a} and {path_b}"
@@ -765,9 +763,15 @@ def same_runs(path_a, path_b):
     check(labels == [r["label"] for r in b["runs"]],
           f"run labels differ {where}")
     for ra, rb in zip(a["runs"], b["runs"]):
-        for key in sorted((set(ra) | set(rb)) - {"spans"}):
+        for key in sorted(set(ra) | set(rb)):
+            hint = ""
+            if key == "spans" and any(
+                    (r.get("spans") or {}).get("dropped", 0) for r in (ra, rb)):
+                hint = (" (a span tracer hit its per-shard record cap, and "
+                        "which records it drops depends on the shard "
+                        "count: sample fewer ops with --trace-spans=N)")
             check(ra.get(key) == rb.get(key),
-                  f"run {ra['label']}: {key} differs {where}")
+                  f"run {ra['label']}: {key} differs {where}{hint}")
     print(f"check_bench_json: OK: identical {len(tables_a)} tables and "
           f"{len(labels)} runs")
 

@@ -7,13 +7,16 @@ Usage:
 Each committed baseline (default: bench/baselines) must pass its bench's
 validator, and every mutated copy below, with one gated value pushed
 past its threshold, must be rejected. This shows that a gate which moved
-out of a bench's exit code into the validator really holds. Exits 0 when
-every expectation holds, 1 otherwise.
+out of a bench's exit code into the validator really holds. The
+--same-runs gate must accept a report against itself and reject a copy
+whose spans block differs. Exits 0 when every expectation holds, 1
+otherwise.
 """
 
 import copy
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -39,6 +42,19 @@ def rejects(report):
         check_bench_json.BENCH_VALIDATORS[report["bench"]](report)
     except SystemExit:
         return True
+    return False
+
+
+def same_runs_rejects(a, b):
+    """True when --same-runs rejects report @a against report @b."""
+    with tempfile.TemporaryDirectory() as tmp:
+        pa, pb = Path(tmp) / "a.json", Path(tmp) / "b.json"
+        pa.write_text(json.dumps(a))
+        pb.write_text(json.dumps(b))
+        try:
+            check_bench_json.same_runs(pa, pb)
+        except SystemExit:
+            return True
     return False
 
 
@@ -70,6 +86,20 @@ def main(argv):
             print(f"test_check_bench_json: FAIL: accepted {what}",
                   file=sys.stderr)
             ok = False
+    report = json.loads((base_dir / "BENCH_fig10_dtx.json").read_text())
+    report["runs"][0]["spans"] = {"records": 1, "dropped": 0}
+    other = copy.deepcopy(report)
+    other["runs"][0]["spans"]["records"] = 2
+    if same_runs_rejects(report, copy.deepcopy(report)):
+        print("test_check_bench_json: FAIL: --same-runs rejected identical "
+              "reports", file=sys.stderr)
+        ok = False
+    elif not same_runs_rejects(report, other):
+        print("test_check_bench_json: FAIL: --same-runs accepted differing "
+              "spans", file=sys.stderr)
+        ok = False
+    else:
+        print("test_check_bench_json: OK: --same-runs gates spans")
     return 0 if ok else 1
 
 

@@ -173,8 +173,10 @@ class Testbed
     {
         if (spans_.empty())
             return nullptr;
+        std::vector<sim::SpanTracer *> others;
         for (std::size_t s = 1; s < spans_.size(); ++s)
-            spans_[0]->absorb(*spans_[s]);
+            others.push_back(spans_[s].get());
+        spans_[0]->absorb(others);
         return spans_[0].get();
     }
 

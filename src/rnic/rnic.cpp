@@ -430,16 +430,15 @@ Rnic::serveRequest(WirePacket pkt)
 {
     WorkReq &wr = pkt.wr;
     Rnic *initiator = pkt.initiator;
-    // Responder-side spans are recorded only when the initiator shares
-    // our shard: wr.traceSpan ids belong to the *initiator's* tracer, and
-    // a cross-shard record would race it. At one shard this matches the
-    // single-engine behaviour exactly.
-    sim::SpanTracer *sp =
-        (wr.traceSpan != 0 && &sim_ == &initiator->sim_) ? sim_.spans()
-                                                         : nullptr;
+    // Responder-side spans go to our own shard's tracer. wr.traceSpan
+    // is an id in the *initiator's* tracer, so the record names that
+    // tracer as the parent's owner and SpanTracer::absorb links the two
+    // at capture time. At one shard both are the same tracer.
+    sim::SpanTracer *sp = wr.traceSpan != 0 ? sim_.spans() : nullptr;
     auto devSpan = [&](sim::Stage st, Time t0) {
         if (sp != nullptr)
-            sp->record(spanTrack(*sp), st, wr.traceSpan, t0, sim_.now());
+            sp->record(spanTrack(*sp), st, wr.traceSpan, t0, sim_.now(),
+                       initiator->sim_.spans());
     };
 
     if (down_) {
@@ -497,8 +496,8 @@ Rnic::serveRequest(WirePacket pkt)
         devSpan(sim::Stage::Dma, t0);
         assert(wr.localBuf != nullptr);
         // Cross-shard source read: the bytes behind wr.localBuf were
-        // written before the request was pushed onto the wire ring, and
-        // the ring's release/acquire pair orders them before this copy.
+        // written before the request was posted to the wire, and the
+        // window barrier that hands it over orders them before this copy.
         std::memcpy(remote, wr.localBuf, wr.length);
         break;
       }
@@ -539,7 +538,7 @@ Rnic::serveRequest(WirePacket pkt)
     Time arrival = sim_.now() + cfg_.propagationNs;
     if (sp != nullptr)
         sp->record(spanTrack(*sp), sim::Stage::Link, wr.traceSpan, wire_t0,
-                   arrival);
+                   arrival, initiator->sim_.spans());
     pkt.kind = PacketKind::Response;
     pkt.status = WcStatus::Success;
     sendPacket(*initiator, arrival, std::move(pkt));

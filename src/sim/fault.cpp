@@ -33,9 +33,9 @@ faultKindName(FaultKind k)
 FaultPlane::FaultPlane(Simulator &sim, std::uint64_t seed)
     : sim_(sim), rng_(seed, 0xfa017c0de5eedULL)
 {
-    if (sim_.shardLink() != nullptr) {
+    if (sim_.shardGroup() != nullptr) {
         // Always-on (not assert): injected faults mutate cross-blade
-        // state from one shard, which the conservative protocol does not
+        // state from one shard, which the window protocol does not
         // order. Run fault scenarios single-shard.
         std::fprintf(stderr, "FaultPlane: fault injection requires a "
                              "single-shard simulation (shards=1)\n");

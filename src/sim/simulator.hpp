@@ -6,6 +6,7 @@
 #ifndef SMART_SIM_SIMULATOR_HPP
 #define SMART_SIM_SIMULATOR_HPP
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
@@ -28,7 +29,7 @@ class Timeline;
 /**
  * Owns the virtual clock and the event queue, and keeps root coroutines
  * alive. One Simulator is one shard, advanced by exactly one OS thread at
- * a time; a standalone Simulator (no ShardLink) is the whole cluster on
+ * a time; a standalone Simulator (no ShardGroup) is the whole cluster on
  * one thread. Determinism follows from the stable event ordering plus the
  * (dtime, srcId, seq) wire-injection discipline (see wire.hpp).
  */
@@ -96,24 +97,21 @@ class Simulator
     void
     run()
     {
-        assert(link_ == nullptr &&
+        assert(group_ == nullptr &&
                "grouped shards are driven via ShardGroup::runUntil");
         runLocalUpTo(kTimeNever - 1);
     }
 
     /**
      * Run until virtual time @p deadline; events after it remain queued.
-     * The clock is advanced to @p deadline on return. On a grouped shard
-     * this obeys the conservative horizon (normally reached through
-     * ShardGroup::runUntil, which drives all shards of the group).
+     * The clock is advanced to @p deadline on return. Grouped shards are
+     * advanced together by ShardGroup::runUntil instead.
      */
     void
     runUntil(Time deadline)
     {
-        if (link_ != nullptr) {
-            runUntilSharded(deadline);
-            return;
-        }
+        assert(group_ == nullptr &&
+               "grouped shards are driven via ShardGroup::runUntil");
         runLocalUpTo(deadline);
         if (now_ < deadline)
             now_ = deadline;
@@ -215,22 +213,27 @@ class Simulator
     /** In-flight wire messages addressed to this shard (see wire.hpp). */
     WireInbox &wireInbox() { return inbox_; }
 
-    /** The shard link, or nullptr on a standalone Simulator. */
-    ShardLink *shardLink() const { return link_; }
+    /**
+     * The group this Simulator is one of several shards of, or nullptr
+     * when it runs the whole cluster (standalone, or a 1-shard group).
+     */
+    ShardGroup *shardGroup() const { return group_; }
 
     /** Shard index within the owning group (0 when standalone). */
     std::uint32_t shardIndex() const { return shardIndex_; }
 
     /** Called by ShardGroup when adopting this Simulator as a shard. */
     void
-    installShardLink(ShardLink *link, std::uint32_t shard_index)
+    installShardGroup(ShardGroup *group, std::uint32_t shard_index)
     {
-        link_ = link;
+        group_ = group;
         shardIndex_ = shard_index;
         events_.setShardIndex(shard_index);
     }
 
   private:
+    friend class ShardGroup;
+
     /**
      * Core loop: execute every local event and every wire delivery with
      * time <= @p deadline. The wire-inbox minimum bounds each pop because
@@ -264,38 +267,11 @@ class Simulator
         }
     }
 
-    /**
-     * Grouped-shard loop: alternate between executing the window the
-     * other shards' lower bounds permit and publishing our own
-     *   lb = min(next local event, next inbox delivery, minOtherLb + L).
-     * Reading the neighbour bounds *before* draining the rings makes the
-     * published bound safe: any message that races past the poll was sent
-     * at or after its sender's current bound, hence lands at or beyond
-     * minOtherLb + L.
-     */
-    void
-    runUntilSharded(Time deadline)
+    /** Earliest pending local event or wire delivery. */
+    Time
+    nextTime() const
     {
-        ShardLink &lk = *link_;
-        const Time lookahead = lk.lookahead();
-        for (;;) {
-            const Time x = lk.minOtherLb();
-            lk.pollRings(inbox_);
-            const Time horizon =
-                x >= kTimeNever - lookahead ? kTimeNever : x + lookahead;
-            Time limit = deadline;
-            if (horizon != kTimeNever && horizon - 1 < limit)
-                limit = horizon - 1;
-            runLocalUpTo(limit);
-            const Time next =
-                std::min(events_.nextTime(), inbox_.minTime());
-            lk.publishLb(std::min(next, horizon));
-            if (next > deadline && horizon > deadline)
-                break;
-            lk.waitForChange(x);
-        }
-        if (now_ < deadline)
-            now_ = deadline;
+        return std::min(events_.nextTime(), inbox_.minTime());
     }
 
     EventQueue events_;
@@ -307,7 +283,7 @@ class Simulator
     Timeline *timeline_ = nullptr;
     std::vector<FaultTarget *> faultTargets_;
     WireInbox inbox_;
-    ShardLink *link_ = nullptr;
+    ShardGroup *group_ = nullptr;
     std::uint32_t shardIndex_ = 0;
 };
 

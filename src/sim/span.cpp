@@ -91,7 +91,7 @@ SpanTracer::end(SpanId id)
 
 void
 SpanTracer::record(TrackId track, Stage stage, SpanId parent, Time start,
-                   Time end_time)
+                   Time end_time, const SpanTracer *parent_owner)
 {
     if (end_time <= start)
         return; // zero-duration spans carry no attribution
@@ -105,34 +105,55 @@ SpanTracer::record(TrackId track, Stage stage, SpanId parent, Time start,
     r.parent = parent;
     r.track = track;
     r.stage = stage;
+    if (parent_owner != nullptr && parent_owner != this) {
+        r.parent = 0; // linked by absorb()
+        foreign_.push_back({static_cast<SpanId>(records_.size() + 1),
+                            parent, parent_owner});
+    }
     records_.push_back(r);
 }
 
 void
-SpanTracer::absorb(SpanTracer &other)
+SpanTracer::absorb(const std::vector<SpanTracer *> &others)
 {
-    if (&other == this)
-        return;
-    const SpanId rec_off = static_cast<SpanId>(records_.size());
-    std::vector<TrackId> remap(other.tracks_.size() + 1, 0);
-    for (std::size_t i = 0; i < other.tracks_.size(); ++i)
-        remap[i + 1] = internTrack(other.tracks_[i].name,
-                                   other.tracks_[i].thread,
-                                   other.tracks_[i].device);
-    records_.reserve(records_.size() + other.records_.size());
-    for (SpanRecord r : other.records_) {
-        if (r.track != 0)
-            r.track = remap[r.track];
-        if (r.parent != 0)
-            r.parent += rec_off;
-        records_.push_back(r);
+    // Where each tracer's ids start in this one.
+    std::vector<std::pair<const SpanTracer *, SpanId>> offsets{{this, 0}};
+    std::vector<ForeignParent> foreign = std::move(foreign_);
+    foreign_.clear();
+    for (SpanTracer *other : others) {
+        if (other == this)
+            continue;
+        const SpanId rec_off = static_cast<SpanId>(records_.size());
+        offsets.emplace_back(other, rec_off);
+        std::vector<TrackId> remap(other->tracks_.size() + 1, 0);
+        for (std::size_t i = 0; i < other->tracks_.size(); ++i)
+            remap[i + 1] = internTrack(other->tracks_[i].name,
+                                       other->tracks_[i].thread,
+                                       other->tracks_[i].device);
+        records_.reserve(records_.size() + other->records_.size());
+        for (SpanRecord r : other->records_) {
+            if (r.track != 0)
+                r.track = remap[r.track];
+            if (r.parent != 0)
+                r.parent += rec_off;
+            records_.push_back(r);
+        }
+        for (ForeignParent f : other->foreign_) {
+            f.child += rec_off;
+            foreign.push_back(f);
+        }
+        dropped_ += other->dropped_;
+        // Tracks stay: components cache interned TrackIds into @p other
+        // (e.g. Rnic::spanTrack_), and those must stay valid if recording
+        // continues after the capture.
+        other->records_.clear();
+        other->foreign_.clear();
+        other->dropped_ = 0;
     }
-    dropped_ += other.dropped_;
-    // Tracks stay: components cache interned TrackIds into @p other
-    // (e.g. Rnic::spanTrack_), and those must stay valid if recording
-    // continues after the capture.
-    other.records_.clear();
-    other.dropped_ = 0;
+    for (const ForeignParent &f : foreign)
+        for (const auto &[owner, off] : offsets)
+            if (owner == f.owner)
+                records_[f.child - 1].parent = f.parent + off;
 }
 
 const std::string &

@@ -137,19 +137,26 @@ class SpanTracer
     /** Close span @p id now. id 0 is ignored. */
     void end(SpanId id);
 
-    /** Record an already-finished span (wrap-around timing sites). */
+    /**
+     * Record an already-finished span (wrap-around timing sites).
+     * @p parent_owner is the tracer @p parent belongs to when that is
+     * another shard's tracer (a responder recording about a remote
+     * initiator's verb); absorb() resolves such links. nullptr or this
+     * means @p parent is one of ours.
+     */
     void record(TrackId track, Stage stage, SpanId parent, Time start,
-                Time end_time);
+                Time end_time, const SpanTracer *parent_owner = nullptr);
 
     /**
-     * Move every track and record of @p other into this tracer, remapping
-     * track ids and parent links. Used at capture time to fold the
-     * per-shard tracers of a ShardGroup into shard 0's tracer; @p other
-     * is left empty (and may keep recording afterwards). Call only
-     * between phases. May exceed this tracer's record cap — absorbing is
-     * a report-time operation, not a hot-path one.
+     * Move every track and record of each of @p others into this tracer,
+     * remapping track ids and parent links, cross-tracer parents among
+     * this tracer and @p others included. Used at capture time to fold
+     * the per-shard tracers of a ShardGroup into shard 0's tracer; each
+     * of @p others is left empty (and may keep recording afterwards).
+     * Call only between phases. May exceed this tracer's record cap —
+     * absorbing is a report-time operation, not a hot-path one.
      */
-    void absorb(SpanTracer &other);
+    void absorb(const std::vector<SpanTracer *> &others);
 
     /** @return the track of span @p id (0 for id 0). */
     TrackId
@@ -199,6 +206,14 @@ class SpanTracer
         bool device = false;
     };
 
+    /** A record whose parent lives in another tracer (see record()). */
+    struct ForeignParent
+    {
+        SpanId child;
+        SpanId parent;
+        const SpanTracer *owner;
+    };
+
     /** Thread label a record attributes to (parent hop for devices). */
     const std::string &threadOf(const SpanRecord &r) const;
 
@@ -207,6 +222,7 @@ class SpanTracer
     std::size_t maxRecords_;
     std::vector<SpanRecord> records_;
     std::vector<Track> tracks_;
+    std::vector<ForeignParent> foreign_;
     std::uint64_t dropped_ = 0;
 };
 

@@ -1,121 +1,22 @@
 /**
  * @file
- * ShardGroup / ShardLink / WireEndpoint implementation: worker lifecycle,
- * horizon-wait parking, and wire-message routing.
+ * ShardGroup / WireEndpoint implementation: worker lifecycle, the
+ * lookahead-window loop, and wire-message routing.
  */
 
 #include "sim/wire.hpp"
 
-#include <chrono>
+#include <algorithm>
 
 #include "sim/simulator.hpp"
 
 namespace smart::sim {
 
-// ---------------------------------------------------------------- ShardLink
-
-Time
-ShardLink::lookahead() const noexcept
-{
-    return g_->lookahead_;
-}
-
-Time
-ShardLink::minOtherLb() const noexcept
-{
-    Time x = kTimeNever;
-    const std::uint32_t n = g_->n_;
-    for (std::uint32_t s = 0; s < n; ++s) {
-        if (s == me_)
-            continue;
-        Time lb = g_->lbs_[s].lb.load(std::memory_order_acquire);
-        if (lb < x)
-            x = lb;
-    }
-    return x;
-}
-
-void
-ShardLink::pollRings(WireInbox &inbox)
-{
-    const std::uint32_t n = g_->n_;
-    WireMsg m;
-    for (std::uint32_t src = 0; src < n; ++src) {
-        if (src == me_)
-            continue;
-        SpscRing &ring = g_->channel(src, me_);
-        while (ring.tryPop(m))
-            inbox.push(std::move(m));
-    }
-}
-
-bool
-ShardLink::anyInbound() const noexcept
-{
-    const std::uint32_t n = g_->n_;
-    for (std::uint32_t src = 0; src < n; ++src) {
-        if (src == me_)
-            continue;
-        if (g_->channel(src, me_).maybeNonEmpty())
-            return true;
-    }
-    return false;
-}
-
-void
-ShardLink::publishLb(Time t)
-{
-    std::atomic<Time> &lb = g_->lbs_[me_].lb;
-    if (t <= lb.load(std::memory_order_relaxed))
-        return;
-    lb.store(t, std::memory_order_release);
-    if (g_->waiters_.load(std::memory_order_seq_cst) > 0) {
-        { std::lock_guard<std::mutex> hold(g_->mu_); }
-        g_->cv_.notify_all();
-    }
-}
-
-void
-ShardLink::sendRemote(std::uint32_t dst, WireMsg &&m, WireInbox &own_inbox)
-{
-    SpscRing &ring = g_->channel(me_, dst);
-    while (!ring.tryPush(std::move(m))) {
-        // Ring full: drain our own inbound rings while waiting, so two
-        // shards blocked pushing at each other always unblock.
-        pollRings(own_inbox);
-        std::this_thread::yield();
-    }
-    if (g_->waiters_.load(std::memory_order_seq_cst) > 0) {
-        { std::lock_guard<std::mutex> hold(g_->mu_); }
-        g_->cv_.notify_all();
-    }
-}
-
-void
-ShardLink::waitForChange(Time x_prev)
-{
-    for (int spin = 0; spin < 64; ++spin) {
-        if (minOtherLb() > x_prev || anyInbound())
-            return;
-        std::this_thread::yield();
-    }
-    ShardGroup &g = *g_;
-    g.waiters_.fetch_add(1, std::memory_order_seq_cst);
-    {
-        std::unique_lock<std::mutex> l(g.mu_);
-        // Timed backstop: a publish can race the waiter registration, so
-        // never park unbounded on the condition variable alone.
-        g.cv_.wait_for(l, std::chrono::microseconds(200), [&] {
-            return minOtherLb() > x_prev || anyInbound();
-        });
-    }
-    g.waiters_.fetch_sub(1, std::memory_order_relaxed);
-}
-
 // --------------------------------------------------------------- ShardGroup
 
 ShardGroup::ShardGroup(std::uint32_t shards, Time lookahead)
-    : n_(shards == 0 ? 1 : shards), lookahead_(lookahead), lbs_(n_)
+    : n_(shards == 0 ? 1 : shards), lookahead_(lookahead), ends_(n_),
+      barrier_(n_, NextWindow{this})
 {
     assert((n_ == 1 || lookahead_ > 0) &&
            "conservative synchronization needs a positive lookahead");
@@ -123,18 +24,10 @@ ShardGroup::ShardGroup(std::uint32_t shards, Time lookahead)
     for (std::uint32_t i = 0; i < n_; ++i)
         sims_.push_back(std::make_unique<Simulator>());
     if (n_ == 1)
-        return; // standalone fast path: no links, no rings, no threads
-    channels_.resize(static_cast<std::size_t>(n_) * n_);
-    for (std::uint32_t dst = 0; dst < n_; ++dst)
-        for (std::uint32_t src = 0; src < n_; ++src)
-            if (src != dst)
-                channels_[static_cast<std::size_t>(dst) * n_ + src] =
-                    std::make_unique<SpscRing>();
-    links_.reserve(n_);
+        return; // standalone fast path: no outboxes, no threads
+    outboxes_.resize(2 * static_cast<std::size_t>(n_) * n_);
     for (std::uint32_t i = 0; i < n_; ++i) {
-        links_.push_back(
-            std::unique_ptr<ShardLink>(new ShardLink(this, i)));
-        sims_[i]->installShardLink(links_[i].get(), i);
+        sims_[i]->installShardGroup(this, i);
         sims_[i]->wireInbox().reserve(256);
     }
     threads_.reserve(n_ - 1);
@@ -169,12 +62,36 @@ ShardGroup::shard(std::uint32_t i) const
     return *sims_[i];
 }
 
-SpscRing &
-ShardGroup::channel(std::uint32_t src, std::uint32_t dst)
+void
+ShardGroup::post(std::uint32_t src, std::uint32_t dst, WireMsg &&m)
 {
-    SpscRing *r = channels_[static_cast<std::size_t>(dst) * n_ + src].get();
-    assert(r != nullptr);
-    return *r;
+    Time &posted = ends_[src].posted;
+    posted = std::min(posted, m.dtime);
+    outboxes_[((window_ & 1) * n_ + src) * n_ + dst].push_back(std::move(m));
+}
+
+void
+ShardGroup::drainInto(std::uint32_t dst, std::uint64_t parity)
+{
+    WireInbox &inbox = sims_[dst]->wireInbox();
+    for (std::uint32_t src = 0; src < n_; ++src) {
+        std::vector<WireMsg> &box = outboxes_[(parity * n_ + src) * n_ + dst];
+        for (WireMsg &m : box)
+            inbox.push(std::move(m));
+        box.clear();
+    }
+}
+
+void
+ShardGroup::NextWindow::operator()() noexcept
+{
+    Time t = kTimeNever;
+    for (WindowEnd &e : g->ends_) {
+        t = std::min({t, e.next, e.posted});
+        e.posted = kTimeNever;
+    }
+    g->windowStart_ = t;
+    ++g->window_;
 }
 
 void
@@ -184,28 +101,41 @@ ShardGroup::runUntil(Time deadline)
         sims_[0]->runUntil(deadline);
         return;
     }
-    // Reset the bounds to the shard clocks (all equal between phases).
-    // Events the caller scheduled between phases sit at >= now, so their
-    // sends land at >= now + lookahead — consistent with these bounds.
-    // Workers are parked here, so plain stores are safe; the phase mutex
-    // publishes them.
-    for (std::uint32_t i = 0; i < n_; ++i)
-        lbs_[i].lb.store(sims_[i]->now(), std::memory_order_relaxed);
+    // Workers are parked: hand over the caller's between-phase sends and
+    // pick the first window start single-threaded.
+    Time start = kTimeNever;
+    for (std::uint32_t i = 0; i < n_; ++i) {
+        drainInto(i, window_ & 1);
+        ends_[i].posted = kTimeNever;
+        start = std::min(start, sims_[i]->nextTime());
+    }
+    deadline_ = deadline;
+    windowStart_ = start;
     {
         std::lock_guard<std::mutex> l(mu_);
-        phaseDeadline_ = deadline;
         phaseDone_ = 0;
         ++phaseGen_;
     }
     cv_.notify_all();
-    sims_[0]->runUntil(deadline);
+    runWindows(0);
     std::unique_lock<std::mutex> l(mu_);
-    ++phaseDone_;
-    cv_.wait(l, [&] { return phaseDone_ == n_; });
-    // Waking siblings blocked on phaseDone_ == n_ is the last waiter's
-    // job; as the main thread we might be that waiter's predecessor.
-    l.unlock();
-    cv_.notify_all();
+    cv_.wait(l, [&] { return phaseDone_ == n_ - 1; });
+}
+
+void
+ShardGroup::runWindows(std::uint32_t idx)
+{
+    Simulator &s = *sims_[idx];
+    while (windowStart_ <= deadline_) {
+        const Time start = windowStart_;
+        s.runLocalUpTo(deadline_ - start < lookahead_
+                           ? deadline_
+                           : start + lookahead_ - 1);
+        ends_[idx].next = s.nextTime();
+        barrier_.arrive_and_wait();
+        drainInto(idx, (window_ - 1) & 1);
+    }
+    s.now_ = std::max(s.now_, deadline_);
 }
 
 void
@@ -213,16 +143,14 @@ ShardGroup::workerMain(std::uint32_t idx)
 {
     std::uint64_t seen = 0;
     for (;;) {
-        Time deadline = 0;
         {
             std::unique_lock<std::mutex> l(mu_);
             cv_.wait(l, [&] { return stop_ || phaseGen_ != seen; });
             if (stop_)
                 return;
             seen = phaseGen_;
-            deadline = phaseDeadline_;
         }
-        sims_[idx]->runUntil(deadline);
+        runWindows(idx);
         {
             std::lock_guard<std::mutex> l(mu_);
             ++phaseDone_;
@@ -241,16 +169,14 @@ WireEndpoint::route(Simulator &dst, WireMsg &&m)
         sim_.wireInbox().push(std::move(m));
         return;
     }
-    ShardLink *src_link = sim_.shardLink();
-    ShardLink *dst_link = dst.shardLink();
-    assert(src_link != nullptr && dst_link != nullptr &&
+    ShardGroup *g = sim_.shardGroup();
+    assert(g != nullptr && g == dst.shardGroup() &&
            "cross-Simulator wire traffic requires both ends to be shards "
            "of one ShardGroup");
-    assert(m.dtime >= sim_.now() + src_link->lookahead() &&
+    assert(m.dtime >= sim_.now() + g->lookahead() &&
            "cross-shard delivery inside the lookahead window breaks the "
-           "conservative horizon");
-    src_link->sendRemote(dst_link->shardIndex(), std::move(m),
-                         sim_.wireInbox());
+           "window protocol");
+    g->post(sim_.shardIndex(), dst.shardIndex(), std::move(m));
 }
 
 } // namespace smart::sim

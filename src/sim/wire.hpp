@@ -1,7 +1,6 @@
 /**
  * @file
- * Explicit cross-shard wire mailboxes and the conservative-lookahead
- * shard group.
+ * Explicit cross-shard wire mailboxes and the windowed shard group.
  *
  * Every interaction that crosses a simulated wire goes through a
  * timestamped WireMsg delivered to the destination Simulator's WireInbox,
@@ -14,21 +13,23 @@
  * shard count, including 1 (where the same inbox path is used without
  * any synchronization).
  *
- * Shards synchronize conservatively (null-message style): shard i may
- * execute events strictly below min(other shards' lower bound) +
- * lookahead, where lookahead is the modelled wire propagation latency.
- * Each shard publishes a monotone lower bound on its future sends,
- *   lb_i = min(nextLocalEvent, nextInboxDelivery, minOtherLb + L),
- * so idle shards chase their neighbours (+L) instead of claiming
- * "never" — a woken idle shard can therefore never send into a peer's
- * past. There is no global barrier inside a run; shards only park when
- * their window is exhausted.
+ * Shards synchronize in bulk-synchronous lookahead windows (Nicol, JACM
+ * 1993). Let T be the earliest pending event or in-flight delivery on
+ * any shard and L the lookahead (the modelled wire propagation latency).
+ * Every shard runs its events in [T, T + L), then all meet at one
+ * barrier. A send made at time >= T lands at >= T + L, so nothing a
+ * shard receives during a window can fall inside it. Cross-shard sends
+ * go to plain per-(src, dst) outboxes that the destination drains into
+ * its inbox after the barrier; the barrier's completion takes the next T
+ * as the minimum of every shard's next local time and every dtime posted
+ * in the window.
  */
 
 #ifndef SMART_SIM_WIRE_HPP
 #define SMART_SIM_WIRE_HPP
 
 #include <atomic>
+#include <barrier>
 #include <cassert>
 #include <condition_variable>
 #include <cstddef>
@@ -49,7 +50,6 @@ namespace smart::sim {
 
 class Simulator;
 class ShardGroup;
-class ShardLink;
 
 /**
  * One timestamped message crossing a simulated wire. Type-erased like
@@ -364,126 +364,9 @@ class WireInbox
 };
 
 /**
- * Bounded SPSC ring carrying WireMsgs between one ordered shard pair.
- * Producer and consumer indices live on separate cache lines; payloads
- * transfer ownership through the release store on tail_ / acquire load
- * on head_ pair.
- */
-class SpscRing
-{
-  public:
-    static constexpr std::size_t kCapacity = 1024;
-
-    SpscRing() = default;
-    SpscRing(const SpscRing &) = delete;
-    SpscRing &operator=(const SpscRing &) = delete;
-
-    ~SpscRing()
-    {
-        WireMsg m;
-        while (tryPop(m))
-            m = WireMsg{};
-    }
-
-    bool
-    tryPush(WireMsg &&m)
-    {
-        std::uint64_t t = tail_.load(std::memory_order_relaxed);
-        std::uint64_t h = head_.load(std::memory_order_acquire);
-        if (t - h == kCapacity)
-            return false;
-        ::new (slot(t)) WireMsg(std::move(m));
-        tail_.store(t + 1, std::memory_order_release);
-        return true;
-    }
-
-    bool
-    tryPop(WireMsg &out)
-    {
-        std::uint64_t h = head_.load(std::memory_order_relaxed);
-        std::uint64_t t = tail_.load(std::memory_order_acquire);
-        if (h == t)
-            return false;
-        WireMsg *m = std::launder(reinterpret_cast<WireMsg *>(slot(h)));
-        out = std::move(*m);
-        m->~WireMsg();
-        head_.store(h + 1, std::memory_order_release);
-        return true;
-    }
-
-    /** Producer-side or consumer-side occupancy probe (racy, advisory). */
-    bool
-    maybeNonEmpty() const noexcept
-    {
-        return head_.load(std::memory_order_relaxed) !=
-               tail_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    void *
-    slot(std::uint64_t i) noexcept
-    {
-        return buf_ + (i % kCapacity) * sizeof(WireMsg);
-    }
-
-    alignas(64) std::atomic<std::uint64_t> tail_{0};
-    alignas(64) std::atomic<std::uint64_t> head_{0};
-    alignas(alignof(WireMsg)) unsigned char buf_[kCapacity *
-                                                 sizeof(WireMsg)];
-};
-
-/**
- * Per-shard handle into a ShardGroup: inbound rings, the published
- * lower-bound slot, and the horizon-wait machinery. Installed on the
- * shard's Simulator by ShardGroup; absent (nullptr) on standalone
- * Simulators, whose run loops then skip all synchronization.
- */
-class ShardLink
-{
-  public:
-    std::uint32_t shardIndex() const noexcept { return me_; }
-    Time lookahead() const noexcept;
-
-    /** min over all other shards' published lower bounds (acquire). */
-    Time minOtherLb() const noexcept;
-
-    /** Drain every inbound ring into @p inbox. */
-    void pollRings(WireInbox &inbox);
-
-    /**
-     * Publish a monotone lower bound on this shard's future send times:
-     * no message from this shard will carry dtime < t + lookahead.
-     * No-op unless t exceeds the previously published bound.
-     */
-    void publishLb(Time t);
-
-    /**
-     * Enqueue @p m to shard @p dst. Blocks (draining own inbound rings
-     * to break push-push cycles) while the ring is full.
-     */
-    void sendRemote(std::uint32_t dst, WireMsg &&m, WireInbox &own_inbox);
-
-    /**
-     * Park until another shard's lb rises above @p x_prev or an inbound
-     * ring becomes non-empty. Spin/yield first, then a timed CV wait
-     * (publishers notify when waiters are registered).
-     */
-    void waitForChange(Time x_prev);
-
-  private:
-    friend class ShardGroup;
-    ShardLink(ShardGroup *g, std::uint32_t me) : g_(g), me_(me) {}
-
-    bool anyInbound() const noexcept;
-
-    ShardGroup *g_;
-    std::uint32_t me_;
-};
-
-/**
  * A set of Simulators (one per shard) advanced together on real host
- * threads under the conservative horizon protocol. Shard 0 always runs
- * on the caller's thread; shards 1..n-1 on persistent workers parked
+ * threads in bulk-synchronous lookahead windows. Shard 0 always runs on
+ * the caller's thread; shards 1..n-1 on persistent workers parked
  * between phases. With size()==1 no threads are created and runUntil()
  * is a plain inline call — the single-shard hot path is byte- and
  * perf-identical to an unsharded Simulator.
@@ -491,6 +374,8 @@ class ShardLink
  * A "phase" is one runUntil() call: between phases every worker is
  * parked, so the caller may freely mutate any shard's state (setup,
  * metric resets, table loads) exactly as single-threaded code would.
+ * Wire sends the caller makes between phases are handed over at the
+ * start of the next phase.
  */
 class ShardGroup
 {
@@ -517,31 +402,55 @@ class ShardGroup
     void runUntil(Time deadline);
 
   private:
-    friend class ShardLink;
+    friend class WireEndpoint;
 
-    struct alignas(64) LbSlot
+    /** What one shard reports at the end of a window. */
+    struct alignas(64) WindowEnd
     {
-        std::atomic<Time> lb{0};
+        /** Earliest pending local event or inbox delivery. */
+        Time next = kTimeNever;
+        /** Earliest dtime this shard posted to another shard. */
+        Time posted = kTimeNever;
     };
 
-    SpscRing &channel(std::uint32_t src, std::uint32_t dst);
+    /** Barrier completion: pick the next window start. */
+    struct NextWindow
+    {
+        ShardGroup *g;
+        void operator()() noexcept;
+    };
+
+    /** Queue @p m from shard @p src for shard @p dst. */
+    void post(std::uint32_t src, std::uint32_t dst, WireMsg &&m);
+    /** Move every message of outbox parity @p parity into @p dst's inbox. */
+    void drainInto(std::uint32_t dst, std::uint64_t parity);
+    /** Run shard @p idx's windows until the phase deadline. */
+    void runWindows(std::uint32_t idx);
     void workerMain(std::uint32_t idx);
 
     std::uint32_t n_;
     Time lookahead_;
     std::vector<std::unique_ptr<Simulator>> sims_;
-    std::vector<std::unique_ptr<ShardLink>> links_;
-    std::vector<LbSlot> lbs_;
-    /** channels_[dst * n_ + src]; unused diagonal stays null. */
-    std::vector<std::unique_ptr<SpscRing>> channels_;
+    std::vector<WindowEnd> ends_;
+    /**
+     * outboxes_[(parity * n_ + src) * n_ + dst]. Sends made in window w
+     * use parity w & 1; their destination drains them after the barrier
+     * that closes w, while window w + 1 fills the other parity.
+     */
+    std::vector<std::vector<WireMsg>> outboxes_;
+    std::barrier<NextWindow> barrier_;
+
+    // Window state: written by the caller between phases and by the
+    // barrier completion, read by every shard after the barrier.
+    Time deadline_ = 0;
+    Time windowStart_ = 0;
+    std::uint64_t window_ = 0;
 
     std::mutex mu_;
     std::condition_variable cv_;
     std::uint64_t phaseGen_ = 0;
-    Time phaseDeadline_ = 0;
     std::uint32_t phaseDone_ = 0;
     bool stop_ = false;
-    std::atomic<std::uint32_t> waiters_{0};
     std::vector<std::thread> threads_;
 };
 

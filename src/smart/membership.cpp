@@ -37,7 +37,7 @@ MembershipPlane::MembershipPlane(sim::Simulator &sim, Config cfg,
                                  std::string name)
     : sim_(sim), cfg_(cfg), name_(std::move(name)), view_(sim, name_)
 {
-    if (sim_.shardLink() != nullptr) {
+    if (sim_.shardGroup() != nullptr) {
         // Always-on (not assert): reconfiguration copies bytes between
         // blades and fences epochs from one shard mid-run.
         std::fprintf(stderr, "MembershipPlane: elastic membership "

@@ -1,10 +1,12 @@
 /**
  * @file
  * Sharded-engine tests: deterministic wire-delivery ordering under the
- * (dtime, srcId, seq) key, liveness of the conservative horizon protocol
- * when shards go idle, shard-count invariance of a ShardGroup toy
- * workload, and byte-identical full-stack Testbed output at shards=1
- * vs shards=4.
+ * (dtime, srcId, seq) key; the lookahead-window protocol's edges (a
+ * ping-pong spaced exactly one lookahead apart, caller sends between
+ * phases, events at and just past the phase deadline); liveness when
+ * shards go idle; shard-count invariance of a ShardGroup toy workload;
+ * and byte-identical full-stack Testbed output and span attribution
+ * across shard counts.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 
 #include "harness/testbed.hpp"
 #include "sim/simulator.hpp"
+#include "sim/span.hpp"
 #include "sim/wire.hpp"
 #include "smart/smart_ctx.hpp"
 
@@ -75,7 +78,139 @@ TEST(WireOrdering, SameSimDeliveryInterleavesWithLocalEvents)
     EXPECT_EQ(log[2], "local1001");
 }
 
-// -------------------------------------------------- horizon-stall liveness
+// ------------------------------------------------ lookahead-window edges
+
+constexpr Time kLookahead = 250;
+
+/** Shared state of a ring ping-pong: hop k lands on shard k % n. */
+struct PingPong
+{
+    ShardGroup *group;
+    std::vector<std::unique_ptr<WireEndpoint>> eps; // one per shard
+    std::vector<Time> arrived;                      // per hop
+};
+
+struct Hop
+{
+    PingPong *pp;
+    std::uint32_t hop;
+
+    void
+    operator()()
+    {
+        const std::uint32_t n = pp->group->size();
+        Simulator &here = pp->group->shard(hop % n);
+        pp->arrived[hop] = here.now();
+        if (hop + 1 < pp->arrived.size())
+            pp->eps[hop % n]->send(pp->group->shard((hop + 1) % n),
+                                   here.now() + kLookahead,
+                                   Hop{pp, hop + 1});
+    }
+};
+
+TEST(ShardWindows, PingPongOneLookaheadApartRunsAtEachDtime)
+{
+    for (std::uint32_t n : {2u, 3u, 8u}) {
+        ShardGroup group(n, kLookahead);
+        PingPong pp{&group, {}, std::vector<Time>(400, sim::kTimeNever)};
+        for (std::uint32_t s = 0; s < n; ++s)
+            pp.eps.push_back(std::make_unique<WireEndpoint>(group.shard(s)));
+        // Every hop is sent at the start of a window and lands exactly
+        // at the start of the next one.
+        pp.eps[n - 1]->send(group.shard(0), kLookahead, Hop{&pp, 0});
+        group.runUntil(kLookahead * (pp.arrived.size() + 1));
+        for (std::size_t k = 0; k < pp.arrived.size(); ++k)
+            ASSERT_EQ(pp.arrived[k], kLookahead * (k + 1))
+                << "hop " << k << " at " << n << " shards";
+    }
+}
+
+struct Stamp
+{
+    Simulator *sim;
+    Time *at;
+
+    void operator()() { *at = sim->now(); }
+};
+
+TEST(ShardWindows, CallerSendBetweenPhasesRunsInNextPhase)
+{
+    for (std::uint32_t n : {2u, 3u, 8u}) {
+        ShardGroup group(n, kLookahead);
+        WireEndpoint ep(group.shard(0));
+        Simulator &dst = group.shard(n - 1);
+        group.runUntil(1000);
+
+        Time at = sim::kTimeNever;
+        ep.send(dst, 1000 + kLookahead, Stamp{&dst, &at});
+        EXPECT_EQ(at, sim::kTimeNever) << n << " shards";
+        group.runUntil(2000);
+        EXPECT_EQ(at, 1000 + kLookahead) << n << " shards";
+
+        // A send past the next deadline waits out a phase with no work.
+        at = sim::kTimeNever;
+        ep.send(dst, 5000, Stamp{&dst, &at});
+        group.runUntil(3000);
+        EXPECT_EQ(at, sim::kTimeNever) << n << " shards";
+        for (std::uint32_t s = 0; s < n; ++s)
+            EXPECT_EQ(group.shard(s).now(), 3000u);
+        group.runUntil(6000);
+        EXPECT_EQ(at, 5000u) << n << " shards";
+    }
+}
+
+/** A sender on shard src and its destination shard. */
+struct Route
+{
+    WireEndpoint *ep;
+    Simulator *src;
+    Simulator *dst;
+};
+
+/** When run, sends one delivery along @p route a lookahead later. */
+struct SendLater
+{
+    const Route *route;
+    Time *at;
+
+    void
+    operator()()
+    {
+        const Route &r = *route;
+        r.ep->send(*r.dst, r.src->now() + kLookahead, Stamp{r.dst, at});
+    }
+};
+
+TEST(ShardWindows, DeadlineIsInclusiveForEventsAndDeliveries)
+{
+    constexpr Time kDeadline = 10'000;
+    for (std::uint32_t n : {2u, 3u, 8u}) {
+        ShardGroup group(n, kLookahead);
+        WireEndpoint ep(group.shard(0));
+        Simulator &dst = group.shard(n - 1);
+        Time local_at = sim::kTimeNever;
+        Time on_deadline = sim::kTimeNever;
+        Time past_deadline = sim::kTimeNever;
+        const Route route{&ep, &group.shard(0), &dst};
+        dst.scheduleAt(kDeadline, Stamp{&dst, &local_at});
+        group.shard(0).scheduleAt(kDeadline - kLookahead,
+                                  SendLater{&route, &on_deadline});
+        group.shard(0).scheduleAt(kDeadline + 1 - kLookahead,
+                                  SendLater{&route, &past_deadline});
+
+        group.runUntil(kDeadline);
+        EXPECT_EQ(local_at, kDeadline) << n << " shards";
+        EXPECT_EQ(on_deadline, kDeadline) << n << " shards";
+        EXPECT_EQ(past_deadline, sim::kTimeNever) << n << " shards";
+        for (std::uint32_t s = 0; s < n; ++s)
+            EXPECT_EQ(group.shard(s).now(), kDeadline);
+
+        group.runUntil(kDeadline + 1);
+        EXPECT_EQ(past_deadline, kDeadline + 1) << n << " shards";
+    }
+}
+
+// ------------------------------------------------------ idle-shard liveness
 
 Task
 tickLooper(Simulator &sim, std::uint64_t *ticks)
@@ -106,7 +241,7 @@ pingEvery(Simulator &sim, WireEndpoint &ep, Simulator &dst,
 TEST(ShardGroupLiveness, CompletesWithIdleShard)
 {
     // Shard 1 has no local work at all: the busy shard must not stall
-    // waiting for an idle neighbour's horizon to advance.
+    // waiting on an idle neighbour.
     ShardGroup group(2, 250);
     std::uint64_t ticks = 0;
     group.shard(0).spawn(tickLooper(group.shard(0), &ticks));
@@ -196,9 +331,20 @@ accessWorker(SmartCtx &ctx, std::uint64_t &ops)
     }
 }
 
-/** Run the full SMART stack on @p shards shards; return a fingerprint. */
-std::pair<std::string, std::uint64_t>
-runStack(std::uint32_t shards)
+/** Fingerprint of one full-stack run. */
+struct StackRun
+{
+    std::string snapshot;
+    std::string spans; // attribution JSON; empty when spans are off
+    std::uint64_t ops = 0;
+};
+
+/**
+ * Run the full SMART stack on @p shards shards, tracing every
+ * @p span_every-th op (0 = spans off); return a fingerprint.
+ */
+StackRun
+runStack(std::uint32_t shards, std::uint32_t span_every = 0)
 {
     TestbedConfig cfg;
     cfg.computeBlades = 2;
@@ -208,6 +354,7 @@ runStack(std::uint32_t shards)
     cfg.smart = presets::full();
     cfg.smart.corosPerThread = 2;
     cfg.shards = shards;
+    cfg.spanSampleEvery = span_every;
     Testbed tb(cfg);
     std::vector<std::uint64_t> ops(
         tb.numComputeBlades() * cfg.threadsPerBlade * 2, 0);
@@ -228,15 +375,30 @@ runStack(std::uint32_t shards)
     for (std::uint64_t o : ops)
         total_ops += o;
     EXPECT_GT(total_ops, 0u);
-    return {tb.snapshot().toJson().dump(), total_ops};
+    StackRun run{tb.snapshot().toJson().dump(), {}, total_ops};
+    if (sim::SpanTracer *sp = tb.mergedSpanTracer())
+        run.spans = sp->attribution().dump();
+    return run;
 }
 
 TEST(TestbedSharding, ByteIdenticalAcrossShardCounts)
 {
-    auto [json1, ops1] = runStack(1);
-    auto [json4, ops4] = runStack(4);
-    EXPECT_EQ(ops1, ops4);
-    EXPECT_EQ(json1, json4);
+    StackRun one = runStack(1);
+    StackRun four = runStack(4);
+    EXPECT_EQ(one.ops, four.ops);
+    EXPECT_EQ(one.snapshot, four.snapshot);
+}
+
+TEST(TestbedSharding, SpanAttributionIdenticalAcrossShardCounts)
+{
+    // Memory blades record their responder-side stages (DMA, MTT, the
+    // response link) on their own shard; the merged attribution must
+    // still charge them to the issuing op's thread.
+    StackRun one = runStack(1, 1);
+    StackRun three = runStack(3, 1);
+    ASSERT_FALSE(one.spans.empty());
+    EXPECT_EQ(one.snapshot, three.snapshot);
+    EXPECT_EQ(one.spans, three.spans);
 }
 
 TEST(TestbedSharding, ClampsShardsToBladeCount)

@@ -30,85 +30,6 @@ wcStatusName(WcStatus s)
     return "unknown";
 }
 
-/**
- * What a WirePacket is doing on the wire right now. One WR takes either
- * Request -> Response (success), Request -> Nak (responder refuses), or
- * Request -> Timeout (responder crashed; the "packet" models the
- * initiator transport giving up after its retry budget).
- */
-enum class PacketKind : std::uint8_t
-{
-    Request,
-    Response,
-    Nak,
-    Timeout,
-};
-
-/**
- * The unit of blade-to-blade traffic: one work request in flight. Crosses
- * the wire inside a WireMsg, so it must fit the inline payload budget.
- */
-struct WirePacket
-{
-    WorkReq wr;
-    Rnic *initiator = nullptr;
-    Rnic *responder = nullptr;
-    /**
-     * READ payload buffer: borrowed from the initiator's byte pool when
-     * the request is built, filled by the responder at DMA time, landed
-     * and recycled by the initiator. Riding the round trip keeps the
-     * pool touched only on the initiator's shard thread.
-     */
-    std::vector<std::uint8_t> payload;
-    std::uint64_t oldValue = 0; ///< prior memory value (CAS/FAA)
-    PacketKind kind = PacketKind::Request;
-    WcStatus status = WcStatus::Success;
-};
-
-/**
- * Wire payload delivering one WirePacket: runs inside the injected
- * delivery event on the destination shard, at the packet's dtime.
- */
-struct PacketDelivery
-{
-    WirePacket pkt;
-
-    void
-    operator()()
-    {
-        switch (pkt.kind) {
-        case PacketKind::Request: {
-            Rnic *r = pkt.responder;
-            Rnic::startDetached(r->serveRequest(std::move(pkt)));
-            break;
-        }
-        case PacketKind::Response: {
-            Rnic *i = pkt.initiator;
-            Rnic::startDetached(i->finishOne(std::move(pkt)));
-            break;
-        }
-        case PacketKind::Nak:
-        case PacketKind::Timeout: {
-            Rnic *i = pkt.initiator;
-            i->recycleByteBuffer(std::move(pkt.payload));
-            i->completeError(pkt.wr, pkt.status);
-            break;
-        }
-        }
-    }
-};
-
-static_assert(sizeof(PacketDelivery) <= sim::WireMsg::kPayloadBytes,
-              "WirePacket outgrew the wire inline budget");
-static_assert(alignof(PacketDelivery) <= sim::WireMsg::kPayloadAlign);
-static_assert(std::is_nothrow_move_constructible_v<PacketDelivery>);
-
-void
-Rnic::sendPacket(Rnic &dst, Time dtime, WirePacket &&pkt)
-{
-    wire_.send(dst.sim_, dtime, PacketDelivery{std::move(pkt)});
-}
-
 Rnic::Rnic(sim::Simulator &sim, const RnicConfig &cfg, std::string name)
     : sim_(sim), cfg_(cfg), name_(std::move(name)),
       faultName_(name_ + ".rnic"), wire_(sim),
@@ -117,8 +38,7 @@ Rnic::Rnic(sim::Simulator &sim, const RnicConfig &cfg, std::string name)
       dmaEngines_(sim, cfg.dmaEngines, name_ + ".dma"),
       pcie_(sim, 1, name_ + ".pcie"),
       egress_(sim, 1, name_ + ".egress"),
-      mttCache_(cfg.mttCacheCapacity),
-      qpcCache_(cfg.qpcCacheCapacity)
+      mttCache_(cfg.mttCacheCapacity)
 {
     sim::Labels labels{{"blade", name_}};
     sim::MetricsRegistry &m = sim_.metrics();
@@ -252,7 +172,7 @@ Rnic::processBatch(Rnic *target, std::vector<WorkReq> batch)
                    sim_.now());
 
     for (WorkReq &wr : batch)
-        sim_.spawnDetached(processOne(target, std::move(wr)));
+        sim_.spawnDetached(executeWr(target, std::move(wr)));
     recycleBatchBuffer(std::move(batch));
 }
 
@@ -305,7 +225,7 @@ void
 Rnic::sendOccupy(std::uint32_t bytes, std::coroutine_handle<> h)
 {
     // Resumes at serialization end; propagation is carried by the wire
-    // packet's delivery timestamp (see sendPacket), not modelled here.
+    // crossing's delivery timestamp (see cross()), not modelled here.
     Time occupancy =
         static_cast<Time>(static_cast<double>(bytes) / cfg_.linkBytesPerNs);
     if (occupancy == 0) {
@@ -351,17 +271,22 @@ Rnic::translatePipe(std::coroutine_handle<> h)
 }
 
 Task
-Rnic::processOne(Rnic *target, WorkReq wr)
+Rnic::executeWr(Rnic *target, WorkReq wr)
 {
     // Device-side spans are recorded by wrapping existing awaits in
     // now() timestamps — the pipeline itself is untouched. Untraced WRs
     // (the common case, and every WR when no tracer is installed) keep
-    // sp == nullptr and skip every site with one branch.
+    // sp == nullptr and skip every site with one branch. A stage goes to
+    // the tracer of the shard it runs on; wr.traceSpan is an id in the
+    // initiator's tracer (sp), so responder records name sp as the
+    // parent's owner and SpanTracer::absorb links the two at capture
+    // time. At one shard both are the same tracer.
     sim::SpanTracer *sp = wr.traceSpan != 0 ? sim_.spans() : nullptr;
-    auto devSpan = [&](Rnic &dev, sim::Stage st, Time t0) {
-        if (sp != nullptr)
-            sp->record(dev.spanTrack(*sp), st, wr.traceSpan, t0,
-                       sim_.now());
+    auto devSpan = [&](Rnic &dev, sim::Stage st, Time t0, Time t1) {
+        if (sp == nullptr)
+            return;
+        if (sim::SpanTracer *here = dev.sim_.spans())
+            here->record(dev.spanTrack(*here), st, wr.traceSpan, t0, t1, sp);
     };
 
     // ---- Initiator issue ----
@@ -382,13 +307,14 @@ Rnic::processOne(Rnic *target, WorkReq wr)
         co_await sim_.delay(cfg_.icmMissExtraPipeNs);
         pipeline_.release();
         co_await sim_.delay(cfg_.mttMissLatencyNs);
-        devSpan(*this, sim::Stage::MttFetch, t0);
+        devSpan(*this, sim::Stage::MttFetch, t0, sim_.now());
     }
 
     if (wr.localBuf != nullptr) {
         Time t0 = sim_.now();
         co_await translate(wr.localTransKey);
-        devSpan(*this, sim::Stage::MttFetch, t0); // hits are 0 ns (skipped)
+        // Hits are 0 ns, which record() skips.
+        devSpan(*this, sim::Stage::MttFetch, t0, sim_.now());
     }
 
     // Unreachable responder (crashed blade): the transport retries for
@@ -410,169 +336,109 @@ Rnic::processOne(Rnic *target, WorkReq wr)
     Time wire_t0 = sim_.now();
     co_await sendTo(*target, req_bytes); // resumes at serialization end
     Time arrival = sim_.now() + cfg_.propagationNs;
-    if (sp != nullptr)
-        sp->record(spanTrack(*sp), sim::Stage::Link, wr.traceSpan, wire_t0,
-                   arrival);
-
-    WirePacket pkt;
-    pkt.initiator = this;
-    pkt.responder = target;
-    pkt.kind = PacketKind::Request;
+    devSpan(*this, sim::Stage::Link, wire_t0, arrival);
+    // The READ payload is borrowed from (and later returned to) this
+    // initiator's pool, so the pool is touched only on this shard.
+    std::vector<std::uint8_t> payload;
     if (wr.op == Op::Read)
-        pkt.payload = takeByteBuffer(); // responder fills it at DMA time
-    pkt.wr = std::move(wr);
-    sendPacket(*target, arrival, std::move(pkt));
-    // The WR continues in serveRequest() on the responder's shard.
-}
+        payload = takeByteBuffer();
+    co_await cross(*this, *target, arrival);
 
-Task
-Rnic::serveRequest(WirePacket pkt)
-{
-    WorkReq &wr = pkt.wr;
-    Rnic *initiator = pkt.initiator;
-    // Responder-side spans go to our own shard's tracer. wr.traceSpan
-    // is an id in the *initiator's* tracer, so the record names that
-    // tracer as the parent's owner and SpanTracer::absorb links the two
-    // at capture time. At one shard both are the same tracer.
-    sim::SpanTracer *sp = wr.traceSpan != 0 ? sim_.spans() : nullptr;
-    auto devSpan = [&](sim::Stage st, Time t0) {
-        if (sp != nullptr)
-            sp->record(spanTrack(*sp), st, wr.traceSpan, t0, sim_.now(),
-                       initiator->sim_.spans());
-    };
-
-    if (down_) {
+    // ---- Responder, on the target's shard ----
+    Rnic &r = *target;
+    WcStatus status = WcStatus::Success;
+    std::uint64_t old_value = 0; // prior memory value (CAS/FAA)
+    Time back_at = 0;
+    if (r.down_) {
         // Crashed while the request was in flight: no ACK ever comes; the
         // initiator transport retries for its budget, then gives up. The
-        // Timeout packet models that budget expiring on the initiator.
-        pkt.kind = PacketKind::Timeout;
-        pkt.status = WcStatus::RetryExceeded;
-        sendPacket(*initiator, sim_.now() + cfg_.transportRetryNs,
-                   std::move(pkt));
-        co_return;
+        // crossing back lands when that budget expires.
+        status = WcStatus::RetryExceeded;
+        back_at = r.sim_.now() + r.cfg_.transportRetryNs;
+    } else {
+        r.perf_.wrsServed.add();
+        co_await r.pipeline_.acquire();
+        co_await r.sim_.delay(r.cfg_.pipeResponderNs);
+        r.pipeline_.release();
+
+        std::uint32_t resp_bytes = r.cfg_.headerBytes;
+        const MrRecord *mr = r.findMr(wr.rkey);
+        if (mr == nullptr || wr.remoteOffset + wr.length > mr->length) {
+            // Invalid rkey (e.g. the MR was re-registered after a blade
+            // restart) or out-of-bounds access: the responder NAKs and
+            // the initiator sees an error CQE.
+            status = WcStatus::RemoteAccessError;
+        } else {
+            std::uint8_t *remote = mr->base + wr.remoteOffset;
+            Time t0 = r.sim_.now();
+            co_await r.translate(transKey(mr->id, wr.remoteOffset));
+            devSpan(r, sim::Stage::MttFetch, t0, r.sim_.now());
+
+            t0 = r.sim_.now();
+            if (wr.op == Op::Read || wr.op == Op::Write) {
+                std::uint32_t bytes = wr.length + r.cfg_.payloadPadBytes;
+                r.perf_.dramBytes.add(bytes);
+                co_await r.pcieDma(bytes);
+                devSpan(r, sim::Stage::Dma, t0, r.sim_.now());
+                if (wr.op == Op::Read) {
+                    // Snapshot target memory at DMA-read time: later
+                    // concurrent writes must not be visible to this READ.
+                    payload.assign(remote, remote + wr.length);
+                    resp_bytes += wr.length;
+                } else {
+                    assert(wr.localBuf != nullptr);
+                    // Cross-shard source read: the bytes behind
+                    // wr.localBuf were written before the WR crossed,
+                    // and the window barrier that hands the crossing
+                    // over orders them before this copy.
+                    std::memcpy(remote, wr.localBuf, wr.length);
+                }
+            } else {
+                assert(wr.length == 8);
+                co_await r.atomicUnits_.acquire();
+                co_await r.sim_.delay(r.cfg_.atomicServiceNs);
+                // Atomic read-modify-write executes in one event: no
+                // interleaving.
+                std::memcpy(&old_value, remote, 8);
+                if (wr.op == Op::Faa) {
+                    std::uint64_t updated = old_value + wr.compare;
+                    std::memcpy(remote, &updated, 8);
+                } else if (old_value == wr.compare) {
+                    std::memcpy(remote, &wr.swap, 8);
+                }
+                r.atomicUnits_.release();
+                devSpan(r, sim::Stage::Atomic, t0, r.sim_.now());
+                r.perf_.dramBytes.add(16);
+                resp_bytes += 8;
+            }
+        }
+
+        // ---- Response (or NAK) over the wire ----
+        wire_t0 = r.sim_.now();
+        co_await r.sendTo(*this, resp_bytes);
+        back_at = r.sim_.now() + r.cfg_.propagationNs;
+        if (status == WcStatus::Success)
+            devSpan(r, sim::Stage::Link, wire_t0, back_at);
     }
-    perf_.wrsServed.add();
-    co_await pipeline_.acquire();
-    co_await sim_.delay(cfg_.pipeResponderNs);
-    pipeline_.release();
+    co_await cross(r, *this, back_at);
 
-    const MrRecord *mr = findMr(wr.rkey);
-    if (mr == nullptr || wr.remoteOffset + wr.length > mr->length) {
-        // Invalid rkey (e.g. the MR was re-registered after a blade
-        // restart) or out-of-bounds access: the responder NAKs and the
-        // initiator sees an error CQE.
-        co_await sendTo(*initiator, cfg_.headerBytes);
-        pkt.kind = PacketKind::Nak;
-        pkt.status = WcStatus::RemoteAccessError;
-        sendPacket(*initiator, sim_.now() + cfg_.propagationNs,
-                   std::move(pkt));
-        co_return;
+    // ---- Initiator completion, back on this shard ----
+    if (status == WcStatus::Success) {
+        if (down_ || epoch_ != wr.initEpoch) {
+            // The initiating device reset/crashed under this WR: its QP
+            // is gone, so the response is dropped and the WR flushes.
+            status = WcStatus::FlushedInError;
+        } else if (pendingCompletionErrors_ > 0) {
+            --pendingCompletionErrors_;
+            status = WcStatus::RemoteAccessError;
+        } else if (completionErrorProb_ > 0.0 && faultRng_ != nullptr &&
+                   faultRng_->uniformDouble() < completionErrorProb_) {
+            status = WcStatus::RemoteAccessError;
+        }
     }
-    std::uint8_t *remote = mr->base + wr.remoteOffset;
-    Time t0 = sim_.now();
-    co_await translate(transKey(mr->id, wr.remoteOffset));
-    devSpan(sim::Stage::MttFetch, t0);
-
-    std::uint32_t resp_bytes = cfg_.headerBytes;
-
-    switch (wr.op) {
-      case Op::Read: {
-        std::uint32_t bytes = wr.length + cfg_.payloadPadBytes;
-        perf_.dramBytes.add(bytes);
-        t0 = sim_.now();
-        co_await pcieDma(bytes);
-        devSpan(sim::Stage::Dma, t0);
-        // Snapshot target memory at DMA-read time: later concurrent
-        // writes must not be visible to this READ.
-        pkt.payload.assign(remote, remote + wr.length);
-        resp_bytes += wr.length;
-        break;
-      }
-      case Op::Write: {
-        std::uint32_t bytes = wr.length + cfg_.payloadPadBytes;
-        perf_.dramBytes.add(bytes);
-        t0 = sim_.now();
-        co_await pcieDma(bytes);
-        devSpan(sim::Stage::Dma, t0);
-        assert(wr.localBuf != nullptr);
-        // Cross-shard source read: the bytes behind wr.localBuf were
-        // written before the request was posted to the wire, and the
-        // window barrier that hands it over orders them before this copy.
-        std::memcpy(remote, wr.localBuf, wr.length);
-        break;
-      }
-      case Op::Cas: {
-        assert(wr.length == 8);
-        t0 = sim_.now();
-        co_await atomicUnits_.acquire();
-        co_await sim_.delay(cfg_.atomicServiceNs);
-        // Atomic read-compare-write executes in one event: no interleaving.
-        std::memcpy(&pkt.oldValue, remote, 8);
-        if (pkt.oldValue == wr.compare)
-            std::memcpy(remote, &wr.swap, 8);
-        atomicUnits_.release();
-        devSpan(sim::Stage::Atomic, t0);
-        perf_.dramBytes.add(16);
-        resp_bytes += 8;
-        break;
-      }
-      case Op::Faa: {
-        assert(wr.length == 8);
-        t0 = sim_.now();
-        co_await atomicUnits_.acquire();
-        co_await sim_.delay(cfg_.atomicServiceNs);
-        std::memcpy(&pkt.oldValue, remote, 8);
-        std::uint64_t updated = pkt.oldValue + wr.compare;
-        std::memcpy(remote, &updated, 8);
-        atomicUnits_.release();
-        devSpan(sim::Stage::Atomic, t0);
-        perf_.dramBytes.add(16);
-        resp_bytes += 8;
-        break;
-      }
-    }
-
-    // ---- Response over the wire ----
-    Time wire_t0 = sim_.now();
-    co_await sendTo(*initiator, resp_bytes);
-    Time arrival = sim_.now() + cfg_.propagationNs;
-    if (sp != nullptr)
-        sp->record(spanTrack(*sp), sim::Stage::Link, wr.traceSpan, wire_t0,
-                   arrival, initiator->sim_.spans());
-    pkt.kind = PacketKind::Response;
-    pkt.status = WcStatus::Success;
-    sendPacket(*initiator, arrival, std::move(pkt));
-    // The WR continues in finishOne() on the initiator's shard.
-}
-
-Task
-Rnic::finishOne(WirePacket pkt)
-{
-    WorkReq &wr = pkt.wr;
-    sim::SpanTracer *sp = wr.traceSpan != 0 ? sim_.spans() : nullptr;
-    auto devSpan = [&](sim::Stage st, Time t0) {
-        if (sp != nullptr)
-            sp->record(spanTrack(*sp), st, wr.traceSpan, t0, sim_.now());
-    };
-
-    // ---- Initiator completion ----
-    if (down_ || epoch_ != wr.initEpoch) {
-        // The initiating device reset/crashed under this WR: its QP is
-        // gone, so the response is dropped and the WR flushes in error.
-        recycleByteBuffer(std::move(pkt.payload));
-        completeError(wr, WcStatus::FlushedInError);
-        co_return;
-    }
-    if (pendingCompletionErrors_ > 0) {
-        --pendingCompletionErrors_;
-        recycleByteBuffer(std::move(pkt.payload));
-        completeError(wr, WcStatus::RemoteAccessError);
-        co_return;
-    }
-    if (completionErrorProb_ > 0.0 && faultRng_ != nullptr &&
-        faultRng_->uniformDouble() < completionErrorProb_) {
-        recycleByteBuffer(std::move(pkt.payload));
-        completeError(wr, WcStatus::RemoteAccessError);
+    if (status != WcStatus::Success) {
+        recycleByteBuffer(std::move(payload));
+        completeError(wr, status);
         co_return;
     }
 
@@ -591,7 +457,7 @@ Rnic::finishOne(WirePacket pkt)
         co_await dmaEngines_.acquire();
         co_await sim_.delay(cfg_.dmaMissServiceNs);
         dmaEngines_.release();
-        devSpan(sim::Stage::WqeFetch, t0);
+        devSpan(*this, sim::Stage::WqeFetch, t0, sim_.now());
     }
     co_await pipeline_.acquire();
     co_await sim_.delay(cfg_.pipeCompletionNs);
@@ -604,20 +470,20 @@ Rnic::finishOne(WirePacket pkt)
     else if (wr.op == Op::Cas || wr.op == Op::Faa)
         land_bytes += 8;
     perf_.dramBytes.add(land_bytes);
-    Time wire_t0 = sim_.now();
+    Time t0 = sim_.now();
     co_await pcieDma(land_bytes);
-    devSpan(sim::Stage::Pcie, wire_t0);
+    devSpan(*this, sim::Stage::Pcie, t0, sim_.now());
 
     if (wr.op == Op::Read && wr.localBuf != nullptr)
-        std::memcpy(wr.localBuf, pkt.payload.data(), wr.length);
+        std::memcpy(wr.localBuf, payload.data(), wr.length);
     if ((wr.op == Op::Cas || wr.op == Op::Faa) && wr.localBuf != nullptr)
-        std::memcpy(wr.localBuf, &pkt.oldValue, 8);
-    recycleByteBuffer(std::move(pkt.payload));
+        std::memcpy(wr.localBuf, &old_value, 8);
+    recycleByteBuffer(std::move(payload));
 
     perf_.wrsCompleted.add();
     --owrNow_;
     if (wr.sink != nullptr)
-        wr.sink->complete(wr, pkt.oldValue, WcStatus::Success);
+        wr.sink->complete(wr, old_value, WcStatus::Success);
 }
 
 } // namespace smart::rnic

@@ -53,8 +53,6 @@ const char *wcStatusName(WcStatus s);
 
 class Rnic;
 struct WorkReq;
-struct WirePacket;
-struct PacketDelivery;
 
 /** Receives the completion of a work request (implemented by verbs::Cq). */
 class CompletionSink
@@ -322,39 +320,48 @@ class Rnic : public sim::FaultTarget
     }
 
   private:
-    friend struct PacketDelivery;
-
     /** Fetch the batch's WQEs via PCIe, then issue each WR. */
     sim::Task processBatch(Rnic *target, std::vector<WorkReq> batch);
 
     /**
-     * Initiator half of one WR: issue pipeline, ICM/MTT lookups, egress
-     * serialization, then hand the request to the wire as a timestamped
-     * WirePacket. The WR continues in serveRequest() on the responder's
-     * shard; this frame dies at the wire.
+     * One work request, start to CQE, as one detached coroutine (this ==
+     * the initiator). The issue half runs here: pipeline, ICM/MTT
+     * lookups, egress serialization. The coroutine then crosses the wire
+     * to @p target's shard, where the responder half runs on the
+     * target's simulator and resources: pipeline, MR check, translation,
+     * the operation itself against host bytes, egress. It crosses back
+     * for the completion half here: WQE-cache model, completion
+     * pipeline, CQE/payload landing. Every path, errors included, ends
+     * on this shard, so the frame is freed by the thread-local arena
+     * that allocated it.
      */
-    sim::Task processOne(Rnic *target, WorkReq wr);
+    sim::Task executeWr(Rnic *target, WorkReq wr);
 
     /**
-     * Responder half (this == the responder): pipeline, MR check,
-     * translation, the operation itself against host bytes, egress — and
-     * the response packet back over the wire. Runs inside the delivery
-     * event on the responder's shard.
+     * Awaitable: carry the suspended WR across the wire. EventFn::resume
+     * of the frame goes out through @p from's endpoint, for delivery on
+     * @p to's shard at absolute @p dtime; the coroutine resumes there as
+     * that delivery event.
      */
-    sim::Task serveRequest(WirePacket pkt);
-
-    /**
-     * Completion half (this == the initiator): WQE-cache model,
-     * completion pipeline, CQE/payload landing, CQE delivery. Runs on
-     * the initiator's shard when the response packet arrives.
-     */
-    sim::Task finishOne(WirePacket pkt);
-
-    /** Start a detached task inline (wire deliveries; no extra event). */
-    static void
-    startDetached(sim::Task t)
+    struct CrossAwaiter
     {
-        t.detach().resume();
+        Rnic &from;
+        Rnic &to;
+        sim::Time dtime;
+
+        bool await_ready() const noexcept { return false; }
+        void
+        await_suspend(std::coroutine_handle<> h) const
+        {
+            from.wire_.send(to.sim_, dtime, sim::EventFn::resume(h));
+        }
+        void await_resume() const noexcept {}
+    };
+
+    static CrossAwaiter
+    cross(Rnic &from, Rnic &to, sim::Time dtime)
+    {
+        return {from, to, dtime};
     }
 
     /*
@@ -389,7 +396,7 @@ class Rnic : public sim::FaultTarget
     /**
      * Awaitable: occupy the egress link for the serialization time of
      * @p bytes. Resumes when the last byte leaves the sender; wire
-     * propagation is *not* included — it is carried by the WirePacket's
+     * propagation is *not* included — it is carried by cross()'s
      * delivery timestamp (sender now + propagationNs), so the crossing
      * itself is an explicit mailbox message, never a direct peer event.
      */
@@ -414,8 +421,6 @@ class Rnic : public sim::FaultTarget
         return {*this, bytes};
     }
 
-    /** Post @p pkt for delivery on @p dst's shard at absolute @p dtime. */
-    void sendPacket(Rnic &dst, sim::Time dtime, WirePacket &&pkt);
     void sendStart(std::uint32_t bytes, std::coroutine_handle<> h);
     void sendOccupy(std::uint32_t bytes, std::coroutine_handle<> h);
 
@@ -464,7 +469,6 @@ class Rnic : public sim::FaultTarget
     sim::Resource egress_;
 
     LruCache mttCache_;
-    LruCache qpcCache_;
 
     std::uint64_t owrNow_ = 0;
     sim::Counter wqeHits_;

@@ -86,8 +86,6 @@ struct RnicConfig
     std::uint32_t mttMissBytes = 64;
     /** Added latency for a translation refetch. */
     Time mttMissLatencyNs = 600;
-    /** QP context cache capacity (entries). */
-    std::uint32_t qpcCacheCapacity = 2048;
     /**
      * ICM working-set entries (MPT segments, QPC roots, EQ state) that
      * each device context adds to the on-chip MTT/MPT cache. Opening a

@@ -23,7 +23,6 @@ namespace smart::sim {
  * A capacity-N resource with FIFO admission.
  *
  * Coroutines `co_await res.acquire()` and must call `release()` when done.
- * For the common hold-for-a-duration pattern use `use(duration)`.
  * Grants are delivered through the event queue (never by recursive resume),
  * which keeps wakeup order deterministic and the native stack flat.
  */
@@ -113,15 +112,6 @@ class Resource
         }
     }
 
-    /** Hold one unit for @p duration virtual ns, then release. */
-    Task
-    use(Time duration)
-    {
-        co_await acquire();
-        co_await sim_.delay(duration);
-        release();
-    }
-
     /** @return number of coroutines queued behind the resource. */
     std::uint32_t waiters() const { return waiters_.size(); }
 
@@ -142,57 +132,6 @@ class Resource
     // awaiters as callbacks; one deque keeps the FIFO fair across both.
     std::deque<EventFn> waiters_;
     std::string name_;
-};
-
-/**
- * One-shot broadcast event: waiters suspend until `fire()`; waits after the
- * event fired complete immediately.
- */
-class Gate
-{
-  public:
-    explicit Gate(Simulator &sim) : sim_(sim) {}
-
-    /** Awaitable: resumes when (or immediately if) the gate has fired. */
-    auto
-    wait()
-    {
-        struct Awaiter
-        {
-            Gate &gate;
-
-            bool await_ready() const noexcept { return gate.fired_; }
-
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                gate.waiters_.push_back(h);
-            }
-
-            void await_resume() const noexcept {}
-        };
-        return Awaiter{*this};
-    }
-
-    /** Release all current and future waiters. */
-    void
-    fire()
-    {
-        if (fired_)
-            return;
-        fired_ = true;
-        for (std::coroutine_handle<> h : waiters_)
-            sim_.post(h);
-        waiters_.clear();
-    }
-
-    /** @return true once fire() was called. */
-    bool fired() const { return fired_; }
-
-  private:
-    Simulator &sim_;
-    bool fired_ = false;
-    std::deque<std::coroutine_handle<>> waiters_;
 };
 
 } // namespace smart::sim

@@ -35,7 +35,9 @@ namespace smart::sim {
  * hot-path allocation, visible as spawn_churn's 0.123 allocs/1k events).
  *
  * Thread-locality matches the sharded engine: a frame is allocated and
- * freed on the shard thread that runs its coroutine. Slabs are
+ * freed on one shard thread. An RNIC work request's frame runs on the
+ * responder's shard in between, but starts and ends on the initiator's
+ * (Rnic::executeWr). Slabs are
  * process-lifetime (registered in a global list, so leak checkers stay
  * quiet and a frame outliving its arena's thread remains valid) and are
  * never returned to the allocator.

@@ -162,9 +162,10 @@ ShardGroup::workerMain(std::uint32_t idx)
 // ------------------------------------------------------------- WireEndpoint
 
 void
-WireEndpoint::route(Simulator &dst, WireMsg &&m)
+WireEndpoint::send(Simulator &dst, Time dtime, EventFn &&fn)
 {
-    assert(m.dtime >= sim_.now());
+    assert(dtime >= sim_.now());
+    WireMsg m{dtime, seq_++, srcId_, std::move(fn)};
     if (&dst == &sim_) {
         sim_.wireInbox().push(std::move(m));
         return;

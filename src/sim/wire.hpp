@@ -28,18 +28,16 @@
 #ifndef SMART_SIM_WIRE_HPP
 #define SMART_SIM_WIRE_HPP
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <cassert>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <mutex>
-#include <new>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -52,155 +50,22 @@ class Simulator;
 class ShardGroup;
 
 /**
- * One timestamped message crossing a simulated wire. Type-erased like
- * EventFn, but with a larger inline budget (an RNIC request/response
- * packet, including an embedded WorkReq and payload vector, must fit)
- * and an explicit delivery key used for deterministic ordering.
- *
- * deliver() consumes the payload: the callable is moved out, the inline
- * object destroyed, and then the callable invoked (it may recurse into
- * schedule/send paths).
+ * One timestamped message crossing a simulated wire: an ordinary EventFn
+ * plus its delivery key. The callable runs as an event on the destination
+ * shard at dtime; an RNIC work request crosses as EventFn::resume of its
+ * own coroutine frame.
  */
-class WireMsg
+struct WireMsg
 {
-  public:
-    static constexpr std::size_t kPayloadBytes = 216;
-    static constexpr std::size_t kPayloadAlign = 16;
-
     /** Delivery key, ordered lexicographically (dtime, srcId, seq). */
     Time dtime = 0;
     std::uint64_t seq = 0;
     std::uint32_t srcId = 0;
-
-    WireMsg() noexcept = default;
-    WireMsg(WireMsg &&o) noexcept { moveFrom(o); }
-
-    WireMsg &
-    operator=(WireMsg &&o) noexcept
-    {
-        if (this != &o) {
-            reset();
-            moveFrom(o);
-        }
-        return *this;
-    }
-
-    WireMsg(const WireMsg &) = delete;
-    WireMsg &operator=(const WireMsg &) = delete;
-    ~WireMsg() { reset(); }
-
-    explicit operator bool() const noexcept { return ops_ != nullptr; }
-
-    /** Build a message whose delivery runs @p payload's operator(). */
-    template <typename P>
-    static WireMsg
-    make(Time dtime, std::uint32_t src_id, std::uint64_t seq, P &&payload)
-    {
-        using Fn = std::remove_cvref_t<P>;
-        static_assert(sizeof(Fn) <= kPayloadBytes,
-                      "wire payload exceeds the inline budget; shrink the "
-                      "packet or carry a pointer");
-        static_assert(alignof(Fn) <= kPayloadAlign,
-                      "wire payload over-aligned for inline storage");
-        static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                      "wire payload must be nothrow-movable");
-        WireMsg m;
-        m.dtime = dtime;
-        m.srcId = src_id;
-        m.seq = seq;
-        ::new (static_cast<void *>(m.buf_)) Fn(std::forward<P>(payload));
-        m.ops_ = &opsFor<Fn>;
-        return m;
-    }
-
-    /** Run the payload and leave this message empty. */
-    void
-    deliver()
-    {
-        assert(ops_ != nullptr);
-        const Ops *ops = ops_;
-        ops_ = nullptr;
-        ops->deliver(buf_);
-    }
-
-    /** True if this key orders before @p o under (dtime, srcId, seq). */
-    bool
-    before(const WireMsg &o) const noexcept
-    {
-        if (dtime != o.dtime)
-            return dtime < o.dtime;
-        if (srcId != o.srcId)
-            return srcId < o.srcId;
-        return seq < o.seq;
-    }
-
-  private:
-    struct Ops
-    {
-        /** Move payload out, destroy it in place, invoke the copy. */
-        void (*deliver)(void *src);
-        void (*relocate)(void *dst, void *src) noexcept;
-        void (*destroy)(void *src) noexcept;
-    };
-
-    template <typename Fn>
-    static void
-    deliverFn(void *src)
-    {
-        Fn *s = static_cast<Fn *>(src);
-        Fn local(std::move(*s));
-        s->~Fn();
-        local();
-    }
-
-    template <typename Fn>
-    static void
-    relocateFn(void *dst, void *src) noexcept
-    {
-        Fn *s = static_cast<Fn *>(src);
-        ::new (dst) Fn(std::move(*s));
-        s->~Fn();
-    }
-
-    template <typename Fn>
-    static void
-    destroyFn(void *src) noexcept
-    {
-        static_cast<Fn *>(src)->~Fn();
-    }
-
-    template <typename Fn>
-    static constexpr Ops opsFor{&deliverFn<Fn>, &relocateFn<Fn>,
-                                &destroyFn<Fn>};
-
-    void
-    moveFrom(WireMsg &o) noexcept
-    {
-        dtime = o.dtime;
-        seq = o.seq;
-        srcId = o.srcId;
-        ops_ = o.ops_;
-        if (ops_ != nullptr) {
-            ops_->relocate(buf_, o.buf_);
-            o.ops_ = nullptr;
-        }
-    }
-
-    void
-    reset() noexcept
-    {
-        if (ops_ != nullptr) {
-            ops_->destroy(buf_);
-            ops_ = nullptr;
-        }
-    }
-
-    alignas(kPayloadAlign) unsigned char buf_[kPayloadBytes];
-    const Ops *ops_ = nullptr;
+    EventFn fn;
 };
 
 /**
- * Per-Simulator holding pen for in-flight wire messages, ordered by
+ * Per-Simulator holding pen for in-flight wire messages: a min-heap on
  * (dtime, srcId, seq). The run loop injects messages into the event
  * queue only when the local clock first reaches their delivery time —
  * never eagerly — so injected events draw their local FIFO sequence at a
@@ -209,16 +74,6 @@ class WireMsg
 class WireInbox
 {
   public:
-    WireInbox() = default;
-    WireInbox(const WireInbox &) = delete;
-    WireInbox &operator=(const WireInbox &) = delete;
-
-    ~WireInbox()
-    {
-        for (Node *b : blocks_)
-            ::operator delete[](reinterpret_cast<unsigned char *>(b));
-    }
-
     /** Earliest pending delivery time, or kTimeNever when empty. */
     Time minTime() const noexcept { return min_; }
 
@@ -228,11 +83,9 @@ class WireInbox
     void
     push(WireMsg &&m)
     {
-        Node *n = acquireNode();
-        n->msg = std::move(m);
-        heap_.push_back(n);
-        siftUp(heap_.size() - 1);
-        min_ = heap_.front()->msg.dtime;
+        heap_.push_back(std::move(m));
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
+        min_ = heap_.front().dtime;
     }
 
     /**
@@ -244,122 +97,34 @@ class WireInbox
     void
     injectUpTo(Time t, EventQueue &q)
     {
-        while (!heap_.empty() && heap_.front()->msg.dtime <= t) {
-            Node *n = popMin();
-            struct Inject
-            {
-                WireInbox *inbox;
-                Node *node;
-
-                void
-                operator()()
-                {
-                    Node *nd = node;
-                    WireInbox *ib = inbox;
-                    nd->msg.deliver();
-                    ib->releaseNode(nd);
-                }
-            };
-            q.scheduleAt(n->msg.dtime, Inject{this, n});
+        while (!heap_.empty() && heap_.front().dtime <= t) {
+            std::pop_heap(heap_.begin(), heap_.end(), Later{});
+            WireMsg &m = heap_.back();
+            q.scheduleAt(m.dtime, std::move(m.fn));
+            heap_.pop_back();
         }
-        min_ = heap_.empty() ? kTimeNever : heap_.front()->msg.dtime;
+        min_ = heap_.empty() ? kTimeNever : heap_.front().dtime;
     }
 
-    /** Pre-grow node and heap storage (alloc-sensitive callers). */
-    void
-    reserve(std::size_t n)
-    {
-        heap_.reserve(n);
-        free_.reserve(n);
-        while (free_.size() < n)
-            grow();
-    }
+    /** Pre-grow heap storage (alloc-sensitive callers). */
+    void reserve(std::size_t n) { heap_.reserve(n); }
 
   private:
-    struct Node
+    /** Min-heap order: true if @p a delivers after @p b. */
+    struct Later
     {
-        WireMsg msg;
+        bool
+        operator()(const WireMsg &a, const WireMsg &b) const noexcept
+        {
+            if (a.dtime != b.dtime)
+                return a.dtime > b.dtime;
+            if (a.srcId != b.srcId)
+                return a.srcId > b.srcId;
+            return a.seq > b.seq;
+        }
     };
 
-    Node *
-    acquireNode()
-    {
-        if (free_.empty())
-            grow();
-        Node *n = free_.back();
-        free_.pop_back();
-        return n;
-    }
-
-    void
-    releaseNode(Node *n) noexcept
-    {
-        // free_ was reserved to cover every node ever handed out, so this
-        // push_back cannot allocate.
-        free_.push_back(n);
-    }
-
-    void
-    grow()
-    {
-        constexpr std::size_t kBlock = 64;
-        auto *raw = static_cast<unsigned char *>(
-            ::operator new[](kBlock * sizeof(Node)));
-        Node *arr = reinterpret_cast<Node *>(raw);
-        blocks_.push_back(arr);
-        // Capacity covers every node ever carved, so releaseNode() can
-        // return any outstanding node without reallocating.
-        free_.reserve(blocks_.size() * kBlock);
-        for (std::size_t i = 0; i < kBlock; ++i)
-            free_.push_back(::new (static_cast<void *>(arr + i)) Node{});
-    }
-
-    Node *
-    popMin()
-    {
-        Node *top = heap_.front();
-        Node *last = heap_.back();
-        heap_.pop_back();
-        if (!heap_.empty()) {
-            heap_.front() = last;
-            siftDown(0);
-        }
-        return top;
-    }
-
-    void
-    siftUp(std::size_t i)
-    {
-        while (i > 0) {
-            std::size_t p = (i - 1) / 2;
-            if (!heap_[i]->msg.before(heap_[p]->msg))
-                break;
-            std::swap(heap_[i], heap_[p]);
-            i = p;
-        }
-    }
-
-    void
-    siftDown(std::size_t i)
-    {
-        const std::size_t n = heap_.size();
-        for (;;) {
-            std::size_t l = 2 * i + 1;
-            if (l >= n)
-                break;
-            std::size_t m = l;
-            if (l + 1 < n && heap_[l + 1]->msg.before(heap_[l]->msg))
-                m = l + 1;
-            if (!heap_[m]->msg.before(heap_[i]->msg))
-                break;
-            std::swap(heap_[i], heap_[m]);
-            i = m;
-        }
-    }
-
-    std::vector<Node *> heap_;
-    std::vector<Node *> free_;
-    std::vector<Node *> blocks_;
+    std::vector<WireMsg> heap_;
     Time min_ = kTimeNever;
 };
 
@@ -471,18 +236,12 @@ class WireEndpoint
     std::uint32_t srcId() const noexcept { return srcId_; }
 
     /**
-     * Send @p payload for delivery on @p dst's shard at absolute virtual
-     * time @p dtime (>= sender now + group lookahead when @p dst is on
-     * another shard). The payload's operator() runs on the destination
-     * shard inside the injected delivery event.
+     * Send @p fn for delivery on @p dst's shard at absolute virtual time
+     * @p dtime (>= sender now + group lookahead when @p dst is on another
+     * shard). @p fn runs on the destination shard as the injected
+     * delivery event.
      */
-    template <typename P>
-    void
-    send(Simulator &dst, Time dtime, P &&payload)
-    {
-        route(dst,
-              WireMsg::make(dtime, srcId_, seq_++, std::forward<P>(payload)));
-    }
+    void send(Simulator &dst, Time dtime, EventFn &&fn);
 
   private:
     static std::uint32_t
@@ -491,8 +250,6 @@ class WireEndpoint
         static std::atomic<std::uint32_t> counter{0};
         return counter.fetch_add(1, std::memory_order_relaxed);
     }
-
-    void route(Simulator &dst, WireMsg &&m);
 
     Simulator &sim_;
     std::uint32_t srcId_;

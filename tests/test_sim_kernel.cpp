@@ -343,38 +343,6 @@ TEST(Resource, WaitersCountVisible)
     EXPECT_EQ(res.waiters(), 4u);
 }
 
-TEST(Gate, ReleasesAllWaiters)
-{
-    Simulator sim;
-    Gate gate(sim);
-    int done = 0;
-    auto waiter = [](Gate &g, int &d) -> Task {
-        co_await g.wait();
-        ++d;
-    };
-    for (int i = 0; i < 3; ++i)
-        sim.spawn(waiter(gate, done));
-    sim.schedule(10, [&] { gate.fire(); });
-    sim.run();
-    EXPECT_EQ(done, 3);
-    EXPECT_TRUE(gate.fired());
-}
-
-TEST(Gate, WaitAfterFireIsImmediate)
-{
-    Simulator sim;
-    Gate gate(sim);
-    gate.fire();
-    int done = 0;
-    auto waiter = [](Gate &g, int &d) -> Task {
-        co_await g.wait();
-        ++d;
-    };
-    sim.spawn(waiter(gate, done));
-    sim.run();
-    EXPECT_EQ(done, 1);
-}
-
 // -------------------------------------------------------------- simthread
 
 namespace {

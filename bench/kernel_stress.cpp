@@ -3,12 +3,15 @@
  * DES kernel microbench: drives the event queue directly (no RNIC or
  * SMART machinery) and verifies the allocation-free hot path.
  *
- * Four workloads exercise the kernel's distinct hot paths:
+ * These workloads exercise the kernel's distinct hot paths:
  *   resume_storm  coroutines cycling through near-future delays — the
  *                 EventFn::resume fast path on the calendar ring
  *   timer_wheel   self-rescheduling plain callbacks on the ring
  *   two_tier_mix  near (ring) and far (heap) delays interleaved, so
  *                 cross-tier pops and heap churn are measured too
+ *   bucket_collide coroutines drawing delays from a small set, so most
+ *                 ring inserts land in an already occupied bucket (the
+ *                 same-timestamp pile-ups the app workloads produce)
  *   spawn_churn   a detached coroutine spawned per operation — the
  *                 FrameArena recycling path
  *   span_storm    resume_storm's loop with SpanTracer instrumentation
@@ -21,11 +24,13 @@
  * Each single-shard workload warms up (growing buffers, pooling
  * frames), then runs a measured window during which a global
  * operator-new hook counts heap allocations. resume_storm, timer_wheel,
- * spawn_churn and both span_storm runs must be exactly allocation-free
- * in steady state. The span runs must show that the tracer never
- * perturbs the simulation: span_storm_off must process exactly
- * resume_storm's event count (the guard is one pointer load), and
- * span_storm_on must process the same events again while recording.
+ * bucket_collide, spawn_churn and both span_storm runs must be exactly
+ * allocation-free in steady state, with no storage reserved up front:
+ * warm-up alone must reach the event pool's high-water mark. The span
+ * runs must show that the tracer never perturbs the simulation:
+ * span_storm_off must process exactly resume_storm's event count (the
+ * guard is one pointer load), and span_storm_on must process the same
+ * events again while recording.
  * shard_scaling must process exactly the same events and deliver the
  * same wire messages at every shard count as the single-shard run (the
  * determinism gate). These are the acceptance gates for the inline-event
@@ -125,12 +130,6 @@ struct WorkloadResult
 WorkloadResult
 measure(Simulator &sim, Time warmup_ns, Time measure_ns)
 {
-    // Kill the one remaining lazy-growth source: a first-ever N-way
-    // timestamp collision growing a calendar bucket mid-measurement.
-    // 128 slots/bucket covers spawn_churn, whose per-op detached
-    // coroutines pile deeper timestamp collisions than the loopers
-    // (32 was enough before its gate flipped to must-be-alloc-free).
-    sim.reserveEventStorage(128, 4096);
     sim.runUntil(warmup_ns);
     std::uint64_t events_before = sim.eventsProcessed();
     g_allocs = 0;
@@ -170,6 +169,32 @@ runResumeStorm(std::uint32_t lanes, Time warmup, Time window)
     Simulator sim;
     for (std::uint32_t l = 0; l < lanes; ++l)
         sim.spawn(resumeLooper(sim, l));
+    return measure(sim, warmup, window);
+}
+
+/**
+ * Coroutine looping over a small set of delays with a small per-lane
+ * offset: lanes keep landing on the same few calendar buckets, so about
+ * two thirds of ring inserts (68% at --quick) find their bucket occupied,
+ * near ford_smallbank's 60%.
+ */
+Task
+collideLooper(Simulator &sim, std::uint32_t lane)
+{
+    static constexpr Time kDelays[] = {5, 20, 45, 90};
+    std::uint32_t i = lane;
+    for (;;) {
+        co_await sim.delay(kDelays[i % 4] + lane % 31);
+        i += 1 + lane % 3;
+    }
+}
+
+WorkloadResult
+runBucketCollide(std::uint32_t lanes, Time warmup, Time window)
+{
+    Simulator sim;
+    for (std::uint32_t l = 0; l < lanes; ++l)
+        sim.spawn(collideLooper(sim, l));
     return measure(sim, warmup, window);
 }
 
@@ -397,6 +422,7 @@ main(int argc, char **argv)
         {"resume_storm", runResumeStorm(lanes, warmup, window)},
         {"timer_wheel", runTimerWheel(lanes, warmup, window)},
         {"two_tier_mix", runTwoTierMix(lanes, warmup, window)},
+        {"bucket_collide", runBucketCollide(lanes, warmup, window)},
         {"spawn_churn", runSpawnChurn(lanes, warmup, window)},
         {"span_storm_off", runSpanStorm(lanes, warmup, window, false)},
         {"span_storm_on",
@@ -432,8 +458,8 @@ main(int argc, char **argv)
     // event schedule exactly (the guard is one pointer load); with it
     // installed, virtual time must still be untouched while it records.
     const WorkloadResult &resume = rows[0].r;
-    const WorkloadResult &span_off = rows[4].r;
-    const WorkloadResult &span_on = rows[5].r;
+    const WorkloadResult &span_off = rows[5].r;
+    const WorkloadResult &span_on = rows[6].r;
     double disabled_overhead_pct = resume.wallMs > 0.0
         ? 100.0 * (span_off.wallMs - resume.wallMs) / resume.wallMs
         : 0.0;
@@ -484,10 +510,11 @@ main(int argc, char **argv)
     cli.addTable("kernel_stress_shard_scaling", ss_table);
 
     cli.note("Paper shape: allocation-free event hot path; resume_storm, "
-             "timer_wheel, spawn_churn and both span_storm runs must "
-             "report 0 steady-state allocs, the span tracer must never "
-             "change the processed-event count, and every shard count "
-             "must replay the single-shard simulation exactly.");
+             "timer_wheel, bucket_collide, spawn_churn and both span_storm "
+             "runs must report 0 steady-state allocs, the span tracer "
+             "must never change the processed-event count, and every "
+             "shard count must replay the single-shard simulation "
+             "exactly.");
 
     return cli.finish();
 }

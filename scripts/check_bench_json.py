@@ -327,8 +327,8 @@ def validate_perf(report):
 
 
 # kernel_stress workloads whose steady-state window must not allocate.
-ALLOC_FREE_WORKLOADS = ("resume_storm", "timer_wheel", "spawn_churn",
-                        "span_storm_off", "span_storm_on")
+ALLOC_FREE_WORKLOADS = ("resume_storm", "timer_wheel", "bucket_collide",
+                        "spawn_churn", "span_storm_off", "span_storm_on")
 
 
 def validate_kernel_stress(report):

@@ -1,8 +1,9 @@
 /**
  * @file
  * Allocation-free event core of the DES kernel: a small-buffer inline
- * callback type (EventFn) and a two-tier calendar/heap queue ordered by
- * (time, insertion sequence).
+ * callback type (EventFn), the pooled node every pending callable lives
+ * in (EventNode), and a two-tier calendar/heap queue of those nodes
+ * ordered by (time, insertion sequence).
  *
  * Every simulated verb flows through here, so the hot path must not touch
  * the allocator. EventFn stores its callable inline in 24 bytes — there is
@@ -11,12 +12,18 @@
  * objects. The dominant event kind, "resume this coroutine at time T",
  * gets a dedicated vtable with no capture object at all.
  *
+ * A callable is moved once, into a node drawn from the queue's free list,
+ * and is invoked in place when its node is popped. Nodes never move, so
+ * the same node can also wait outside the queue — as a Resource waiter
+ * or a wire-inbox entry — and later be linked in without touching the
+ * callable.
+ *
  * The queue itself is a calendar queue: near-future events (the dense
- * now + small-delay traffic from doorbells, CQEs and backoffs) land in a
- * bucketed ring of 1 ns slots, far-future events spill to a binary heap.
- * Both tiers honor the same (time, seq) FIFO tie-break, so equal-timestamp
- * ordering — and with it whole-simulation determinism — is identical to
- * the old single std::priority_queue.
+ * now + small-delay traffic from doorbells, CQEs and backoffs) are
+ * appended to FIFO lists in a ring of 1 ns buckets, far-future events
+ * spill to a binary heap. Both tiers honor the same (time, seq) FIFO
+ * tie-break, so equal-timestamp ordering — and with it whole-simulation
+ * determinism — is identical to a single std::priority_queue.
  */
 
 #ifndef SMART_SIM_EVENT_QUEUE_HPP
@@ -30,6 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <new>
 #include <type_traits>
@@ -88,11 +96,11 @@ KernelPerf collectKernelPerf();
  * relocatable/destructible captures get null entries so moves are a
  * memcpy and destruction is free.
  *
- * The budget is deliberately tight: with it, a queue Item is 48 bytes,
- * so calendar buckets pack 4 items per 3 cache lines. Event throughput
- * is bounded by cache misses on the ring, not by arithmetic, so Item
- * size is the single most perf-sensitive constant in the kernel. Big
- * captures belong behind a pointer (or a unique_ptr for owning cases).
+ * The budget is deliberately tight: with it, an EventNode is 56 bytes.
+ * Event throughput is bounded by cache misses on pending nodes, not by
+ * arithmetic, so node size is the most perf-sensitive constant in the
+ * kernel. Big captures belong behind a pointer (or a unique_ptr for
+ * owning cases).
  */
 class EventFn
 {
@@ -164,6 +172,15 @@ class EventFn
         ops_->invoke(buf_);
     }
 
+    /** Destroy the held callable, leaving this EventFn empty. */
+    void
+    reset() noexcept
+    {
+        if (ops_ != nullptr && ops_->destroy != nullptr)
+            ops_->destroy(buf_);
+        ops_ = nullptr;
+    }
+
   private:
     struct Ops
     {
@@ -227,43 +244,91 @@ class EventFn
         }
     }
 
-    void
-    reset() noexcept
-    {
-        if (ops_ != nullptr && ops_->destroy != nullptr)
-            ops_->destroy(buf_);
-        ops_ = nullptr;
-    }
-
     alignas(kInlineAlign) unsigned char buf_[kInlineBytes];
     const Ops *ops_ = nullptr;
 };
 
 /**
- * Two-tier event queue ordered by (time, insertion sequence).
+ * One pending callable: the unit every layer of the kernel hands around.
+ * Nodes are carved from chunks an EventQueue owns and never move, so a
+ * callable is built into its node once, waits there (in a calendar
+ * bucket, behind a far-tier heap entry, in a Resource's waiter list or
+ * behind a wire-inbox entry) and is invoked in place.
+ */
+struct EventNode
+{
+    Time when = 0;
+    std::uint64_t seq = 0;
+    EventNode *next = nullptr;
+    EventFn fn;
+};
+
+/**
+ * Intrusive FIFO of EventNodes linked through EventNode::next. @c tail is
+ * meaningful only while the list is non-empty.
+ */
+struct EventList
+{
+    EventNode *head = nullptr;
+    EventNode *tail = nullptr;
+
+    bool empty() const noexcept { return head == nullptr; }
+
+    void
+    pushBack(EventNode *n) noexcept
+    {
+        n->next = nullptr;
+        if (head == nullptr)
+            head = n;
+        else
+            tail->next = n;
+        tail = n;
+    }
+
+    /** @pre !empty() */
+    EventNode *
+    popFront() noexcept
+    {
+        EventNode *n = head;
+        head = n->next;
+        return n;
+    }
+};
+
+/**
+ * Two-tier event queue ordered by (time, insertion sequence), over a pool
+ * of EventNodes.
  *
  * Tier 1 is a calendar ring of kRingSize 1 ns buckets covering
  * [ringBase_, ringBase_ + kRingSize); nearly all simulated delays (pipe
  * issue, doorbell, PCIe, DMA, propagation — see rnic_config.hpp) fall in
  * this 1 µs window, so insertion is "index by (when & mask), append".
- * The window is sized for cache footprint, not coverage: events are
- * brought to the CPU by random bucket indexing, so a compact ring (64 KB
- * of hot bucket lines) beats a wide one, and the occasional 1 µs+
- * backoff or timeout spills to the heap tier at log cost. An occupancy bitmap makes skipping empty
- * buckets O(popcount word), and the distance to the earliest occupied
- * bucket is memoized so the steady-state nextTime()/pop() pair scans it
- * at most once per event.
- * Within a bucket every item has the same timestamp and is drained in
- * insertion order.
+ * Each bucket is an intrusive FIFO of nodes (Brown's calendar queue,
+ * CACM 1988): every node in a bucket shares one timestamp and is linked
+ * in insertion (= seq) order, so a same-time collision costs the same as
+ * the first event of a bucket. The workloads collide a lot — a third to
+ * 60% of ring inserts land in an occupied bucket (DESIGN §9). An
+ * occupancy bitmap makes skipping empty buckets O(popcount word), and the
+ * distance to the earliest occupied bucket is memoized so the
+ * steady-state peek/pop pair scans it at most once per event.
  *
- * Tier 2 is a plain binary min-heap for far-future events (retry timers,
- * controller epochs). pop() compares (time, seq) across tiers, so events
- * with equal timestamps execute in insertion order even when one was far
- * (heap) at insert time and the other near (ring).
+ * Tier 2 is a binary min-heap of {when, seq, node} for far-future events
+ * (retry timers, controller epochs). Pops compare (time, seq) across
+ * tiers, so events with equal timestamps execute in insertion order even
+ * when one was far (heap) at insert time and the other near (ring).
  *
  * ringBase_ only advances when a ring event is popped, and never past the
  * earliest pending ring event, so the bucket window guard at insert stays
- * valid for the lifetime of every admitted item.
+ * valid for the lifetime of every admitted node.
+ *
+ * Nodes come from fixed chunks through a LIFO free list, so the hot path
+ * allocates only when the number of live nodes reaches a new high-water
+ * mark. A node can also be parked: filled with a callable but linked into
+ * neither tier (Resource waiters, wire-inbox entries) until link() gives
+ * it a time and draws its FIFO seq. Every node is taken and released by
+ * the thread that advances this queue's shard; destroying the queue
+ * destroys every callable still in a node, so parked nodes must be
+ * released first (their holders may not outlive the Simulator).
  */
 class EventQueue
 {
@@ -287,21 +352,57 @@ class EventQueue
     std::uint32_t shardIndex() const { return shardIndex_; }
 
     /**
-     * Schedule @p cb to run at absolute virtual time @p when. Takes an
-     * rvalue reference (not by-value) so the callable built at the call
-     * site is moved exactly once, directly into its queue Item.
+     * Schedule @p cb to run at absolute virtual time @p when. The callable
+     * built at the call site is moved exactly once, into its node.
      */
     void
     scheduleAt(Time when, EventFn &&cb)
     {
-        insert(when, nextSeq_++, std::move(cb));
+        link(when, park(std::move(cb)));
     }
 
     /** Fast path: resume @p h at absolute virtual time @p when. */
     void
     scheduleResumeAt(Time when, std::coroutine_handle<> h)
     {
-        insert(when, nextSeq_++, EventFn::resume(h));
+        link(when, park(EventFn::resume(h)));
+    }
+
+    /** Take a node holding @p cb that is linked into neither tier. */
+    EventNode *
+    park(EventFn &&cb)
+    {
+        if (free_ == nullptr)
+            grow();
+        EventNode *n = free_;
+        free_ = n->next;
+        n->fn = std::move(cb);
+        return n;
+    }
+
+    /**
+     * Link parked node @p n to run at @p when. Its FIFO seq is drawn now,
+     * exactly as if its callable were scheduled at this moment.
+     */
+    void
+    link(Time when, EventNode *n)
+    {
+        n->when = when;
+        n->seq = nextSeq_++;
+        insert(n);
+    }
+
+    /**
+     * Destroy @p n's callable and return the node to the pool. Takes
+     * nodes from pop()/popIfAtOrBefore() after dispatch, and parked
+     * nodes that will never run.
+     */
+    void
+    release(EventNode *n) noexcept
+    {
+        n->fn.reset();
+        n->next = free_;
+        free_ = n;
     }
 
     /** @return true if no events remain. */
@@ -323,38 +424,38 @@ class EventQueue
     }
 
     /**
-     * Pop the earliest event (ties broken by insertion sequence across
-     * both tiers).
+     * Unlink the earliest event (ties broken by insertion sequence across
+     * both tiers) only if it fires at or before @p deadline. One tier
+     * decision serves both the peek and the pop. The caller invokes the
+     * node's callable in place and then release()s it.
+     * @return the unlinked node, or nullptr.
+     */
+    EventNode *
+    popIfAtOrBefore(Time deadline)
+    {
+        if (size_ == 0)
+            return nullptr;
+        bool use_ring = false;
+        std::size_t dist = 0;
+        if (decideTier(use_ring, dist) > deadline)
+            return nullptr;
+        return commitPop(use_ring, dist);
+    }
+
+    /**
+     * Pop the earliest event and hand its callable out (tests; the run
+     * loop dispatches in place via popIfAtOrBefore).
      * @pre !empty()
      */
     EventFn
     pop(Time &when_out)
     {
         assert(size_ > 0);
-        bool use_ring = false;
-        std::size_t dist = 0;
-        decideTier(use_ring, dist);
-        return commitPop(use_ring, dist, when_out);
-    }
-
-    /**
-     * Pop the earliest event only if it fires at or before @p deadline.
-     * One tier decision serves both the peek and the pop: the
-     * steady-state runUntil() loop otherwise pays the (memoized) scan
-     * and the cross-tier compare twice per event.
-     * @return true iff an event was popped into @p when_out / @p fn_out.
-     */
-    bool
-    popIfAtOrBefore(Time deadline, Time &when_out, EventFn &fn_out)
-    {
-        if (size_ == 0)
-            return false;
-        bool use_ring = false;
-        std::size_t dist = 0;
-        if (decideTier(use_ring, dist) > deadline)
-            return false;
-        fn_out = commitPop(use_ring, dist, when_out);
-        return true;
+        EventNode *n = popIfAtOrBefore(kTimeNever);
+        when_out = n->when;
+        EventFn fn = std::move(n->fn);
+        release(n);
+        return fn;
     }
 
     /** Total number of events ever scheduled (for perf reporting). */
@@ -378,39 +479,23 @@ class EventQueue
     /** Events currently waiting in the calendar ring tier (tests). */
     std::size_t ringTierSize() const { return ringCount_; }
 
-    /**
-     * Pre-reserve @p per_bucket overflow slots in every calendar bucket
-     * (and @p heap_slots in the far heap). Overflow storage normally
-     * grows lazily on the first N-way timestamp collision; allocation-free
-     * gates (bench/kernel_stress) call this so a first-ever collision
-     * inside the measured window cannot trigger a vector growth.
-     */
-    void
-    reserveStorage(std::size_t per_bucket, std::size_t heap_slots)
-    {
-        for (Overflow &o : overflowRing_)
-            o.items.reserve(per_bucket);
-        heap_.reserve(heap_slots);
-    }
+    /** Nodes carved so far, live or free (tests: pool reuse). */
+    std::size_t nodeCapacity() const { return chunks_.size() * kChunkNodes; }
 
   private:
-    struct Item
+    /** Far-tier entry; (when, seq) are copied in so sifts stay local. */
+    struct HeapRef
     {
         Time when;
         std::uint64_t seq;
-        EventFn fn;
-
-        Item(Time w, std::uint64_t s, EventFn &&f) noexcept
-            : when(w), seq(s), fn(std::move(f))
-        {
-        }
+        EventNode *node;
     };
 
     /** Heap comparator: true if @p a fires later than @p b (min-heap). */
-    struct ItemLater
+    struct RefLater
     {
         bool
-        operator()(const Item &a, const Item &b) const
+        operator()(const HeapRef &a, const HeapRef &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
@@ -422,76 +507,38 @@ class EventQueue
     static constexpr std::size_t kRingSize = std::size_t{1} << kRingBits;
     static constexpr std::size_t kRingMask = kRingSize - 1;
     static constexpr std::size_t kOccWords = kRingSize / 64;
+    static constexpr std::size_t kChunkNodes = 512;
 
-    /**
-     * One calendar slot, split hot/cold. The hot header is exactly one
-     * cache line: the first item is stored inline plus a live count; in
-     * steady state most buckets hold exactly one event, so insert and
-     * pop touch only this line. Same-timestamp collisions overflow to a
-     * parallel cold ring of vectors (overflowRing_) that the hot path
-     * never reads. The inline slot always holds the lowest-seq item of
-     * the bucket (it is only filled when the bucket is empty, and every
-     * item in an occupied bucket shares one timestamp), so pop order is
-     * slot first, then overflow in insertion order.
-     */
-    struct alignas(64) Bucket
+    /** Carve one more chunk of nodes onto the free list. */
+    void
+    grow()
     {
-        alignas(Item) unsigned char slot[sizeof(Item)];
-        bool slotUsed = false;
-        /** Live items in this bucket (inline slot + overflow). */
-        std::uint32_t count = 0;
-
-        Item &
-        slotItem()
-        {
-            return *std::launder(reinterpret_cast<Item *>(slot));
+        chunks_.push_back(std::make_unique<EventNode[]>(kChunkNodes));
+        EventNode *c = chunks_.back().get();
+        // Thread in reverse so the chunk is handed out front to back.
+        for (std::size_t i = kChunkNodes; i-- > 0;) {
+            c[i].next = free_;
+            free_ = &c[i];
         }
-
-        const Item &
-        slotItem() const
-        {
-            return *std::launder(reinterpret_cast<const Item *>(slot));
-        }
-
-        ~Bucket()
-        {
-            if (slotUsed)
-                slotItem().~Item();
-        }
-    };
-    static_assert(sizeof(Bucket) == 64,
-                  "hot bucket header must stay a single cache line");
-
-    /** Cold side of a bucket: collision overflow, drained via head. */
-    struct Overflow
-    {
-        std::vector<Item> items;
-        std::uint32_t head = 0;
-    };
+    }
 
     void
-    insert(Time when, std::uint64_t seq, EventFn &&fn)
+    insert(EventNode *n)
     {
         ++size_;
         if (size_ > peak_)
             peak_ = size_;
+        const Time when = n->when;
         // Unsigned subtraction: when < ringBase_ cannot happen (the
         // Simulator clamps to now and ringBase_ never passes the earliest
         // pending event), but would wrap huge and fall to the heap, which
         // stays correct.
         if (when - ringBase_ < kRingSize) {
             std::size_t idx = static_cast<std::size_t>(when) & kRingMask;
-            Bucket &b = ring_[idx];
-            if (b.count == 0) {
+            EventList &b = ring_[idx];
+            if (b.empty())
                 setOccupied(idx);
-                ::new (static_cast<void *>(b.slot))
-                    Item(when, seq, std::move(fn));
-                b.slotUsed = true;
-            } else {
-                overflowRing_[idx].items.emplace_back(when, seq,
-                                                      std::move(fn));
-            }
-            ++b.count;
+            b.pushBack(n);
             ++ringCount_;
             ++ringInserts_;
             std::size_t dist = static_cast<std::size_t>(when - ringBase_);
@@ -500,8 +547,8 @@ class EventQueue
                 nearValid_ = true;
             }
         } else {
-            heap_.emplace_back(when, seq, std::move(fn));
-            std::push_heap(heap_.begin(), heap_.end(), ItemLater{});
+            heap_.push_back(HeapRef{when, n->seq, n});
+            std::push_heap(heap_.begin(), heap_.end(), RefLater{});
             ++heapInserts_;
         }
     }
@@ -521,12 +568,11 @@ class EventQueue
                 use_ring = true;
                 return ringBase_ + dist;
             }
-            std::size_t idx =
-                static_cast<std::size_t>(ringBase_ + dist) & kRingMask;
-            const Bucket &rb = ring_[idx];
-            const Overflow &ro = overflowRing_[idx];
-            const Item &r = rb.slotUsed ? rb.slotItem() : ro.items[ro.head];
-            const Item &h = heap_.front();
+            const EventNode &r = *ring_[static_cast<std::size_t>(
+                                            ringBase_ + dist) &
+                                        kRingMask]
+                                      .head;
+            const HeapRef &h = heap_.front();
             use_ring = r.when != h.when ? r.when < h.when : r.seq < h.seq;
             return use_ring ? r.when : h.when;
         }
@@ -534,9 +580,9 @@ class EventQueue
         return heap_.front().when;
     }
 
-    /** Extract the event decideTier() chose and update all bookkeeping. */
-    EventFn
-    commitPop(bool use_ring, std::size_t dist, Time &when_out)
+    /** Unlink the node decideTier() chose and update all bookkeeping. */
+    EventNode *
+    commitPop(bool use_ring, std::size_t dist)
     {
         --size_;
         ++processed_;
@@ -548,25 +594,9 @@ class EventQueue
             ringBase_ += dist;
             std::size_t bucketIdx =
                 static_cast<std::size_t>(ringBase_) & kRingMask;
-            Bucket &b = ring_[bucketIdx];
-            EventFn fn;
-            if (b.slotUsed) {
-                Item &it = b.slotItem();
-                when_out = it.when;
-                fn = std::move(it.fn);
-                it.~Item();
-                b.slotUsed = false;
-            } else {
-                Overflow &o = overflowRing_[bucketIdx];
-                Item &it = o.items[o.head];
-                when_out = it.when;
-                fn = std::move(it.fn);
-                if (++o.head == o.items.size()) {
-                    o.items.clear();
-                    o.head = 0;
-                }
-            }
-            if (--b.count == 0) {
+            EventList &b = ring_[bucketIdx];
+            EventNode *n = b.popFront();
+            if (b.empty()) {
                 clearOccupied(bucketIdx);
                 nearValid_ = false; // next ask rescans from the new base
             } else {
@@ -574,23 +604,22 @@ class EventQueue
                 nearValid_ = true;
             }
             --ringCount_;
-            return fn;
+            return n;
         }
 
-        std::pop_heap(heap_.begin(), heap_.end(), ItemLater{});
-        Item it = std::move(heap_.back());
+        std::pop_heap(heap_.begin(), heap_.end(), RefLater{});
+        EventNode *n = heap_.back().node;
         heap_.pop_back();
-        when_out = it.when;
-        // With the ring empty there is no admitted item the window guard
+        // With the ring empty there is no admitted node the window guard
         // protects, so snap the window forward to the present. Without
         // this, a heap-only quiet period (e.g. only a far-future epoch
         // tick pending) would leave ringBase_ behind forever and every
         // later near-future insert would spill to the heap.
-        if (ringCount_ == 0 && it.when > ringBase_) {
-            ringBase_ = it.when;
+        if (ringCount_ == 0 && n->when > ringBase_) {
+            ringBase_ = n->when;
             nearValid_ = false;
         }
-        return std::move(it.fn);
+        return n;
     }
 
     void
@@ -614,7 +643,7 @@ class EventQueue
 
     /**
      * Circular distance (in buckets) from ringBase_'s bucket to the first
-     * occupied bucket. All pending ring items live within
+     * occupied bucket. All pending ring nodes live within
      * [ringBase_, ringBase_ + kRingSize), so the distance is unique.
      * Memoized in nearDist_: the steady-state runUntil loop asks twice
      * per event (nextTime, then pop), and inserts of an earlier event
@@ -645,11 +674,11 @@ class EventQueue
         return 0;
     }
 
-    // Both rings live on the heap (one allocation each at construction):
-    // kRingSize hot lines plus cold overflow would be ~0.4 MB inline,
-    // too much for stack-constructed Simulators.
-    std::vector<Bucket> ring_ = std::vector<Bucket>(kRingSize);
-    std::vector<Overflow> overflowRing_ = std::vector<Overflow>(kRingSize);
+    // Declared first so they are destroyed last: chunk destruction runs
+    // the destructor of every callable still pending in a node.
+    std::vector<std::unique_ptr<EventNode[]>> chunks_;
+    EventNode *free_ = nullptr;
+    std::array<EventList, kRingSize> ring_{};
     std::array<std::uint64_t, kOccWords> occ_{};
     Time ringBase_ = 0;
     std::size_t ringCount_ = 0;
@@ -658,7 +687,7 @@ class EventQueue
     // the const peek path (nextTime) fills it.
     mutable std::size_t nearDist_ = 0;
     mutable bool nearValid_ = false;
-    std::vector<Item> heap_;
+    std::vector<HeapRef> heap_;
     std::size_t size_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t processed_ = 0;

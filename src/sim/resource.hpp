@@ -11,7 +11,6 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "sim/simulator.hpp"
@@ -25,6 +24,11 @@ namespace smart::sim {
  * Coroutines `co_await res.acquire()` and must call `release()` when done.
  * Grants are delivered through the event queue (never by recursive resume),
  * which keeps wakeup order deterministic and the native stack flat.
+ *
+ * Waiters wait in parked event nodes of the Simulator's pool; a grant
+ * links the head node into the queue without moving its callable. A
+ * Resource must not outlive its Simulator, and is used only on the thread
+ * that advances it.
  */
 class Resource
 {
@@ -33,6 +37,13 @@ class Resource
         : sim_(sim), capacity_(capacity), name_(std::move(name))
     {
         assert(capacity_ > 0);
+    }
+
+    /** Destroys the callables of waiters that were never granted. */
+    ~Resource()
+    {
+        while (!waiters_.empty())
+            sim_.drop(waiters_.popFront());
     }
 
     Resource(const Resource &) = delete;
@@ -59,7 +70,7 @@ class Resource
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                res.waiters_.push_back(EventFn::resume(h));
+                res.park(EventFn::resume(h));
             }
 
             void await_resume() const noexcept {}
@@ -76,10 +87,10 @@ class Resource
      * kinds share one queue.
      */
     void
-    enqueue(EventFn fn)
+    enqueue(EventFn &&fn)
     {
         assert(inUse_ == capacity_);
-        waiters_.push_back(std::move(fn));
+        park(std::move(fn));
     }
 
     /**
@@ -104,16 +115,15 @@ class Resource
         assert(inUse_ > 0);
         if (!waiters_.empty()) {
             // Hand the unit straight to the head waiter: inUse_ unchanged.
-            EventFn fn = std::move(waiters_.front());
-            waiters_.pop_front();
-            sim_.schedule(0, std::move(fn));
+            --waiting_;
+            sim_.wake(waiters_.popFront());
         } else {
             --inUse_;
         }
     }
 
     /** @return number of coroutines queued behind the resource. */
-    std::uint32_t waiters() const { return waiters_.size(); }
+    std::uint32_t waiters() const { return waiting_; }
 
     /** @return number of units currently held. */
     std::uint32_t inUse() const { return inUse_; }
@@ -125,12 +135,20 @@ class Resource
     const std::string &name() const { return name_; }
 
   private:
+    void
+    park(EventFn &&fn)
+    {
+        waiters_.pushBack(sim_.park(std::move(fn)));
+        ++waiting_;
+    }
+
     Simulator &sim_;
     std::uint32_t capacity_;
     std::uint32_t inUse_ = 0;
+    std::uint32_t waiting_ = 0;
     // Mixed queue: coroutine waiters enter as EventFn::resume, frameless
-    // awaiters as callbacks; one deque keeps the FIFO fair across both.
-    std::deque<EventFn> waiters_;
+    // awaiters as callbacks; one FIFO keeps the order fair across both.
+    EventList waiters_;
     std::string name_;
 };
 

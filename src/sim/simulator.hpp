@@ -148,12 +148,18 @@ class Simulator
     /** High-water mark of pending events (perf introspection). */
     std::uint64_t peakQueueDepth() const { return events_.peakDepth(); }
 
-    /** Pre-reserve event-queue storage (see EventQueue::reserveStorage). */
-    void
-    reserveEventStorage(std::size_t per_bucket, std::size_t heap_slots)
-    {
-        events_.reserveStorage(per_bucket, heap_slots);
-    }
+    /**
+     * Park @p cb in a pooled node that runs only once wake() links it
+     * (Resource waiters). The node must be woken or dropped on this
+     * Simulator's thread, before the Simulator is destroyed.
+     */
+    EventNode *park(EventFn &&cb) { return events_.park(std::move(cb)); }
+
+    /** Run parked node @p n now; its FIFO seq is drawn at this call. */
+    void wake(EventNode *n) { events_.link(now_, n); }
+
+    /** Destroy parked node @p n's callable without running it. */
+    void drop(EventNode *n) noexcept { events_.release(n); }
 
     /**
      * Metrics registered by every component of this simulation. Hanging
@@ -245,22 +251,19 @@ class Simulator
     void
     runLocalUpTo(Time deadline)
     {
-        // cb is reused so its dead capture is destroyed by the next
-        // move-assign instead of a separate reset per event.
-        Time when = 0;
-        EventQueue::Callback cb;
         for (;;) {
             Time wnext = inbox_.minTime();
             Time limit = deadline;
             if (wnext != kTimeNever && wnext - 1 < limit)
                 limit = wnext - 1;
-            if (events_.popIfAtOrBefore(limit, when, cb)) {
-                now_ = when;
-                cb();
+            if (EventNode *n = events_.popIfAtOrBefore(limit)) {
+                now_ = n->when;
+                n->fn(); // in place: the node is unlinked, nothing moves
+                events_.release(n);
                 continue;
             }
             if (wnext <= deadline) {
-                inbox_.injectUpTo(wnext, events_);
+                inbox_.injectUpTo(wnext);
                 continue;
             }
             return;
@@ -282,7 +285,8 @@ class Simulator
     SpanTracer *spans_ = nullptr;
     Timeline *timeline_ = nullptr;
     std::vector<FaultTarget *> faultTargets_;
-    WireInbox inbox_;
+    // After events_: destroyed first, returning its parked nodes.
+    WireInbox inbox_{events_};
     ShardGroup *group_ = nullptr;
     std::uint32_t shardIndex_ = 0;
 };

@@ -6,12 +6,12 @@
  * timestamped WireMsg delivered to the destination Simulator's WireInbox,
  * never by scheduling directly into a peer EventQueue. Messages carry a
  * globally-ordered (deliveryTime, srcId, perSourceSeq) key; the inbox
- * holds them until the destination clock reaches deliveryTime and then
- * injects them — sorted by that key — as ordinary events. Because the
- * key and the injection discipline are independent of how blades are
- * assigned to shards, a seeded run produces byte-identical output at any
- * shard count, including 1 (where the same inbox path is used without
- * any synchronization).
+ * parks them in pooled event nodes until the destination clock reaches
+ * deliveryTime and then links them — sorted by that key — into its event
+ * queue as ordinary events. Because the key and the injection discipline
+ * are independent of how blades are assigned to shards, a seeded run
+ * produces byte-identical output at any shard count, including 1 (where
+ * the same inbox path is used without any synchronization).
  *
  * Shards synchronize in bulk-synchronous lookahead windows (Nicol, JACM
  * 1993). Let T be the earliest pending event or in-flight delivery on
@@ -51,9 +51,10 @@ class ShardGroup;
 
 /**
  * One timestamped message crossing a simulated wire: an ordinary EventFn
- * plus its delivery key. The callable runs as an event on the destination
- * shard at dtime; an RNIC work request crosses as EventFn::resume of its
- * own coroutine frame.
+ * plus its delivery key. It is the unit of the cross-shard outboxes; the
+ * destination's WireInbox parks the callable in a node of its own pool.
+ * The callable runs as an event on the destination shard at dtime; an
+ * RNIC work request crosses as EventFn::resume of its own coroutine frame.
  */
 struct WireMsg
 {
@@ -66,41 +67,58 @@ struct WireMsg
 
 /**
  * Per-Simulator holding pen for in-flight wire messages: a min-heap on
- * (dtime, srcId, seq). The run loop injects messages into the event
- * queue only when the local clock first reaches their delivery time —
- * never eagerly — so injected events draw their local FIFO sequence at a
- * moment that is invariant across shard assignments.
+ * (dtime, srcId, seq) whose entries refer to parked nodes of the
+ * Simulator's EventQueue. A message's callable is moved into its node
+ * once, on arrival; the run loop links the node into the queue only when
+ * the local clock first reaches its delivery time — never eagerly — so
+ * injected events draw their local FIFO sequence at a moment that is
+ * invariant across shard assignments.
  */
 class WireInbox
 {
   public:
+    explicit WireInbox(EventQueue &q) noexcept : q_(q) {}
+
+    /** Destroys the callables of messages that never arrived. */
+    ~WireInbox()
+    {
+        for (const Entry &e : heap_)
+            q_.release(e.node);
+    }
+
+    WireInbox(const WireInbox &) = delete;
+    WireInbox &operator=(const WireInbox &) = delete;
+
     /** Earliest pending delivery time, or kTimeNever when empty. */
     Time minTime() const noexcept { return min_; }
 
     bool empty() const noexcept { return heap_.empty(); }
 
-    /** Park @p m until the destination clock reaches m.dtime. */
+    /**
+     * Park @p m until the destination clock reaches m.dtime. Call on the
+     * thread that advances the owning Simulator.
+     */
     void
     push(WireMsg &&m)
     {
-        heap_.push_back(std::move(m));
+        heap_.push_back(Entry{m.dtime, m.seq, m.srcId,
+                              q_.park(std::move(m.fn))});
         std::push_heap(heap_.begin(), heap_.end(), Later{});
         min_ = heap_.front().dtime;
     }
 
     /**
-     * Inject every pending message with dtime <= @p t into @p q as an
+     * Link every pending message with dtime <= @p t into the queue as an
      * ordinary event at its delivery time, in (dtime, srcId, seq) order.
      * Call only when the run loop has exhausted all local events
      * strictly before the inbox minimum.
      */
     void
-    injectUpTo(Time t, EventQueue &q)
+    injectUpTo(Time t)
     {
         while (!heap_.empty() && heap_.front().dtime <= t) {
             std::pop_heap(heap_.begin(), heap_.end(), Later{});
-            WireMsg &m = heap_.back();
-            q.scheduleAt(m.dtime, std::move(m.fn));
+            q_.link(heap_.back().dtime, heap_.back().node);
             heap_.pop_back();
         }
         min_ = heap_.empty() ? kTimeNever : heap_.front().dtime;
@@ -110,11 +128,20 @@ class WireInbox
     void reserve(std::size_t n) { heap_.reserve(n); }
 
   private:
+    /** A WireMsg's delivery key plus the node holding its callable. */
+    struct Entry
+    {
+        Time dtime;
+        std::uint64_t seq;
+        std::uint32_t srcId;
+        EventNode *node;
+    };
+
     /** Min-heap order: true if @p a delivers after @p b. */
     struct Later
     {
         bool
-        operator()(const WireMsg &a, const WireMsg &b) const noexcept
+        operator()(const Entry &a, const Entry &b) const noexcept
         {
             if (a.dtime != b.dtime)
                 return a.dtime > b.dtime;
@@ -124,7 +151,8 @@ class WireInbox
         }
     };
 
-    std::vector<WireMsg> heap_;
+    EventQueue &q_;
+    std::vector<Entry> heap_;
     Time min_ = kTimeNever;
 };
 
@@ -187,7 +215,11 @@ class ShardGroup
 
     /** Queue @p m from shard @p src for shard @p dst. */
     void post(std::uint32_t src, std::uint32_t dst, WireMsg &&m);
-    /** Move every message of outbox parity @p parity into @p dst's inbox. */
+    /**
+     * Move every message of outbox parity @p parity into @p dst's inbox,
+     * parking each in @p dst's node pool. Runs on @p dst's thread, or on
+     * the caller's between phases while every worker is parked.
+     */
     void drainInto(std::uint32_t dst, std::uint64_t parity);
     /** Run shard @p idx's windows until the phase deadline. */
     void runWindows(std::uint32_t idx);

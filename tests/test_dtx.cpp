@@ -193,7 +193,8 @@ TEST_F(DtxFixture, ReadOnlyBalanceSeesConsistentSnapshots)
     // Writers move money between savings and checking of account 0 in a
     // conserving way; readers must never observe a torn total.
     for (std::uint32_t t = 0; t < 2; ++t) {
-        tb->compute(0).spawnWorker(t, [&](SmartCtx &ctx) -> Task {
+        // t by value: the body first runs after this loop has ended.
+        tb->compute(0).spawnWorker(t, [&, t](SmartCtx &ctx) -> Task {
             sim::Rng rng(t + 77);
             while (!stop) {
                 DtxResult res;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -187,19 +188,88 @@ TEST(EventQueue, HeapQuietPeriodDoesNotStarveRing)
     EXPECT_EQ(t, 100'010u);
 }
 
-TEST(EventQueue, ReserveStorageKeepsOrdering)
+namespace {
+
+/** The run loop's dispatch: unlink, invoke in place, release the node. */
+void
+drain(EventQueue &q, Time &now)
 {
+    while (EventNode *n = q.popIfAtOrBefore(kTimeNever)) {
+        now = n->when;
+        n->fn();
+        q.release(n);
+    }
+}
+
+} // namespace
+
+TEST(EventQueue, SameTimeBurstDispatchedInPlaceRunsInSeqOrder)
+{
+    // Event 0 runs in place while event 1 still waits in its bucket; the
+    // events it schedules at its own timestamp queue behind event 1. The
+    // far pair lands in the heap tier, and the burst event 4 schedules
+    // from there at its own timestamp runs after its heap-tier twin.
     EventQueue q;
-    q.reserveStorage(8, 64);
+    Time now = 0;
     std::vector<int> order;
-    for (int i = 0; i < 12; ++i)
-        q.scheduleAt(5, [&order, i] { order.push_back(i); });
-    q.scheduleAt(1'000'000, [] {});
-    Time t = 0;
-    while (!q.empty())
-        q.pop(t)();
-    for (int i = 0; i < 12; ++i)
-        EXPECT_EQ(order[i], i);
+    q.scheduleAt(100, [&] {
+        order.push_back(0);
+        q.scheduleAt(now, [&] { order.push_back(2); });
+        q.scheduleAt(now, [&] { order.push_back(3); });
+        q.scheduleAt(now + 50'000, [&] {
+            order.push_back(4);
+            q.scheduleAt(now, [&] { order.push_back(6); });
+        });
+        q.scheduleAt(now + 50'000, [&] { order.push_back(5); });
+        EXPECT_EQ(q.ringTierSize(), 3u);
+        EXPECT_EQ(q.heapTierSize(), 2u);
+    });
+    q.scheduleAt(100, [&] { order.push_back(1); });
+    drain(q, now);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+    EXPECT_EQ(now, 50'100u);
+}
+
+TEST(EventQueue, InPlaceDispatchReusesFreedNodes)
+{
+    // Each round is a same-time burst in one bucket plus one far event;
+    // the last event of a round starts the next one. Nodes freed by
+    // dispatch must serve later rounds: the pool stops growing after
+    // the first round.
+    struct State
+    {
+        EventQueue q;
+        Time now = 0;
+        int left = 600 * 50 + 1;
+        std::uint64_t ran = 0;
+    };
+    struct Round
+    {
+        State *st;
+
+        void
+        operator()() const
+        {
+            ++st->ran;
+            if (--st->left > 0 && st->left % 600 == 0) {
+                for (int i = 0; i < 600; ++i)
+                    st->q.scheduleAt(st->now + 10, Round{st});
+                st->q.scheduleAt(st->now + 20'000, [s = st] { ++s->ran; });
+            }
+        }
+    };
+    State st;
+    EventQueue &q = st.q;
+    q.scheduleAt(0, Round{&st});
+    EventNode *n = q.popIfAtOrBefore(kTimeNever);
+    n->fn(); // schedules the first burst
+    q.release(n);
+    const std::size_t warm = q.nodeCapacity();
+    EXPECT_GE(warm, 601u);
+    drain(q, st.now);
+    EXPECT_EQ(q.nodeCapacity(), warm);
+    EXPECT_EQ(st.ran, 1u + 600u * 50u + 50u);
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(Simulator, ClockAdvancesWithEvents)
@@ -341,6 +411,28 @@ TEST(Resource, WaitersCountVisible)
     sim.runUntil(50);
     EXPECT_EQ(res.inUse(), 1u);
     EXPECT_EQ(res.waiters(), 4u);
+}
+
+TEST(Resource, DestroysParkedWaiters)
+{
+    auto token = std::make_shared<int>(0);
+    std::weak_ptr<int> watch = token;
+    Simulator sim;
+    {
+        Resource res(sim, 1);
+        ASSERT_TRUE(res.tryAcquire());
+        res.enqueue([keep = std::move(token)] { ++*keep; });
+        ASSERT_EQ(res.waiters(), 1u);
+        ASSERT_FALSE(watch.expired());
+    }
+    // The waiter was never granted: destroying the resource, while its
+    // Simulator lives on, must destroy its callable, and with it
+    // everything the callable owns.
+    EXPECT_TRUE(watch.expired());
+    int fired = 0;
+    sim.schedule(5, [&fired] { ++fired; });
+    sim.run();
+    EXPECT_EQ(fired, 1);
 }
 
 // -------------------------------------------------------------- simthread

@@ -255,8 +255,7 @@ runPoint(const std::string &app, const Shape &sh, double frac,
     tb.runUntil(sh.warmupNs);
     driver.resetWindow();
     rt.opLatency.reset();
-    std::uint64_t ladder0 = rt.shedPrefetchCount() + rt.chunkedPostCount() +
-                            rt.opDelayCount();
+    std::uint64_t ladder0 = rt.chunkedPostCount() + rt.opDelayCount();
     tb.runUntil(sh.warmupNs + sh.measureNs);
 
     PointResult r;
@@ -283,8 +282,7 @@ runPoint(const std::string &app, const Shape &sh, double frac,
     r.p99 = e2e.p99();
     r.p999 = e2e.p999();
     r.queueP99 = qwait.p99();
-    r.ladder = rt.shedPrefetchCount() + rt.chunkedPostCount() +
-               rt.opDelayCount() - ladder0;
+    r.ladder = rt.chunkedPostCount() + rt.opDelayCount() - ladder0;
     r.slo = driver.sloJson();
     captureRun(tb, cap);
     return r;

@@ -30,7 +30,7 @@ usage(const std::string &bench, int exit_code)
     os << "usage: " << bench
        << " [--quick] [--json PATH] [--out-dir DIR] [--seed N] "
           "[--trace] [--trace-spans[=N]] [--flame PATH] [--perf]\n"
-          "  [--cache-mb N] [--cache-policy clock|fifo] [--no-cache] "
+          "  [--cache-mb N] [--no-cache] "
           "[--shards N]\n"
           "  --quick        reduced sweep for CI / smoke runs\n"
           "  --json PATH    write a smart-bench-report/v1 JSON report\n"
@@ -48,7 +48,6 @@ usage(const std::string &bench, int exit_code)
           "embedded in the JSON report)\n"
           "  --cache-mb N   enable the compute-side cache tier with an "
           "N MiB frame pool\n"
-          "  --cache-policy P  cache eviction policy: clock or fifo\n"
           "  --no-cache     force the cache tier off\n"
           "  --shards N     run the simulation on N parallel shards "
           "(clamped to the blade count; byte-identical output at any N)\n"
@@ -162,18 +161,6 @@ BenchCli::BenchCli(int argc, char **argv, std::string bench_name)
         } else if (arg == "--cache-mb") {
             cacheMb_ = static_cast<int>(parseUint(
                 benchName_, "--cache-mb", value(i, "--cache-mb"), INT_MAX));
-        } else if (arg == "--cache-policy") {
-            std::string p = value(i, "--cache-policy");
-            if (p == "clock") {
-                cachePolicy_ = CacheEvictPolicy::Clock;
-            } else if (p == "fifo") {
-                cachePolicy_ = CacheEvictPolicy::Fifo;
-            } else {
-                std::cerr << benchName_ << ": unknown cache policy '" << p
-                          << "' (expected clock or fifo)\n";
-                usage(benchName_, 2);
-            }
-            cachePolicySet_ = true;
         } else if (arg == "--no-cache") {
             noCache_ = true;
         } else if (arg == "--shards") {

@@ -19,7 +19,6 @@
  *                  (implies --trace-spans)
  *   --cache-mb N   enable the compute-side cache tier with an N MiB
  *                  frame pool per runtime
- *   --cache-policy P  cache eviction policy: clock (default) or fifo
  *   --no-cache     force the cache tier off (overrides bench defaults)
  *   --shards N     run the simulation on N parallel shards (blades are
  *                  round-robined over shards; clamped to the blade
@@ -88,7 +87,7 @@ class BenchCli
     /**
      * Apply the cache flags onto @p cfg. Bench defaults survive unless a
      * flag was given: --no-cache wins over everything, --cache-mb sets
-     * the pool size, --cache-policy the eviction policy.
+     * the pool size.
      */
     void
     configureCache(SmartConfig &cfg) const
@@ -99,12 +98,7 @@ class BenchCli
         }
         if (cacheMb_ >= 0)
             cfg.withCacheMb(static_cast<std::uint32_t>(cacheMb_));
-        if (cachePolicySet_)
-            cfg.withCachePolicy(cachePolicy_);
     }
-
-    /** @return true when --no-cache was given. */
-    bool noCache() const { return noCache_; }
 
     /** --cache-mb value, or -1 when the flag was absent. */
     int cacheMb() const { return cacheMb_; }
@@ -147,8 +141,6 @@ class BenchCli
     std::string tsOutPath_;
     bool noCache_ = false;
     int cacheMb_ = -1;
-    bool cachePolicySet_ = false;
-    CacheEvictPolicy cachePolicy_ = CacheEvictPolicy::Clock;
     std::string outDir_ = ".";
     std::string jsonPath_;
     std::string flamePath_;

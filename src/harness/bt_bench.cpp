@@ -24,8 +24,6 @@ btWorker(SmartCtx &ctx, sherman::BtreeClient &client, BtBenchParams params,
     workload::YcsbGenerator gen(params.numKeys, params.zipfTheta, params.mix,
                                 seed, zetan);
     std::uint64_t value_seq = seed;
-    std::uint64_t spec_hits = 0;
-    (void)spec_hits;
     for (;;) {
         workload::YcsbRequest req = gen.next();
         Time start = ctx.sim().now();

@@ -108,8 +108,6 @@ struct RnicConfig
     Time pcieLatencyNs = 250;
 
     // ---- DRAM traffic accounting (per-WR, initiator side) ----
-    /** Bytes of WQE fetched per doorbell-ring DMA chunk. */
-    std::uint32_t wqeFetchChunkBytes = 256;
     /** Size of one WQE in host memory. */
     std::uint32_t wqeBytes = 64;
     /** Bytes written per CQE (with ConnectX CQE compression). */

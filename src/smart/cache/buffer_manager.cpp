@@ -10,28 +10,26 @@
 
 namespace smart::cache {
 
-BufferManager::BufferManager(SmartRuntime &rt, const CacheConfig &cfg)
-    : rt_(rt), cfg_(cfg)
+BufferManager::BufferManager(SmartRuntime &rt, std::uint64_t pool_bytes)
+    : rt_(rt)
 {
-    std::uint32_t n = cfg_.numFrames();
+    std::uint32_t n = static_cast<std::uint32_t>(pool_bytes / kLineBytes);
     assert(n > 0 && "enabled cache needs at least one frame");
-    assert(static_cast<std::uint64_t>(n) * cfg_.lineBytes < (1ull << 32) &&
+    assert(static_cast<std::uint64_t>(n) * kLineBytes < (1ull << 32) &&
            "frame pool must fit a 4 GiB local MR");
-    pool_.resize(static_cast<std::size_t>(n) * cfg_.lineBytes);
+    pool_.resize(static_cast<std::size_t>(n) * kLineBytes);
     frames_.resize(n);
     freeList_.reserve(n);
     for (std::uint32_t i = n; i-- > 0;)
         freeList_.push_back(i); // pop_back hands out frame 0 first
     table_.reserve(n);
 
-    sim::Labels labels{{"blade", rt_.name()},
-                       {"policy", cacheEvictPolicyName(cfg_.evict)}};
+    sim::Labels labels{{"blade", rt_.name()}, {"policy", "clock"}};
     sim::MetricsRegistry &m = rt_.sim().metrics();
     m.registerCounter(this, "smart.cache.hits", labels, &hits_);
     m.registerCounter(this, "smart.cache.misses", labels, &misses_);
     m.registerCounter(this, "smart.cache.evictions", labels, &evictions_);
     m.registerCounter(this, "smart.cache.writebacks", labels, &writebacks_);
-    m.registerCounter(this, "smart.cache.prefetches", labels, &prefetches_);
     m.registerCounter(this, "smart.cache.invalidations", labels,
                       &invalidations_);
     m.registerCounter(this, "smart.cache.pool_exhausted", labels, &exhausted_);
@@ -109,8 +107,6 @@ BufferManager::tryReclaim(std::uint32_t idx)
 void
 BufferManager::unpin(std::uint32_t frame)
 {
-    if (frame == kNoFrame)
-        return;
     Frame &f = frames_[frame];
     assert(f.pins > 0);
     --f.pins;
@@ -144,7 +140,7 @@ BufferManager::allocFrame(SmartCtx &ctx, bool &staged)
             }
             continue;
         }
-        if (cfg_.evict == CacheEvictPolicy::Clock && f.refBit) {
+        if (f.refBit) {
             f.refBit = false; // second chance
             continue;
         }
@@ -169,18 +165,16 @@ BufferManager::stageWriteBack(SmartCtx &ctx, std::uint32_t idx)
     f.wbInFlight = true;
     f.wbGen = f.dirtyGen;
     writebacks_.add();
-    RemotePtr dst =
-        rt_.ptr(keyBlade(f.key), keyLine(f.key) * cfg_.lineBytes);
-    ctx.stageCacheWrite(dst, ConstMemSpan{frameBytes(idx), cfg_.lineBytes},
+    RemotePtr dst = rt_.ptr(keyBlade(f.key), keyLine(f.key) * kLineBytes);
+    ctx.stageCacheWrite(dst, ConstMemSpan{frameBytes(idx), kLineBytes},
                         wbCookie(idx));
 }
 
 sim::Task
-BufferManager::ensureLinePinned(SmartCtx &ctx, std::uint32_t blade,
-                                const RemotePtr &line_ptr, LineKey key,
-                                std::uint32_t &frame, bool &staged)
+BufferManager::ensureLinePinned(SmartCtx &ctx, const RemotePtr &line_ptr,
+                                LineKey key, std::uint32_t &frame,
+                                bool &staged)
 {
-    (void)blade;
     for (;;) {
         auto it = table_.find(key);
         if (it != table_.end()) {
@@ -212,57 +206,13 @@ BufferManager::ensureLinePinned(SmartCtx &ctx, std::uint32_t blade,
         f.state = FrameState::Loading;
         table_.emplace(key, fi);
         misses_.add();
-        ctx.stageCacheFill(line_ptr,
-                           MemSpan{frameBytes(fi), cfg_.lineBytes},
+        ctx.stageCacheFill(line_ptr, MemSpan{frameBytes(fi), kLineBytes},
                            fillCookie(fi));
         staged = true;
         ++f.pins;
         f.refBit = true;
         frame = fi;
         co_return;
-    }
-}
-
-/** Stage prefetch fills for the lines after @p key, recording the used
- *  frames in @p pf so a failed round can unwind them. */
-void
-BufferManager::prefetchInto(SmartCtx &ctx, std::uint32_t blade,
-                            const RemotePtr &line_ptr, LineKey key,
-                            bool &staged, std::uint32_t *pf,
-                            std::uint32_t &npf, std::uint32_t pf_cap)
-{
-    if (cfg_.prefetchLines == 0)
-        return;
-    // Degradation level 1: an overloaded blade stops receiving optional
-    // prefetch fills before anything user-visible is shed.
-    if (rt_.overloadLevel(blade) >= 1) {
-        rt_.noteShedPrefetch();
-        return;
-    }
-    for (std::uint32_t j = 1; j <= cfg_.prefetchLines; ++j) {
-        if (npf == pf_cap)
-            return;
-        std::uint64_t li = keyLine(key) + j;
-        if ((li + 1) * static_cast<std::uint64_t>(cfg_.lineBytes) >
-            rt_.bladeSize(blade))
-            return; // past the end of the blade's MR
-        LineKey k2 = makeKey(blade, li);
-        if (table_.find(k2) != table_.end())
-            continue;
-        std::uint32_t fi = allocFrame(ctx, staged);
-        if (fi == kNoFrame)
-            return;
-        Frame &f = frames_[fi];
-        f.key = k2;
-        f.state = FrameState::Loading;
-        table_.emplace(k2, fi);
-        prefetches_.add();
-        ctx.stageCacheFill(RemotePtr{line_ptr.blade, line_ptr.rkey,
-                                     li * cfg_.lineBytes},
-                           MemSpan{frameBytes(fi), cfg_.lineBytes},
-                           fillCookie(fi));
-        staged = true;
-        pf[npf++] = fi;
     }
 }
 
@@ -273,42 +223,30 @@ BufferManager::readParts(SmartCtx &ctx, const ReadPart *parts,
     assert(nparts <= kMaxParts);
     std::uint32_t lineFrame[kMaxBatchLines];
     std::uint32_t nLines = 0;
-    std::uint32_t pf[kMaxBatchLines];
-    std::uint32_t npf = 0;
     bool staged = false;
 
     for (std::uint32_t pi = 0; pi < nparts; ++pi) {
         const ReadPart &p = parts[pi];
         std::uint32_t blade = ctx.bladeIndex(p.src);
         checkIncarnation(blade);
-        std::uint64_t first = p.src.offset / cfg_.lineBytes;
-        std::uint64_t last =
-            (p.src.offset + p.dst.len - 1) / cfg_.lineBytes;
+        std::uint64_t first = p.src.offset / kLineBytes;
+        std::uint64_t last = (p.src.offset + p.dst.len - 1) / kLineBytes;
         for (std::uint64_t li = first; li <= last; ++li) {
             assert(nLines < kMaxBatchLines);
-            RemotePtr line_ptr{p.src.blade, p.src.rkey,
-                               li * cfg_.lineBytes};
+            RemotePtr line_ptr{p.src.blade, p.src.rkey, li * kLineBytes};
             LineKey key = makeKey(blade, li);
             std::uint32_t frame = kNoFrame;
-            co_await ensureLinePinned(ctx, blade, line_ptr, key, frame,
-                                      staged);
+            co_await ensureLinePinned(ctx, line_ptr, key, frame, staged);
             if (frame == kNoFrame) {
                 // Pool exhausted: serve this slice straight off the wire.
                 exhausted_.add();
-                std::uint64_t from =
-                    std::max(li * cfg_.lineBytes,
-                             static_cast<std::uint64_t>(p.src.offset));
+                std::uint64_t from = std::max(li * kLineBytes, p.src.offset);
                 std::uint64_t to =
-                    std::min((li + 1) * static_cast<std::uint64_t>(
-                                            cfg_.lineBytes),
-                             p.src.offset + p.dst.len);
+                    std::min((li + 1) * kLineBytes, p.src.offset + p.dst.len);
                 ctx.read(RemotePtr{p.src.blade, p.src.rkey, from},
                          MemSpan{p.dst.bytes() + (from - p.src.offset),
                                  static_cast<std::uint32_t>(to - from)});
                 staged = true;
-            } else if (frames_[frame].state == FrameState::Loading) {
-                prefetchInto(ctx, blade, line_ptr, key, staged, pf, npf,
-                             kMaxBatchLines);
             }
             lineFrame[nLines++] = frame;
         }
@@ -333,11 +271,6 @@ BufferManager::readParts(SmartCtx &ctx, const ReadPart *parts,
             else if (f.detached)
                 tryReclaim(frame);
         }
-        for (std::uint32_t i = 0; i < npf; ++i) {
-            Frame &f = frames_[pf[i]];
-            if (f.state == FrameState::Loading && !f.abandoned)
-                abortFill(pf[i], straggler);
-        }
         co_return;
     }
 
@@ -345,70 +278,24 @@ BufferManager::readParts(SmartCtx &ctx, const ReadPart *parts,
     std::uint32_t rec = 0;
     for (std::uint32_t pi = 0; pi < nparts; ++pi) {
         const ReadPart &p = parts[pi];
-        std::uint64_t first = p.src.offset / cfg_.lineBytes;
-        std::uint64_t last =
-            (p.src.offset + p.dst.len - 1) / cfg_.lineBytes;
+        std::uint64_t first = p.src.offset / kLineBytes;
+        std::uint64_t last = (p.src.offset + p.dst.len - 1) / kLineBytes;
         for (std::uint64_t li = first; li <= last; ++li) {
             std::uint32_t frame = lineFrame[rec++];
             if (frame == kNoFrame)
                 continue; // landed directly off the wire
-            std::uint64_t from =
-                std::max(li * cfg_.lineBytes,
-                         static_cast<std::uint64_t>(p.src.offset));
+            std::uint64_t from = std::max(li * kLineBytes, p.src.offset);
             std::uint64_t to =
-                std::min((li + 1) *
-                             static_cast<std::uint64_t>(cfg_.lineBytes),
-                         p.src.offset + p.dst.len);
+                std::min((li + 1) * kLineBytes, p.src.offset + p.dst.len);
             assert(frames_[frame].state == FrameState::Ready);
             std::memcpy(p.dst.bytes() + (from - p.src.offset),
-                        frameBytes(frame) + (from - li * cfg_.lineBytes),
+                        frameBytes(frame) + (from - li * kLineBytes),
                         to - from);
             unpin(frame);
         }
     }
 
-    co_await ctx.cacheCharge(static_cast<sim::Time>(nLines) * cfg_.hitNs);
-}
-
-sim::Task
-BufferManager::pinLine(SmartCtx &ctx, const RemotePtr &p, std::uint32_t len,
-                       const std::uint8_t *&view, std::uint32_t &frame)
-{
-    frame = kNoFrame;
-    if (len == 0)
-        co_return;
-    std::uint64_t li = p.offset / cfg_.lineBytes;
-    if ((p.offset + len - 1) / cfg_.lineBytes != li)
-        co_return; // spans lines; caller falls back to a copy
-    std::uint32_t blade = ctx.bladeIndex(p);
-    checkIncarnation(blade);
-    bool staged = false;
-    RemotePtr line_ptr{p.blade, p.rkey, li * cfg_.lineBytes};
-    LineKey key = makeKey(blade, li);
-    co_await ensureLinePinned(ctx, blade, line_ptr, key, frame, staged);
-    if (frame == kNoFrame) {
-        exhausted_.add();
-        co_return;
-    }
-    if (staged) {
-        co_await ctx.postSend();
-        co_await ctx.sync();
-        if (ctx.failed()) {
-            bool straggler =
-                ctx.lastError().kind == VerbError::Kind::Timeout;
-            Frame &f = frames_[frame];
-            --f.pins;
-            if (f.state == FrameState::Loading && !f.abandoned)
-                abortFill(frame, straggler);
-            else if (f.detached)
-                tryReclaim(frame);
-            frame = kNoFrame;
-            co_return;
-        }
-    }
-    assert(frames_[frame].state == FrameState::Ready);
-    view = frameBytes(frame) + (p.offset - li * cfg_.lineBytes);
-    co_await ctx.cacheCharge(cfg_.hitNs);
+    co_await ctx.cacheCharge(static_cast<sim::Time>(nLines) * kHitNs);
 }
 
 bool
@@ -418,8 +305,8 @@ BufferManager::tryCachedWrite(std::uint32_t blade, const RemotePtr &dst,
     if (src.len == 0)
         return false;
     checkIncarnation(blade);
-    std::uint64_t li = dst.offset / cfg_.lineBytes;
-    if ((dst.offset + src.len - 1) / cfg_.lineBytes != li)
+    std::uint64_t li = dst.offset / kLineBytes;
+    if ((dst.offset + src.len - 1) / kLineBytes != li)
         return false;
     auto it = table_.find(makeKey(blade, li));
     if (it == table_.end())
@@ -427,7 +314,7 @@ BufferManager::tryCachedWrite(std::uint32_t blade, const RemotePtr &dst,
     Frame &f = frames_[it->second];
     if (f.state != FrameState::Ready || f.detached)
         return false;
-    std::memcpy(frameBytes(it->second) + (dst.offset - li * cfg_.lineBytes),
+    std::memcpy(frameBytes(it->second) + (dst.offset - li * kLineBytes),
                 src.data, src.len);
     f.dirty = true;
     ++f.dirtyGen; // an in-flight write-back no longer covers these bytes
@@ -442,20 +329,18 @@ BufferManager::noteBypassWrite(std::uint32_t blade, std::uint64_t offset,
 {
     if (src.len == 0 || table_.empty())
         return;
-    std::uint64_t first = offset / cfg_.lineBytes;
-    std::uint64_t last = (offset + src.len - 1) / cfg_.lineBytes;
+    std::uint64_t first = offset / kLineBytes;
+    std::uint64_t last = (offset + src.len - 1) / kLineBytes;
     for (std::uint64_t li = first; li <= last; ++li) {
         auto it = table_.find(makeKey(blade, li));
         if (it == table_.end())
             continue;
         Frame &f = frames_[it->second];
-        std::uint64_t from = std::max(li * cfg_.lineBytes, offset);
-        std::uint64_t to =
-            std::min((li + 1) * static_cast<std::uint64_t>(cfg_.lineBytes),
-                     offset + src.len);
+        std::uint64_t from = std::max(li * kLineBytes, offset);
+        std::uint64_t to = std::min((li + 1) * kLineBytes, offset + src.len);
         const std::uint8_t *sb = src.bytes() + (from - offset);
         std::uint32_t in_line =
-            static_cast<std::uint32_t>(from - li * cfg_.lineBytes);
+            static_cast<std::uint32_t>(from - li * kLineBytes);
         if (f.state == FrameState::Ready) {
             std::memcpy(frameBytes(it->second) + in_line, sb, to - from);
         } else if (f.state == FrameState::Loading) {
@@ -472,13 +357,13 @@ BufferManager::atomicCookie(std::uint32_t blade, std::uint64_t offset)
 {
     // Unconditional: the line may become resident between post and
     // completion, and the invalidation must still land.
-    return kCookieInvalidate | makeKey(blade, offset / cfg_.lineBytes);
+    return kCookieInvalidate | makeKey(blade, offset / kLineBytes);
 }
 
 bool
 BufferManager::lineDirty(std::uint32_t blade, std::uint64_t offset) const
 {
-    auto it = table_.find(makeKey(blade, offset / cfg_.lineBytes));
+    auto it = table_.find(makeKey(blade, offset / kLineBytes));
     if (it == table_.end())
         return false;
     const Frame &f = frames_[it->second];
@@ -491,7 +376,7 @@ sim::Task
 BufferManager::flushLine(SmartCtx &ctx, std::uint32_t blade,
                          std::uint64_t offset)
 {
-    LineKey key = makeKey(blade, offset / cfg_.lineBytes);
+    LineKey key = makeKey(blade, offset / kLineBytes);
     for (;;) {
         auto it = table_.find(key);
         if (it == table_.end())
@@ -582,8 +467,8 @@ BufferManager::handoffRange(std::uint32_t from_blade,
     if (len == 0)
         return 0;
     std::uint32_t moved = 0;
-    std::uint64_t first = offset / cfg_.lineBytes;
-    std::uint64_t last = (offset + len - 1) / cfg_.lineBytes;
+    std::uint64_t first = offset / kLineBytes;
+    std::uint64_t last = (offset + len - 1) / kLineBytes;
     // Probe per line of the migrated range (never iterate the table:
     // iteration order would leak hash-map layout into the event stream).
     for (std::uint64_t li = first; li <= last; ++li) {

@@ -3,12 +3,11 @@
  * Compute-side buffer-managed cache tier (ScaleStore-style BufferManager).
  *
  * A fixed pool of line-sized frames fronts the remote blades: reads that
- * hit a resident line are served locally for ~cfg.hitNs instead of a full
+ * hit a resident line are served locally for kHitNs instead of a full
  * wire round-trip (~1.3 us modeled). The page table is a hash map keyed
- * by (blade, line) pairs; eviction is CLOCK second-chance (or a plain
- * FIFO-ish sweep); dirty frames are written back asynchronously on the
- * evicting coroutine's doorbell batch; misses may prefetch adjacent lines
- * on the same batch.
+ * by (blade, line) pairs; eviction is CLOCK second-chance; dirty frames
+ * are written back asynchronously on the evicting coroutine's doorbell
+ * batch.
  *
  * Coherence rules (DESIGN.md §11):
  *  - CAS/FAA always go to the wire and invalidate the covering line when
@@ -24,7 +23,7 @@
  * Determinism: all state lives in index-addressed vectors; the hash map
  * is only probed/erased, never iterated, so cached runs are as
  * byte-deterministic as cache-less ones. With the cache disabled
- * (CacheConfig::sizeBytes == 0) no BufferManager exists at all and every
+ * (SmartConfig::cacheBytes == 0) no BufferManager exists at all and every
  * event stream is byte-identical to earlier builds.
  */
 
@@ -50,8 +49,18 @@ class SmartRuntime;
 
 namespace cache {
 
-/** Sentinel frame index ("no frame": fallback path / unpinned handle). */
+/** Sentinel frame index ("no frame": the line is read off the wire). */
 inline constexpr std::uint32_t kNoFrame = 0xffffffffu;
+
+/** Cache line (frame) size; remote offsets are line-aligned. */
+inline constexpr std::uint32_t kLineBytes = 256;
+
+/** Largest access, in lines, served through the cache (larger ops
+ *  bypass to the wire: streaming transfers must not thrash it). */
+inline constexpr std::uint32_t kMaxSpanLines = 8;
+
+/** Modeled CPU cost per line serviced by the cache (lookup + copy). */
+inline constexpr sim::Time kHitNs = 60;
 
 /** Most parts one accessMany() batch may carry through the cache. */
 inline constexpr std::uint32_t kMaxParts = 16;
@@ -61,20 +70,19 @@ inline constexpr std::uint32_t kMaxBatchLines = 64;
 
 /**
  * The buffer pool. One instance per SmartRuntime (created only when
- * SmartConfig::cache.enabled()); shared by every thread and coroutine of
+ * SmartConfig::cacheBytes != 0); shared by every thread and coroutine of
  * the runtime, which is safe because the whole simulation is one OS
  * thread and all cache state changes happen between co_awaits.
  */
 class BufferManager
 {
   public:
-    BufferManager(SmartRuntime &rt, const CacheConfig &cfg);
+    /** A pool of @p pool_bytes / kLineBytes frames. */
+    BufferManager(SmartRuntime &rt, std::uint64_t pool_bytes);
     ~BufferManager();
 
     BufferManager(const BufferManager &) = delete;
     BufferManager &operator=(const BufferManager &) = delete;
-
-    const CacheConfig &config() const { return cfg_; }
 
     /** Frame pool storage (the runtime registers it as a local MR). */
     MemSpan
@@ -90,15 +98,17 @@ class BufferManager
     {
         if (len == 0)
             return false;
-        std::uint64_t first = offset / cfg_.lineBytes;
-        std::uint64_t last = (offset + len - 1) / cfg_.lineBytes;
-        return last - first + 1 <= cfg_.maxSpanLines;
+        std::uint64_t first = offset / kLineBytes;
+        std::uint64_t last = (offset + len - 1) / kLineBytes;
+        return last - first + 1 <= kMaxSpanLines;
     }
 
     /**
      * Serve a batch of reads through the cache: hits copy out locally,
      * misses fill frames over the wire (one doorbell batch + one sync for
      * the whole batch), concurrent fills of the same line coalesce.
+     * Every line's frame stays pinned until the batch's sync() returns;
+     * lines beyond the free frames are read straight off the wire.
      * On verb failure ctx.failed() is set and destinations are
      * unspecified, exactly like the bypass path.
      */
@@ -114,19 +124,6 @@ class BufferManager
      */
     bool tryCachedWrite(std::uint32_t blade, const RemotePtr &dst,
                         ConstMemSpan src);
-
-    /**
-     * Pin the line covering [p.offset, p.offset+len) and expose a direct
-     * view of its bytes. Pinned frames are never evicted; an
-     * invalidation detaches them (the view stays readable) and the frame
-     * is reclaimed at unpin. Fails (frame == kNoFrame) when the span
-     * crosses a line or the pool is exhausted.
-     */
-    sim::Task pinLine(SmartCtx &ctx, const RemotePtr &p, std::uint32_t len,
-                      const std::uint8_t *&view, std::uint32_t &frame);
-
-    /** Release one pin taken by pinLine(). */
-    void unpin(std::uint32_t frame);
 
     // ---- coherence hooks (called from SmartCtx staging verbs) ----
 
@@ -159,8 +156,8 @@ class BufferManager
      * [@p offset, @p offset + @p len) from @p from_blade to the same
      * offsets on @p to_blade (the membership plane migrates partition
      * regions to identical offsets, so only the blade half of the key
-     * changes). The frame bytes do not move and pins survive — a reader
-     * holding a pinned view keeps it across the drain. Dirty frames stay
+     * changes). The frame bytes do not move and pins survive: a batch
+     * holding the line mid-flight copies it out intact. Dirty frames stay
      * dirty under the new key, so their eventual write-back targets the
      * destination; a write-back already in flight to the source is
      * re-dirtied (its bytes never reached the destination). Lines
@@ -189,7 +186,6 @@ class BufferManager
     std::uint64_t missCount() const { return misses_.value(); }
     std::uint64_t evictionCount() const { return evictions_.value(); }
     std::uint64_t writebackCount() const { return writebacks_.value(); }
-    std::uint64_t prefetchCount() const { return prefetches_.value(); }
     std::uint64_t invalidationCount() const { return invalidations_.value(); }
     std::uint32_t
     numFrames() const
@@ -243,7 +239,7 @@ class BufferManager
     std::uint8_t *
     frameBytes(std::uint32_t idx)
     {
-        return pool_.data() + static_cast<std::size_t>(idx) * cfg_.lineBytes;
+        return pool_.data() + static_cast<std::size_t>(idx) * kLineBytes;
     }
 
     // Cookie layout: kind in bits 62..63; fill/write-back carry
@@ -277,9 +273,9 @@ class BufferManager
      * a fill into the caller's round. frame == kNoFrame -> pool
      * exhausted, caller bypasses.
      */
-    sim::Task ensureLinePinned(SmartCtx &ctx, std::uint32_t blade,
-                               const RemotePtr &line_ptr, LineKey key,
-                               std::uint32_t &frame, bool &staged);
+    sim::Task ensureLinePinned(SmartCtx &ctx, const RemotePtr &line_ptr,
+                               LineKey key, std::uint32_t &frame,
+                               bool &staged);
 
     /** Grab a frame: free list first, then the eviction hand (staging
      *  write-backs for dirty victims). kNoFrame when nothing is
@@ -289,12 +285,9 @@ class BufferManager
     /** Stage an async write-back of @p frame into @p ctx's round. */
     void stageWriteBack(SmartCtx &ctx, std::uint32_t frame);
 
-    /** Stage adjacent-line prefetches after a miss on @p key, recording
-     *  the frames used in @p pf so a failed round can unwind them. */
-    void prefetchInto(SmartCtx &ctx, std::uint32_t blade,
-                      const RemotePtr &line_ptr, LineKey key, bool &staged,
-                      std::uint32_t *pf, std::uint32_t &npf,
-                      std::uint32_t pf_cap);
+    /** Release one batch pin; a detached frame is reclaimed once its
+     *  last pin goes. */
+    void unpin(std::uint32_t frame);
 
     /** Drop the page-table entry (frame becomes a zombie until quiet). */
     void detach(Frame &f);
@@ -329,7 +322,6 @@ class BufferManager
     }
 
     SmartRuntime &rt_;
-    CacheConfig cfg_;
     std::vector<std::uint8_t> pool_;
     std::vector<Frame> frames_;
     std::vector<std::uint32_t> freeList_;
@@ -341,7 +333,6 @@ class BufferManager
     sim::Counter misses_;
     sim::Counter evictions_;
     sim::Counter writebacks_;
-    sim::Counter prefetches_;
     sim::Counter invalidations_;
     sim::Counter exhausted_;
     sim::Counter handoffs_;

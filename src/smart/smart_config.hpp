@@ -19,7 +19,7 @@ namespace smart {
 enum class QpPolicy : std::uint8_t
 {
     SharedQp,        ///< one QP per blade shared by all threads
-    MultiplexedQp,   ///< each QP shared by `multiplexFactor` threads
+    MultiplexedQp,   ///< each QP shared by kMultiplexFactor threads
     PerThreadQp,     ///< per-thread QPs, default driver doorbell mapping
     PerThreadDb,     ///< SMART: per-thread QPs bound to private doorbells
     PerThreadContext ///< per-thread device contexts (X-RDMA style)
@@ -39,62 +39,50 @@ qpPolicyName(QpPolicy p)
     return "?";
 }
 
-/** Eviction policy of the compute-side cache tier. */
-enum class CacheEvictPolicy : std::uint8_t
-{
-    Clock, ///< second-chance CLOCK: referenced frames get one more pass
-    Fifo   ///< plain hand sweep, reference bits ignored
-};
+// ---- Fixed constants: the paper's values (section cited) and the
+//      membership fence's. No bench or test varies them. ----
 
-/** @return a short human-readable eviction policy name. */
-inline const char *
-cacheEvictPolicyName(CacheEvictPolicy p)
-{
-    switch (p) {
-      case CacheEvictPolicy::Clock: return "clock";
-      case CacheEvictPolicy::Fifo: return "fifo";
-    }
-    return "?";
-}
+/** §3.1: threads sharing one QP under QpPolicy::MultiplexedQp. */
+inline constexpr std::uint32_t kMultiplexFactor = 4;
+
+/** §4.3: backoff unit t0 in CPU cycles (~ one RDMA round-trip). */
+inline constexpr std::uint64_t kBackoffUnitCycles = 4096;
+
+/** §4.3: longest backoff t_M = 2^10 · t0. */
+inline constexpr std::uint64_t kBackoffMaxFactor = 1024;
+
+/** §4.3: retry-rate high water mark γ_H. */
+inline constexpr double kGammaHigh = 0.5;
+
+/** §4.3: retry-rate low water mark γ_L. */
+inline constexpr double kGammaLow = 0.1;
+
+/** §4.3: retry-rate sampling period (every millisecond). */
+inline constexpr sim::Time kRetryWindowNs = sim::msec(1);
+
+/** §5.1: per-coroutine local scratch buffer bytes. */
+inline constexpr std::uint32_t kScratchBytesPerCoro = 8192;
 
 /**
- * Compute-side buffer-managed cache tier (ScaleStore-style). Disabled by
- * default (sizeBytes == 0): every event stream stays byte-identical to a
- * cache-less build unless a bench/test opts in.
+ * Membership-plane epoch fence (DESIGN.md §12): how many
+ * decorrelated-jitter spaced polls access() makes against a Dead blade
+ * (waiting for the placement to be redirected) before surfacing a typed
+ * VerbError::Kind::StaleView to the application.
  */
-struct CacheConfig
-{
-    /** Frame pool capacity in bytes; 0 disables the cache entirely. */
-    std::uint64_t sizeBytes = 0;
-    /** Cache line (frame) size; remote offsets are line-aligned. */
-    std::uint32_t lineBytes = 256;
-    /** Eviction policy. */
-    CacheEvictPolicy evict = CacheEvictPolicy::Clock;
-    /** Largest access, in lines, served through the cache (larger ops
-     *  bypass to the wire — streaming transfers shouldn't thrash it). */
-    std::uint32_t maxSpanLines = 8;
-    /** Adjacent lines prefetched after a miss (0 disables prefetch). */
-    std::uint32_t prefetchLines = 0;
-    /** Modeled CPU cost per line serviced by the cache (lookup+copy). */
-    sim::Time hitNs = 60;
+inline constexpr std::uint32_t kMaxViewWaits = 8;
 
-    bool enabled() const { return sizeBytes != 0; }
+/** Decorrelated-jitter base for fence polls (≈ 2 round trips, i.e.
+ *  2 · t0 of §4.3); also spaces overload-ladder admission delays. */
+inline constexpr std::uint64_t kViewJitterUnitCycles = 2 * kBackoffUnitCycles;
 
-    /** @return frame count this configuration yields. */
-    std::uint32_t
-    numFrames() const
-    {
-        return static_cast<std::uint32_t>(sizeBytes / lineBytes);
-    }
-};
+/** Decorrelated-jitter truncation for fence polls. */
+inline constexpr std::uint64_t kViewJitterMaxCycles = 1ull << 20;
 
 /** Configuration of one SmartRuntime (one compute blade process). */
 struct SmartConfig
 {
     // ---- §4.1 thread-aware resource allocation ----
     QpPolicy qpPolicy = QpPolicy::PerThreadDb;
-    /** Threads per QP under MultiplexedQp. */
-    std::uint32_t multiplexFactor = 4;
 
     // ---- §4.2 adaptive work request throttling (Algorithm 1) ----
     bool workReqThrottle = true;
@@ -111,22 +99,9 @@ struct SmartConfig
     bool backoff = true;
     bool dynBackoffLimit = true;
     bool coroThrottle = true;
-    /** Backoff unit t0 in CPU cycles (~ one RDMA round-trip). */
-    std::uint64_t backoffUnitCycles = 4096;
-    /** Longest backoff: t_M = 2^10 · t0 by default. */
-    std::uint64_t backoffMaxFactor = 1024;
-    /** Retry-rate high water mark γ_H. */
-    double gammaHigh = 0.5;
-    /** Retry-rate low water mark γ_L. */
-    double gammaLow = 0.1;
-    /** Retry-rate sampling period (paper: every millisecond). */
-    sim::Time retryWindowNs = sim::msec(1);
 
     /** Coroutines spawned per thread (concurrency depth upper bound). */
     std::uint32_t corosPerThread = 8;
-
-    /** Per-coroutine local scratch buffer bytes. */
-    std::uint32_t scratchBytesPerCoro = 8192;
 
     // ---- Verb-level failure policy (active only under a FaultPlane) ----
     /**
@@ -143,25 +118,12 @@ struct SmartConfig
      */
     sim::Time verbTimeoutNs = sim::msec(1);
 
-    // ---- Membership-plane epoch fencing (consulted only when a
-    //      ClusterView is installed on the runtime) ----
-    /**
-     * Fenced-access re-resolve budget: how many decorrelated-jitter
-     * spaced polls access() makes against a Dead blade (waiting for the
-     * placement to be redirected) before surfacing a typed
-     * VerbError::Kind::StaleView to the application.
-     */
-    std::uint32_t maxViewWaits = 8;
-    /** Decorrelated-jitter base for fence polls (≈ 2 round trips). */
-    std::uint64_t viewJitterUnitCycles = 8192;
-    /** Decorrelated-jitter truncation for fence polls. */
-    std::uint64_t viewJitterMaxCycles = 1ull << 20;
-
     // ---- Overload-side graceful degradation (off unless set) ----
     /**
      * Per-blade outstanding-WR watermark at which the first degradation
-     * level engages: cache prefetch to that blade is shed. 0 disables
-     * the whole ladder (the default; healthy benches are untouched).
+     * level engages. Level 1 only marks the approach to overload (a
+     * Timeline annotation); 0 disables the whole ladder (the default;
+     * healthy benches are untouched).
      */
     std::uint32_t overloadLowWm = 0;
     /**
@@ -173,8 +135,13 @@ struct SmartConfig
     /** Chunk size used while the second level is active. */
     std::uint32_t overloadChunkWrs = 4;
 
-    // ---- Compute-side cache tier (off unless sizeBytes > 0) ----
-    CacheConfig cache;
+    /**
+     * Compute-side cache tier (ScaleStore-style, smart/cache/) frame
+     * pool capacity in bytes. 0 (the default) disables the tier: no
+     * BufferManager exists and every event stream stays byte-identical
+     * to a cache-less build unless a bench/test opts in.
+     */
+    std::uint64_t cacheBytes = 0;
 
     // ---- Fluent builder: chainable tweaks over a preset ----
 
@@ -186,37 +153,12 @@ struct SmartConfig
         return *this;
     }
 
-    /** Set the Algorithm-1 epoch timing (probe Δ, stable T). */
-    SmartConfig &
-    withEpoch(sim::Time probe_ns, sim::Time stable_ns)
-    {
-        probeIntervalNs = probe_ns;
-        stableIntervalNs = stable_ns;
-        return *this;
-    }
-
-    /** Enable/disable adaptive work-request throttling (§4.2). */
-    SmartConfig &
-    withWorkReqThrottle(bool on)
-    {
-        workReqThrottle = on;
-        return *this;
-    }
-
     /** Enable/disable retry backoff and its dynamic t_max (§4.3). */
     SmartConfig &
     withBackoff(bool on, bool dyn_limit)
     {
         backoff = on;
         dynBackoffLimit = dyn_limit;
-        return *this;
-    }
-
-    /** Enable/disable adaptive coroutine throttling (§4.3 c_max). */
-    SmartConfig &
-    withCoroThrottle(bool on)
-    {
-        coroThrottle = on;
         return *this;
     }
 
@@ -237,18 +179,7 @@ struct SmartConfig
         return *this;
     }
 
-    /** Set the fenced-access re-resolve budget (membership runs). */
-    SmartConfig &
-    withViewFencePolicy(std::uint32_t max_waits, std::uint64_t t0_cycles,
-                        std::uint64_t tmax_cycles)
-    {
-        maxViewWaits = max_waits;
-        viewJitterUnitCycles = t0_cycles;
-        viewJitterMaxCycles = tmax_cycles;
-        return *this;
-    }
-
-    /** Arm the overload degradation ladder (@p low sheds prefetch,
+    /** Arm the overload degradation ladder (@p low marks the approach,
      *  @p high chunks doorbell batches, 2 * @p high delays user ops). */
     SmartConfig &
     withOverloadWatermarks(std::uint32_t low, std::uint32_t high,
@@ -260,35 +191,11 @@ struct SmartConfig
         return *this;
     }
 
-    /** Install a full cache configuration. */
-    SmartConfig &
-    withCache(const CacheConfig &c)
-    {
-        cache = c;
-        return *this;
-    }
-
     /** Enable the cache tier with a pool of @p mb megabytes. */
     SmartConfig &
     withCacheMb(std::uint32_t mb)
     {
-        cache.sizeBytes = static_cast<std::uint64_t>(mb) << 20;
-        return *this;
-    }
-
-    /** Set the cache eviction policy. */
-    SmartConfig &
-    withCachePolicy(CacheEvictPolicy p)
-    {
-        cache.evict = p;
-        return *this;
-    }
-
-    /** Set adjacent-line prefetch depth. */
-    SmartConfig &
-    withCachePrefetch(std::uint32_t lines)
-    {
-        cache.prefetchLines = lines;
+        cacheBytes = static_cast<std::uint64_t>(mb) << 20;
         return *this;
     }
 
@@ -296,7 +203,7 @@ struct SmartConfig
     SmartConfig &
     withoutCache()
     {
-        cache.sizeBytes = 0;
+        cacheBytes = 0;
         return *this;
     }
 
@@ -310,7 +217,9 @@ struct SmartConfig
     SmartConfig &
     withBenchTimescale()
     {
-        return withEpoch(sim::msec(1), sim::msec(20));
+        probeIntervalNs = sim::msec(1);
+        stableIntervalNs = sim::msec(20);
+        return *this;
     }
 };
 

@@ -39,7 +39,6 @@ SmartCtx::SmartCtx(SmartRuntime &rt, std::uint32_t tid,
     syncState_.thread = &thr_;
     syncState_.ctx = this;
     scratchBase_ = rt_.scratchFor(tid, coro_idx, scratchTransKey_);
-    scratchSize_ = rt_.config().scratchBytesPerCoro;
 }
 
 std::uint32_t
@@ -56,8 +55,8 @@ SmartCtx::bladeIndex(const RemotePtr &p) const
 std::uint8_t *
 SmartCtx::scratch(std::uint32_t bytes)
 {
-    assert(bytes <= scratchSize_);
-    if (scratchPos_ + bytes > scratchSize_)
+    assert(bytes <= kScratchBytesPerCoro);
+    if (scratchPos_ + bytes > kScratchBytesPerCoro)
         scratchPos_ = 0;
     std::uint8_t *p = scratchBase_ + scratchPos_;
     scratchPos_ += bytes;
@@ -385,9 +384,8 @@ SmartCtx::sync()
             retrySpan_ = sp->begin(track_, sim::Stage::RetryRound,
                                    verbSpan_ != 0 ? verbSpan_ : opSpan_);
         std::uint64_t cycles = backoffCycles(
-            cfg.backoffUnitCycles,
-            cfg.backoffUnitCycles * cfg.backoffMaxFactor, attempt,
-            thr_.rng());
+            kBackoffUnitCycles, kBackoffUnitCycles * kBackoffMaxFactor,
+            attempt, thr_.rng());
         ++attempt;
         Time backoff_t0 = sim().now();
         co_await sim().delay(sim::cyclesToNs(cycles));
@@ -458,7 +456,7 @@ SmartCtx::admitAccess(std::uint32_t blade_idx)
     if (cfg.overloadLowWm != 0 && rt_.overloadLevel(blade_idx) >= 3) {
         rt_.noteOpDelay();
         std::uint64_t cycles = decorrelatedJitterCycles(
-            cfg.viewJitterUnitCycles, cfg.viewJitterMaxCycles,
+            kViewJitterUnitCycles, kViewJitterMaxCycles,
             viewJitterPrev_, thr_.rng());
         Time t0 = sim().now();
         co_await sim().delay(sim::cyclesToNs(cycles));
@@ -475,12 +473,12 @@ SmartCtx::admitAccess(std::uint32_t blade_idx)
     // re-resolves placement instead of touching the dead blade.
     for (std::uint32_t attempt = 0;; ++attempt) {
         cv->noteFenced();
-        if (attempt >= cfg.maxViewWaits) {
+        if (attempt >= kMaxViewWaits) {
             error_ = {VerbError::Kind::StaleView, lastFailStatus_};
             co_return;
         }
         std::uint64_t cycles = decorrelatedJitterCycles(
-            cfg.viewJitterUnitCycles, cfg.viewJitterMaxCycles,
+            kViewJitterUnitCycles, kViewJitterMaxCycles,
             viewJitterPrev_, thr_.rng());
         Time t0 = sim().now();
         co_await sim().delay(sim::cyclesToNs(cycles));
@@ -526,7 +524,7 @@ SmartCtx::access(RemotePtr p, AccessOp op, CachePolicy pol)
             bm->tryCachedWrite(bladeIndex(p), p, src)) {
             // Absorbed by a resident line (write-back; flushed on
             // eviction, cacheFlush() or a covering atomic).
-            co_await cacheCharge(bm->config().hitNs);
+            co_await cacheCharge(cache::kHitNs);
             co_return;
         }
         // Miss or Bypass: write through (no write-allocate).
@@ -577,8 +575,8 @@ SmartCtx::accessMany(const ReadPart *parts, std::uint32_t nparts, CachePolicy po
                 break;
             }
             lines += (parts[i].src.offset + parts[i].dst.len - 1) /
-                         bm->config().lineBytes -
-                     parts[i].src.offset / bm->config().lineBytes + 1;
+                         cache::kLineBytes -
+                     parts[i].src.offset / cache::kLineBytes + 1;
         }
         if (lines > cache::kMaxBatchLines)
             cached = false;
@@ -599,37 +597,6 @@ SmartCtx::cacheFlush()
 {
     if (cache::BufferManager *bm = rt_.cache())
         co_await bm->flushAll(*this);
-}
-
-Task
-SmartCtx::cachePin(RemotePtr p, MemSpan fallback,
-                   const std::uint8_t *&view, std::uint32_t &frame)
-{
-    view = nullptr;
-    frame = cache::kNoFrame;
-    cache::BufferManager *bm = rt_.cache();
-    if (bm != nullptr && bm->cacheable(p.offset, fallback.len)) {
-        co_await bm->pinLine(*this, p, fallback.len, view, frame);
-        if (frame != cache::kNoFrame)
-            co_return;
-        if (failed())
-            co_return;
-    }
-    // Fallback: plain read into caller-provided storage.
-    read(p, fallback);
-    co_await postSend();
-    co_await sync();
-    if (!failed())
-        view = fallback.bytes();
-}
-
-void
-SmartCtx::cacheUnpin(std::uint32_t frame)
-{
-    if (frame == cache::kNoFrame)
-        return;
-    if (cache::BufferManager *bm = rt_.cache())
-        bm->unpin(frame);
 }
 
 Task
@@ -658,9 +625,9 @@ SmartCtx::backoffCasSync(RemotePtr dst, std::uint64_t expect,
     if (cfg.backoff) {
         std::uint64_t tmax_cycles = cfg.dynBackoffLimit
             ? thr_.conflictCtrl().tmaxCycles()
-            : cfg.backoffUnitCycles * cfg.backoffMaxFactor;
+            : kBackoffUnitCycles * kBackoffMaxFactor;
         std::uint64_t cycles = backoffCycles(
-            cfg.backoffUnitCycles, tmax_cycles, casFailStreak_, thr_.rng());
+            kBackoffUnitCycles, tmax_cycles, casFailStreak_, thr_.rng());
         ++casFailStreak_;
         // The coroutine yields for the backoff window (sibling coroutines
         // keep the thread busy); concurrency reduction under contention

@@ -9,8 +9,7 @@
  *    until all its posted WRs complete, and backoffCasSync() adds §4.3
  *    conflict avoidance. Use it when an operation wants to batch several
  *    WRs under one doorbell ring.
- *  - The unified awaitable access API (access()/accessMany(), plus typed
- *    RemoteRef<T> pin handles in remote_ref.hpp) is the preferred
+ *  - The unified awaitable access API (access()/accessMany()) is the
  *    single-op surface: one co_await per remote access, with an explicit
  *    per-op CachePolicy deciding whether the compute-side cache tier
  *    (smart/cache/) may serve it. With the cache disabled the Cached and
@@ -121,19 +120,6 @@ class SmartCtx
      * barrier). No-op without a cache tier.
      */
     sim::Task cacheFlush();
-
-    /**
-     * Pin the cache line covering @p p and expose a read-only view of
-     * its bytes (used by RemoteRef<T>). When the line cannot be pinned
-     * (cache disabled, span crosses lines, pool exhausted), the bytes
-     * are read into @p fallback instead and @p frame is cache::kNoFrame.
-     * On verb failure view stays nullptr.
-     */
-    sim::Task cachePin(RemotePtr p, MemSpan fallback,
-                       const std::uint8_t *&view, std::uint32_t &frame);
-
-    /** Release one cachePin() pin (no-op for cache::kNoFrame). */
-    void cacheUnpin(std::uint32_t frame);
 
     // ---- verb-like staging API ----
 
@@ -265,7 +251,7 @@ class SmartCtx
     /**
      * Epoch fence + overload admission for one access to @p blade_idx
      * (no-op without a ClusterView / without watermarks). A fenced blade
-     * is polled cfg.maxViewWaits times with decorrelated-jitter delays;
+     * is polled kMaxViewWaits times with decorrelated-jitter delays;
      * still fenced -> error_ = StaleView and the caller must not issue.
      */
     sim::Task admitAccess(std::uint32_t blade_idx);
@@ -297,7 +283,6 @@ class SmartCtx
 
     std::uint8_t *scratchBase_ = nullptr;
     std::uint64_t scratchTransKey_ = 0;
-    std::uint32_t scratchSize_ = 0;
     std::uint32_t scratchPos_ = 0;
 
     std::uint32_t casFailStreak_ = 0;

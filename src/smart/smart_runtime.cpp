@@ -22,9 +22,8 @@ SmartThread::SmartThread(SmartRuntime &rt, std::uint32_t id)
     : rt_(rt), id_(id), simThread_(rt.sim(), id),
       rng_(0x5eed0000ull + id, 0x9e3779b9ull + id),
       coroGate_(rt.sim(), rt.config().corosPerThread),
-      ctrl_(rt.config().backoffUnitCycles, rt.config().backoffMaxFactor,
-            rt.config().corosPerThread, rt.config().gammaHigh,
-            rt.config().gammaLow),
+      ctrl_(kBackoffUnitCycles, kBackoffMaxFactor,
+            rt.config().corosPerThread, kGammaHigh, kGammaLow),
       credit_(rt.config().initialCmax), cmax_(rt.config().initialCmax)
 {
     sim::Labels labels{{"blade", rt.name()},
@@ -240,7 +239,7 @@ SmartRuntime::SmartRuntime(sim::Simulator &sim,
                            std::string name)
     : sim_(sim), cfg_(cfg), rnic_(sim, hw_cfg, name), name_(std::move(name)),
       localBuf_(static_cast<std::size_t>(num_threads) *
-                    cfg.corosPerThread * cfg.scratchBytesPerCoro,
+                    cfg.corosPerThread * kScratchBytesPerCoro,
                 0)
 {
     // Device context(s) and local MR registration, per policy.
@@ -286,8 +285,8 @@ SmartRuntime::SmartRuntime(sim::Simulator &sim,
         sharedCq_ = sharedContext_->createCq();
         installDispatch(*sharedCq_);
     } else if (cfg_.qpPolicy == QpPolicy::MultiplexedQp) {
-        std::uint32_t groups = (num_threads + cfg_.multiplexFactor - 1) /
-                               cfg_.multiplexFactor;
+        std::uint32_t groups =
+            (num_threads + kMultiplexFactor - 1) / kMultiplexFactor;
         for (std::uint32_t g = 0; g < groups; ++g) {
             groupCqs_.push_back(sharedContext_->createCq());
             installDispatch(*groupCqs_.back());
@@ -298,8 +297,8 @@ SmartRuntime::SmartRuntime(sim::Simulator &sim,
     // Compute-side cache tier: the frame pool is ordinary local memory
     // that RDMA reads land in directly, so it needs an MR per device
     // context (one shared, or one per thread under PerThreadContext).
-    if (cfg_.cache.enabled()) {
-        cache_ = std::make_unique<cache::BufferManager>(*this, cfg_.cache);
+    if (cfg_.cacheBytes != 0) {
+        cache_ = std::make_unique<cache::BufferManager>(*this, cfg_.cacheBytes);
         MemSpan pool = cache_->pool();
         if (sharedContext_)
             sharedCacheMrId_ = sharedContext_->regMr(pool).id;
@@ -316,8 +315,6 @@ SmartRuntime::SmartRuntime(sim::Simulator &sim,
     m.registerCounter(this, "app.ops", labels, &appOps);
     m.registerCounter(this, "app.retries", labels, &totalRetries);
     m.registerHistogram(this, "app.op_latency_ns", labels, &opLatency);
-    m.registerCounter(this, "smart.overload.shed_prefetch", labels,
-                      &shedPrefetch_);
     m.registerCounter(this, "smart.overload.chunked_posts", labels,
                       &chunkedPosts_);
     m.registerCounter(this, "smart.overload.op_delays", labels,
@@ -481,7 +478,7 @@ SmartRuntime::qpFor(std::uint32_t tid, std::uint32_t blade_idx)
       case QpPolicy::SharedQp:
         return *sharedQps_[blade_idx];
       case QpPolicy::MultiplexedQp:
-        return *groupQps_[tid / cfg_.multiplexFactor][blade_idx];
+        return *groupQps_[tid / kMultiplexFactor][blade_idx];
       default:
         return *threads_[tid]->qps_[blade_idx];
     }
@@ -494,7 +491,7 @@ SmartRuntime::cqFor(std::uint32_t tid)
       case QpPolicy::SharedQp:
         return *sharedCq_;
       case QpPolicy::MultiplexedQp:
-        return *groupCqs_[tid / cfg_.multiplexFactor];
+        return *groupCqs_[tid / kMultiplexFactor];
       default:
         return *threads_[tid]->cq_;
     }
@@ -507,7 +504,7 @@ SmartRuntime::scratchFor(std::uint32_t tid, std::uint32_t coro_idx,
     assert(coro_idx < cfg_.corosPerThread);
     std::uint64_t off =
         (static_cast<std::uint64_t>(tid) * cfg_.corosPerThread + coro_idx) *
-        cfg_.scratchBytesPerCoro;
+        kScratchBytesPerCoro;
     trans_key = rnic::Rnic::transKey(threads_[tid]->localMrId_, off);
     return localBuf_.data() + off;
 }
@@ -593,7 +590,7 @@ SmartRuntime::conflictLoop(SmartThread &t)
     // §4.3: sample the retry rate γ every window and move c_max / t_max
     // across the water marks.
     for (;;) {
-        co_await sim_.delay(cfg_.retryWindowNs);
+        co_await sim_.delay(kRetryWindowNs);
         std::uint64_t attempts = t.casAttempts.delta();
         std::uint64_t fails = t.casFails.delta();
         if (attempts == 0)

@@ -326,13 +326,6 @@ class SmartRuntime
     /** @return number of connected memory blades. */
     std::uint32_t numBlades() const { return blades_.size(); }
 
-    /** @return capacity in bytes of connected blade @p blade_idx. */
-    std::uint64_t
-    bladeSize(std::uint32_t blade_idx) const
-    {
-        return blades_[blade_idx]->size();
-    }
-
     /**
      * @return restart incarnation of connected blade @p blade_idx. A
      * crash-restart bumps it; the cache flushes all lines of the blade
@@ -346,7 +339,7 @@ class SmartRuntime
 
     /**
      * @return the compute-side cache tier, or nullptr when the cache is
-     * disabled (SmartConfig::cache.sizeBytes == 0). With no BufferManager
+     * disabled (SmartConfig::cacheBytes == 0). With no BufferManager
      * object at all, the disabled configuration is byte-identical to the
      * pre-cache code paths.
      */
@@ -371,8 +364,9 @@ class SmartRuntime
     ClusterView *clusterView() const { return clusterView_; }
 
     // ---- overload-side graceful degradation (§SmartConfig watermarks).
-    //      Levels: 1 sheds cache prefetch, 2 chunks doorbell batches,
-    //      3 delays user-op admission. All 0 unless watermarks are set.
+    //      Levels: 1 marks the approach (annotation only), 2 chunks
+    //      doorbell batches, 3 delays user-op admission. All 0 unless
+    //      watermarks are set.
 
     /** @return this runtime's WRs currently outstanding to @p blade. */
     std::int64_t
@@ -407,12 +401,10 @@ class SmartRuntime
     }
 
     /** Degradation bookkeeping (called from the shedding sites). */
-    void noteShedPrefetch() { shedPrefetch_.add(); }
     void noteChunkedPost() { chunkedPosts_.add(); }
     void noteOpDelay() { opDelays_.add(); }
 
     /** Ladder engagement counts (benches, tests). */
-    std::uint64_t shedPrefetchCount() const { return shedPrefetch_.value(); }
     std::uint64_t chunkedPostCount() const { return chunkedPosts_.value(); }
     std::uint64_t opDelayCount() const { return opDelays_.value(); }
 
@@ -502,7 +494,7 @@ class SmartRuntime
     std::vector<std::uint8_t> localBuf_;
     std::uint32_t sharedLocalMrId_ = 0;
 
-    // Compute-side cache tier (null when cfg_.cache is disabled).
+    // Compute-side cache tier (null when cfg_.cacheBytes == 0).
     std::unique_ptr<cache::BufferManager> cache_;
     std::uint32_t sharedCacheMrId_ = 0;
 
@@ -514,7 +506,6 @@ class SmartRuntime
     std::vector<std::int64_t> bladeOutstanding_;
     /** Last observed ladder level per blade (timeline annotations). */
     std::vector<std::uint32_t> lastOverloadLevel_;
-    sim::Counter shedPrefetch_;
     sim::Counter chunkedPosts_;
     sim::Counter opDelays_;
 

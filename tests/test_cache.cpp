@@ -3,7 +3,8 @@
  * Tests of the compute-side buffer-managed cache tier: hit/miss/eviction
  * mechanics under capacity pressure, the coherence rules (CAS
  * invalidation, write-back ordering ahead of atomics, crash-restart
- * flush), RemoteRef pinning, and per-seed determinism of cached runs.
+ * flush), the pins an in-flight accessMany() batch holds, and per-seed
+ * determinism of cached runs.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 #include "harness/testbed.hpp"
 #include "sim/fault.hpp"
 #include "smart/cache/buffer_manager.hpp"
-#include "smart/remote_ref.hpp"
 #include "smart/smart_ctx.hpp"
 
 using namespace smart;
@@ -24,7 +24,7 @@ namespace {
 
 /** One compute blade, two memory blades, cache pool of @p cache_bytes. */
 TestbedConfig
-cachedConfig(std::uint64_t cache_bytes, std::uint32_t line_bytes = 256)
+cachedConfig(std::uint64_t cache_bytes)
 {
     TestbedConfig cfg;
     cfg.computeBlades = 1;
@@ -32,8 +32,7 @@ cachedConfig(std::uint64_t cache_bytes, std::uint32_t line_bytes = 256)
     cfg.threadsPerBlade = 1;
     cfg.bladeBytes = 1 << 20;
     cfg.smart = presets::full();
-    cfg.smart.cache.sizeBytes = cache_bytes;
-    cfg.smart.cache.lineBytes = line_bytes;
+    cfg.smart.cacheBytes = cache_bytes;
     return cfg;
 }
 
@@ -45,6 +44,15 @@ patternFill(Testbed &tb, std::uint32_t blade, std::uint64_t off,
     std::uint8_t *bytes = tb.memBlade(blade).bytesAt(off);
     for (std::uint32_t i = 0; i < n; ++i)
         bytes[i] = static_cast<std::uint8_t>(seed + i * 13);
+}
+
+/** One 16-byte read of line @p line (of blade 0, from @p base) into @p buf. */
+ReadPart
+linePart(SmartCtx &ctx, std::uint64_t base, std::uint32_t line,
+         std::uint8_t *buf)
+{
+    return ReadPart{ctx.runtime().ptr(0, base + line * 256),
+                    MemSpan{buf, 16}};
 }
 
 } // namespace
@@ -247,90 +255,156 @@ TEST(Cache, BladeCrashRestartDropsItsLines)
     EXPECT_TRUE(done);
 }
 
-TEST(Cache, PinnedFrameSurvivesEvictionPressure)
+TEST(Cache, BatchPinnedFramesAreNeverEvicted)
 {
-    // Two-frame pool: pin one line, thrash the rest. The pinned view
-    // must stay resident and byte-stable throughout.
+    // Two-frame pool. Coroutine A's accessMany batch pins both frames
+    // across its sync(): line 0 resident (a hit), line 1 mid-fill. A
+    // sibling coroutine reading line 2 meanwhile finds no victim: its
+    // read goes to the wire and nothing is evicted from under A.
     Testbed tb(cachedConfig(2 * 256));
-    bool done = false;
+    std::uint64_t base = tb.memBlade(0).alloc(3 * 256, 256);
+    for (std::uint32_t l = 0; l < 3; ++l)
+        patternFill(tb, 0, base + l * 256, 256,
+                    static_cast<std::uint8_t>(20 + l));
+    cache::BufferManager *bm = tb.compute(0).cache();
+    ASSERT_NE(bm, nullptr);
+    bool posted = false, batch_done = false, a_done = false, b_done = false;
     tb.compute(0).spawnWorker(0, [&](SmartCtx &ctx) -> Task {
-        std::uint64_t base = tb.memBlade(0).alloc(8 * 256, 256);
-        std::uint64_t magic = 0xfeedface;
-        std::memcpy(tb.memBlade(0).bytesAt(base), &magic, 8);
-        for (std::uint32_t l = 1; l < 8; ++l)
-            patternFill(tb, 0, base + l * 256, 256,
-                        static_cast<std::uint8_t>(l));
-        cache::BufferManager *bm = ctx.runtime().cache();
-
-        RemoteRef<std::uint64_t> ref(ctx, ctx.runtime().ptr(0, base));
-        co_await ref.pin();
-        EXPECT_TRUE(ref.valid());
-        if (!ref.valid())
-            co_return;
-        EXPECT_EQ(ref.load(), 0xfeedfaceull);
-
-        for (int round = 0; round < 2; ++round) {
-            for (std::uint32_t l = 1; l < 8; ++l) {
-                std::uint8_t buf[16] = {};
-                co_await ctx.access(ctx.runtime().ptr(0, base + l * 256),
-                                    AccessOp::read(MemSpan{buf, 16}));
-                EXPECT_EQ(buf[0], static_cast<std::uint8_t>(l));
-            }
-        }
-        EXPECT_GE(bm->evictionCount(), 1u);
-        EXPECT_EQ(ref.load(), 0xfeedfaceull); // never evicted
-        ref.unpin();
-        done = true;
+        std::uint8_t warm[16] = {};
+        ReadPart warm_part = linePart(ctx, base, 0, warm);
+        co_await ctx.accessMany(&warm_part, 1);
+        std::uint8_t b0[16] = {}, b1[16] = {};
+        ReadPart parts[2] = {linePart(ctx, base, 0, b0),
+                             linePart(ctx, base, 1, b1)};
+        posted = true;
+        co_await ctx.accessMany(parts, 2);
+        batch_done = true;
+        EXPECT_FALSE(ctx.failed());
+        EXPECT_EQ(b0[0], 20u);
+        EXPECT_EQ(b1[0], 21u);
+        a_done = true;
+    });
+    tb.compute(0).spawnWorker(0, [&](SmartCtx &ctx) -> Task {
+        while (!posted)
+            co_await ctx.sim().delay(50);
+        EXPECT_FALSE(batch_done); // A's frames are pinned right now
+        std::uint8_t buf[16] = {};
+        ReadPart buf_part = linePart(ctx, base, 2, buf);
+        co_await ctx.accessMany(&buf_part, 1);
+        EXPECT_EQ(buf[0], 22u);
+        EXPECT_EQ(bm->evictionCount(), 0u);
+        EXPECT_EQ(bm->poolExhausted(), 1u);
+        b_done = true;
     });
     tb.sim().runUntil(sim::msec(10));
-    EXPECT_TRUE(done);
+    EXPECT_TRUE(a_done);
+    EXPECT_TRUE(b_done);
 }
 
-TEST(Cache, ExhaustedPoolFallsBackToWire)
+TEST(Cache, BatchPinnedFrameSurvivesInvalidation)
 {
-    // Pin both frames of a two-frame pool: further cached reads cannot
-    // get a frame and must transparently bypass, still correct.
+    // A CAS completion invalidates line 0 while A's in-flight batch has
+    // it pinned (routed through onCqe exactly as SmartRuntime's CQE
+    // dispatch does). The detached frame must stay out of the pool until
+    // A releases it: A copies out the bytes it pinned, a sibling read
+    // meanwhile goes to the wire, and once A's batch ends the frame is
+    // reclaimed, so a later two-line batch fits the pool again.
     Testbed tb(cachedConfig(2 * 256));
+    std::uint64_t base = tb.memBlade(0).alloc(5 * 256, 256);
+    for (std::uint32_t l = 0; l < 5; ++l)
+        patternFill(tb, 0, base + l * 256, 256,
+                    static_cast<std::uint8_t>(30 + l));
+    cache::BufferManager *bm = tb.compute(0).cache();
+    ASSERT_NE(bm, nullptr);
+    bool posted = false, batch_done = false, a_done = false, b_done = false;
+    tb.compute(0).spawnWorker(0, [&](SmartCtx &ctx) -> Task {
+        std::uint8_t warm[16] = {};
+        ReadPart warm_part = linePart(ctx, base, 0, warm);
+        co_await ctx.accessMany(&warm_part, 1);
+        std::uint8_t b0[16] = {}, b1[16] = {};
+        ReadPart parts[2] = {linePart(ctx, base, 0, b0),
+                             linePart(ctx, base, 1, b1)};
+        posted = true;
+        co_await ctx.accessMany(parts, 2);
+        batch_done = true;
+        EXPECT_FALSE(ctx.failed());
+        EXPECT_EQ(b0[0], 30u); // the snapshot A pinned, pre-CAS
+        EXPECT_EQ(b1[0], 31u);
+
+        // The invalidated line refetches the post-CAS bytes...
+        std::uint64_t misses = bm->missCount();
+        std::uint8_t again[16] = {};
+        ReadPart again_part = linePart(ctx, base, 0, again);
+        co_await ctx.accessMany(&again_part, 1);
+        EXPECT_EQ(bm->missCount(), misses + 1);
+        EXPECT_EQ(again[0], 0xeeu);
+        // ...and no frame leaked: two fresh lines get two frames.
+        std::uint64_t exhausted = bm->poolExhausted();
+        std::uint8_t c3[16] = {}, c4[16] = {};
+        ReadPart more[2] = {linePart(ctx, base, 3, c3),
+                            linePart(ctx, base, 4, c4)};
+        co_await ctx.accessMany(more, 2);
+        EXPECT_EQ(bm->poolExhausted(), exhausted);
+        EXPECT_EQ(c3[0], 33u);
+        EXPECT_EQ(c4[0], 34u);
+        a_done = true;
+    });
+    tb.compute(0).spawnWorker(0, [&](SmartCtx &ctx) -> Task {
+        while (!posted)
+            co_await ctx.sim().delay(50);
+        EXPECT_FALSE(batch_done); // A's frames are pinned right now
+        std::memset(tb.memBlade(0).bytesAt(base), 0xee, 8);
+        rnic::WorkReq cas_wr;
+        cas_wr.cacheCookie = bm->atomicCookie(0, base);
+        bm->onCqe(cas_wr, rnic::WcStatus::Success);
+        EXPECT_EQ(bm->invalidationCount(), 1u);
+        std::uint8_t buf[16] = {};
+        ReadPart buf_part = linePart(ctx, base, 2, buf);
+        co_await ctx.accessMany(&buf_part, 1);
+        EXPECT_EQ(buf[0], 32u);
+        EXPECT_EQ(bm->poolExhausted(), 1u);
+        b_done = true;
+    });
+    tb.sim().runUntil(sim::msec(10));
+    EXPECT_TRUE(a_done);
+    EXPECT_TRUE(b_done);
+}
+
+TEST(Cache, BatchLargerThanPoolReadsExcessOverWire)
+{
+    // Four lines through a two-frame pool in one batch: two fill frames,
+    // the other two are read straight off the wire in the same doorbell
+    // batch and count smart.cache.pool_exhausted. Every byte is right.
+    Testbed tb(cachedConfig(2 * 256));
+    std::uint64_t base = tb.memBlade(0).alloc(4 * 256, 256);
+    for (std::uint32_t l = 0; l < 4; ++l)
+        patternFill(tb, 0, base + l * 256, 256,
+                    static_cast<std::uint8_t>(40 + l));
+    cache::BufferManager *bm = tb.compute(0).cache();
+    ASSERT_NE(bm, nullptr);
     bool done = false;
     tb.compute(0).spawnWorker(0, [&](SmartCtx &ctx) -> Task {
-        std::uint64_t base = tb.memBlade(0).alloc(4 * 256, 256);
+        std::uint8_t buf[4][16] = {};
+        ReadPart parts[4];
         for (std::uint32_t l = 0; l < 4; ++l)
-            patternFill(tb, 0, base + l * 256, 256,
-                        static_cast<std::uint8_t>(40 + l));
-        cache::BufferManager *bm = ctx.runtime().cache();
-
-        RemoteRef<std::uint64_t> r0(ctx, ctx.runtime().ptr(0, base));
-        RemoteRef<std::uint64_t> r1(ctx, ctx.runtime().ptr(0, base + 256));
-        co_await r0.pin();
-        co_await r1.pin();
-        EXPECT_TRUE(r0.valid());
-        EXPECT_TRUE(r1.valid());
-        if (!r0.valid() || !r1.valid())
-            co_return;
-
-        std::uint8_t buf[16] = {};
-        co_await ctx.access(ctx.runtime().ptr(0, base + 2 * 256),
-                            AccessOp::read(MemSpan{buf, 16}));
+            parts[l] = linePart(ctx, base, l, buf[l]);
+        co_await ctx.accessMany(parts, 4);
         EXPECT_FALSE(ctx.failed());
-        EXPECT_EQ(buf[0], 42u);
-        EXPECT_GE(bm->poolExhausted(), 1u);
-
-        // A pin with no frame available falls back to inline storage.
-        RemoteRef<std::uint64_t> r2(ctx, ctx.runtime().ptr(0, base + 768));
-        co_await r2.pin();
-        EXPECT_TRUE(r2.valid());
-        if (!r2.valid())
-            co_return;
-        std::uint64_t expect = 0;
-        std::memcpy(&expect, tb.memBlade(0).bytesAt(base + 768), 8);
-        EXPECT_EQ(r2.load(), expect);
-
-        r0.unpin();
-        r1.unpin();
+        for (std::uint32_t l = 0; l < 4; ++l) {
+            EXPECT_EQ(buf[l][0], 40u + l);
+            EXPECT_EQ(buf[l][15], static_cast<std::uint8_t>(40 + l + 15 * 13));
+        }
+        EXPECT_EQ(bm->missCount(), 2u);
+        EXPECT_EQ(bm->poolExhausted(), 2u);
         done = true;
     });
     tb.sim().runUntil(sim::msec(10));
     EXPECT_TRUE(done);
+    EXPECT_EQ(tb.sim()
+                  .metrics()
+                  .snapshot(tb.sim().now())
+                  .sumCounters("smart.cache.pool_exhausted"),
+              2u);
 }
 
 TEST(Cache, CachedRunsAreDeterministicPerSeed)
@@ -380,51 +454,63 @@ TEST(Cache, CachedRunsAreDeterministicPerSeed)
     EXPECT_NE(events_a, events_c);
 }
 
-TEST(Cache, PinnedFrameHandoffDuringDrain)
+TEST(Cache, BatchPinnedFrameHandoffDuringDrain)
 {
     // A drain re-keys resident frames to the destination blade via
-    // handoffRange. A pinned view must survive the move byte-stable,
-    // and the re-keyed line must serve (hit) accesses addressed to the
-    // destination without a refetch.
+    // handoffRange while A's batch holds line 0 (a hit) and line 1 (a
+    // fill) pinned. The batch must still copy out line 0's pinned bytes
+    // (the source line is scrubbed after the copy, so a refetch would
+    // show), and the re-keyed line must serve a same-offset access on
+    // the destination as a hit.
     Testbed tb(cachedConfig(8 * 256));
-    bool done = false;
+    std::uint64_t off0 = tb.memBlade(0).alloc(2 * 256, 256);
+    std::uint64_t off1 = tb.memBlade(1).alloc(2 * 256, 256);
+    ASSERT_EQ(off0, off1); // offset-preserving migration contract
+    patternFill(tb, 0, off0, 2 * 256, 50);
+    cache::BufferManager *bm = tb.compute(0).cache();
+    ASSERT_NE(bm, nullptr);
+    bool posted = false, batch_done = false, a_done = false, b_done = false;
     tb.compute(0).spawnWorker(0, [&](SmartCtx &ctx) -> Task {
-        std::uint64_t off0 = tb.memBlade(0).alloc(4 * 256, 256);
-        std::uint64_t off1 = tb.memBlade(1).alloc(4 * 256, 256);
-        EXPECT_EQ(off0, off1); // offset-preserving migration contract
-        std::uint64_t magic = 0x1234abcd5678ull;
-        std::memcpy(tb.memBlade(0).bytesAt(off0), &magic, 8);
-        cache::BufferManager *bm = ctx.runtime().cache();
-
-        RemoteRef<std::uint64_t> ref(ctx, ctx.runtime().ptr(0, off0));
-        co_await ref.pin();
-        EXPECT_TRUE(ref.valid());
-        if (!ref.valid())
-            co_return;
-        EXPECT_EQ(ref.load(), magic);
-
-        // The drain's copy step, then the cache handoff.
-        std::memcpy(tb.memBlade(1).bytesAt(off1),
-                    tb.memBlade(0).bytesAt(off0), 4 * 256);
-        std::uint32_t moved = bm->handoffRange(0, 1, off0, 4 * 256);
-        EXPECT_GE(moved, 1u);
-        EXPECT_GE(bm->handoffCount(), 1u);
-
-        // Pin survived the re-key, bytes unchanged.
-        EXPECT_EQ(ref.load(), magic);
+        std::uint8_t warm[16] = {};
+        ReadPart warm_part = linePart(ctx, off0, 0, warm);
+        co_await ctx.accessMany(&warm_part, 1);
+        std::uint8_t b0[16] = {}, b1[16] = {};
+        ReadPart parts[2] = {linePart(ctx, off0, 0, b0),
+                             linePart(ctx, off0, 1, b1)};
+        posted = true;
+        co_await ctx.accessMany(parts, 2);
+        batch_done = true;
+        EXPECT_FALSE(ctx.failed());
+        EXPECT_EQ(std::memcmp(b0, tb.memBlade(1).bytesAt(off1), 16), 0);
+        EXPECT_EQ(std::memcmp(b1, tb.memBlade(1).bytesAt(off1 + 256), 16), 0);
 
         // The frame now fronts blade 1: same-offset access there hits.
-        std::uint64_t hits0 = bm->hitCount();
-        std::uint64_t v = 0;
+        std::uint64_t hits = bm->hitCount();
+        std::uint8_t v[16] = {};
         co_await ctx.access(ctx.runtime().ptr(1, off1),
-                            AccessOp::read(MemSpan::of(v)));
-        EXPECT_EQ(v, magic);
-        EXPECT_EQ(bm->hitCount(), hits0 + 1);
-        ref.unpin();
-        done = true;
+                            AccessOp::read(MemSpan{v, 16}));
+        EXPECT_EQ(v[0], 50u);
+        EXPECT_EQ(bm->hitCount(), hits + 1);
+        a_done = true;
+    });
+    tb.compute(0).spawnWorker(0, [&](SmartCtx &ctx) -> Task {
+        while (!posted)
+            co_await ctx.sim().delay(50);
+        EXPECT_FALSE(batch_done); // A's frames are pinned right now
+        // The drain's copy step, then the cache handoff: resident line 0
+        // is re-keyed, line 1 (mid-fill) is invalidated. Then line 0 of
+        // the source is reused.
+        std::memcpy(tb.memBlade(1).bytesAt(off1),
+                    tb.memBlade(0).bytesAt(off0), 2 * 256);
+        EXPECT_EQ(bm->handoffRange(0, 1, off0, 2 * 256), 1u);
+        EXPECT_EQ(bm->handoffCount(), 1u);
+        std::memset(tb.memBlade(0).bytesAt(off0), 0, 256);
+        b_done = true;
+        co_return;
     });
     tb.sim().runUntil(sim::msec(10));
-    EXPECT_TRUE(done);
+    EXPECT_TRUE(a_done);
+    EXPECT_TRUE(b_done);
 }
 
 TEST(Cache, DirtyLineHandoffWritesBackToDestination)

@@ -36,7 +36,7 @@ planeConfig(std::uint32_t mem_blades, std::uint64_t cache_bytes = 0)
     cfg.threadsPerBlade = 1;
     cfg.bladeBytes = 4ull << 20;
     cfg.smart = presets::full();
-    cfg.smart.cache.sizeBytes = cache_bytes;
+    cfg.smart.cacheBytes = cache_bytes;
     return cfg;
 }
 

@@ -35,9 +35,9 @@
  * same wire messages at every shard count as the single-shard run (the
  * determinism gate). These are the acceptance gates for the inline-event
  * design, the observe-only span layer and the sharded engine. The bench
- * only reports them; scripts/check_bench_json.py enforces them, and
- * scripts/compare_bench.py gates the wall-clock speedup column only on
- * hosts with >= 4 cores (a 1-core CI runner cannot demonstrate speedup).
+ * only reports them; scripts/check_bench_json.py enforces them, and its
+ * --shard-scaling mode gates the wall-clock speedup column only on hosts
+ * with >= 4 cores (a 1-core CI runner cannot demonstrate speedup).
  */
 
 #include <chrono>
@@ -480,8 +480,8 @@ main(int argc, char **argv)
 
     // Shard-scaling sweep: same workload, 1/2/4/8 shards. The gate is
     // determinism (identical event + delivery totals at every count);
-    // the speedup column is gated by scripts/compare_bench.py only when
-    // the host has >= 4 cores. The window is long enough (about 4.4 M
+    // the speedup column is gated by scripts/check_bench_json.py
+    // --shard-scaling only when the host has >= 4 cores. The window is long enough (about 4.4 M
     // events per point at --quick, over 150 ms of wall time per point on
     // a 4-core Xeon host) that the speedup measures the engine rather
     // than timer noise.

@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Validate a smart-bench-report/v1 JSON file emitted by `--json`.
+"""Validate and compare smart-bench-report/v1 JSON files emitted by `--json`.
 
 Usage:
     check_bench_json.py REPORT.json
     check_bench_json.py --run BENCH_BINARY [ARGS...]
-    check_bench_json.py --same-runs A.json B.json
+    check_bench_json.py --same-runs OLD.json NEW.json
+    check_bench_json.py --baseline REPORT.json > BASELINE.json
+    check_bench_json.py --shard-scaling REPORT.json
+    check_bench_json.py --cache-overhead NOCACHE.json CACHED.json
 
 This script is the one home of every bench threshold: the benches only
 emit data (and exit 0 unless the report cannot be written), and the
@@ -15,13 +18,25 @@ directory and validates the report it writes. Exits 0 when the report is
 valid, 1 with a diagnostic otherwise. Used both as a ctest and for
 eyeballing reports by hand.
 
-With --same-runs, checks that two reports of one bench carry identical
-tables and identical runs: every key of every run entry (label, at_ns,
-metrics, timeseries, spans) must match. This is the byte-identity
-gate: e.g. a --shards 4 run must simulate, sample and attribute exactly
-what the --shards 1 run did.
+With --same-runs, checks that two reports of one bench simulated the
+same thing: every table cell (host wall-clock columns aside), the run
+labels and at_ns, a sha256 digest of each run's metrics, timeseries and
+spans, and perf.events_processed. Either side may be a full report or a
+baseline (the slim form --baseline prints, committed in bench/baselines).
+This is the regression gate and the byte-identity gate: e.g. a
+--shards 4 run must simulate, sample and attribute exactly what the
+--shards 1 run did. Each difference is named: a table cell, a metric or
+a series point, and, per mismatching run, app.ops and p99 old -> new.
+
+With --shard-scaling, gates the 4-shard wall-clock speedup of a
+kernel_stress report, only on hosts with enough cores to show it.
+
+With --cache-overhead, gates a cached run of a bench against the
+no-cache report of the same bench: per run label, app.ops must keep
+CACHE_MIN_OPS_RATIO and p99 stay under CACHE_MAX_P99_RATIO.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -29,6 +44,7 @@ import tempfile
 from pathlib import Path
 
 SCHEMA = "smart-bench-report/v1"
+BASELINE_SCHEMA = "smart-bench-baseline/v1"
 
 # DES-kernel microbenches drive the event queue directly: they have no
 # SMART threads or controller, so the thread-metrics / controller-timeline
@@ -338,9 +354,8 @@ def validate_kernel_stress(report):
     event count, and recording produced spans); and the shard-scaling
     sweep is deterministic — every shard count replays the single-shard
     simulation exactly (identical event and wire-delivery totals).
-    Wall-clock speedup is gated separately by compare_bench.py
-    --shard-scaling, and only on hosts with enough cores to demonstrate
-    it."""
+    Wall-clock speedup is gated separately by --shard-scaling, and only
+    on hosts with enough cores to demonstrate it."""
     tables = {t["name"]: t for t in report["tables"]}
 
     ks = tables.get("kernel_stress")
@@ -747,40 +762,215 @@ BENCH_VALIDATORS = {
 }
 
 
-def same_runs(path_a, path_b):
-    """Byte-identity gate: two reports of one bench (e.g. --shards 1 vs
-    --shards 4) must carry equal tables and equal run entries, key by
-    key (label, at_ns, metrics, timeseries, spans)."""
-    a = json.loads(Path(path_a).read_text())
-    b = json.loads(Path(path_b).read_text())
-    where = f"between {path_a} and {path_b}"
-    tables_a = [t["name"] for t in a["tables"]]
-    check(tables_a == [t["name"] for t in b["tables"]],
-          f"table lists differ {where}")
-    for ta, tb in zip(a["tables"], b["tables"]):
-        check(ta == tb, f"table {ta['name']} differs {where}")
-    labels = [r["label"] for r in a["runs"]]
-    check(labels == [r["label"] for r in b["runs"]],
-          f"run labels differ {where}")
-    for ra, rb in zip(a["runs"], b["runs"]):
-        for key in sorted(set(ra) | set(rb)):
+# Table columns that time the host, not the simulation: --same-runs
+# skips them.
+HOST_COLUMNS = {"wall_ms", "events_per_sec", "speedup_vs_1",
+                "disabled_overhead_pct"}
+
+# kernel_stress's 4-shard wall-clock speedup floor. A host with fewer
+# cores cannot demonstrate parallel speedup, so there it is not gated.
+SPEEDUP_FLOOR = 1.6
+SPEEDUP_MIN_CORES = 4
+
+# A cached run against the no-cache run of the same bench and seed, per
+# label. Sub-line reads amplify to full line fills on a miss and
+# same-line fills serialize, so a thrashing cache is dearer than bypass;
+# these bound how much dearer.
+CACHE_MIN_OPS_RATIO = 0.90
+CACHE_MAX_P99_RATIO = 3.0
+
+
+def load(path):
+    report = json.loads(Path(path).read_text())
+    check(report.get("schema") in (SCHEMA, BASELINE_SCHEMA),
+          f"{path}: schema must be {SCHEMA!r} or {BASELINE_SCHEMA!r}")
+    return report
+
+
+def canonical(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def run_digest(run):
+    """sha256 of everything a run carries besides its label and at_ns
+    (metrics, timeseries, spans); a baseline run stores it."""
+    if "digest" in run:
+        return run["digest"]
+    body = {k: v for k, v in run.items() if k not in ("label", "at_ns")}
+    return hashlib.sha256(canonical(body).encode()).hexdigest()
+
+
+def app_stats(run):
+    """(sum of app.ops, worst app.op_latency_ns p99) of one run."""
+    if "digest" in run:
+        return run["app_ops"], run["p99_ns"]
+    ops = p99 = 0
+    for m in run["metrics"]:
+        if m["name"] == "app.ops":
+            ops += int(m["value"])
+        elif m["name"] == "app.op_latency_ns" and m["value"]["count"] > 0:
+            p99 = max(p99, int(m["value"]["p99"]))
+    return ops, p99
+
+
+def to_baseline(report):
+    """The slim form bench/baselines commits: the tables in full, and per
+    run its digest plus the app aggregates printed on a mismatch."""
+    out = {"schema": BASELINE_SCHEMA}
+    out.update((k, report[k]) for k in ("bench", "quick", "seed", "notes",
+                                         "tables"))
+    out["runs"] = []
+    for run in report["runs"]:
+        ops, p99 = app_stats(run)
+        out["runs"].append({"label": run["label"], "at_ns": run["at_ns"],
+                            "digest": run_digest(run), "app_ops": ops,
+                            "p99_ns": p99})
+    out["perf"] = {"events_processed": report["perf"]["events_processed"]}
+    return out
+
+
+def by_key(entries):
+    """Metric or series entries keyed by (name, labels)."""
+    return {(e["name"], canonical(e["labels"])): e for e in entries}
+
+
+def first_difference(ra, rb):
+    """Where two runs with different digests first differ: a metric, a
+    series point, an annotation or another key. A baseline run keeps
+    only its digest, so against one the digest is all there is to say."""
+    if "digest" in ra or "digest" in rb:
+        return "digest differs"
+    ma, mb = by_key(ra["metrics"]), by_key(rb["metrics"])
+    for key in {**ma, **mb}:
+        if ma.get(key) != mb.get(key):
+            va, vb = (m["value"] if m else "absent"
+                      for m in (ma.get(key), mb.get(key)))
+            return f"metric {key[0]} {key[1]}: {va} -> {vb}"
+    ta, tb = ra.get("timeseries"), rb.get("timeseries")
+    if ta != tb:
+        if ta is None or tb is None:
+            return "timeseries present on one side only"
+        if (ta["window_ns"], ta["t_ns"]) != (tb["window_ns"], tb["t_ns"]):
+            return "timeseries sample axes differ"
+        sa, sb = by_key(ta["series"]), by_key(tb["series"])
+        for key in {**sa, **sb}:
+            if key not in sa or key not in sb:
+                return f"series {key[0]} {key[1]} present on one side only"
+            pa, pb = ([None] * s["start"] + s["points"]
+                      for s in (sa[key], sb[key]))
+            for t, x, y in zip(ta["t_ns"], pa, pb):
+                if x != y:
+                    return (f"series {key[0]} {key[1]} at t_ns {t}: "
+                            f"{x} -> {y}")
+        for x, y in zip(ta["annotations"], tb["annotations"]):
+            if x != y:
+                return f"annotation {x} -> {y}"
+        return "timeseries differs"
+    for key in sorted(set(ra) | set(rb)):
+        if key not in ("label", "at_ns") and ra.get(key) != rb.get(key):
             hint = ""
             if key == "spans" and any(
                     (r.get("spans") or {}).get("dropped", 0) for r in (ra, rb)):
                 hint = (" (a span tracer hit its per-shard record cap, and "
                         "which records it drops depends on the shard "
                         "count: sample fewer ops with --trace-spans=N)")
-            check(ra.get(key) == rb.get(key),
-                  f"run {ra['label']}: {key} differs {where}{hint}")
-    print(f"check_bench_json: OK: identical {len(tables_a)} tables and "
-          f"{len(labels)} runs")
+            return f"{key} differs{hint}"
+    return "digest differs"
+
+
+def diff_reports(a, b):
+    """Every difference the --same-runs gate finds between report @a (old)
+    and report @b (new), each a full report or a baseline: the first
+    differing cell of each table (host columns aside), the run labels and
+    at_ns, each run's digest, and perf.events_processed."""
+    out = [f"{key} {a[key]!r} -> {b[key]!r}"
+           for key in ("bench", "quick", "seed") if a[key] != b[key]]
+    names = [t["name"] for t in a["tables"]]
+    if names != [t["name"] for t in b["tables"]]:
+        out.append(f"tables {names} -> {[t['name'] for t in b['tables']]}")
+    for ta, tb in zip(a["tables"], b["tables"]):
+        if ta["header"] != tb["header"] or len(ta["rows"]) != len(tb["rows"]):
+            out.append(f"table {ta['name']}: header or row count differs")
+            continue
+        out += [f"table {ta['name']} row {i} ({ra[0]}) column {col}: "
+                f"{x} -> {y}"
+                for i, (ra, rb) in enumerate(zip(ta["rows"], tb["rows"]))
+                for col, x, y in zip(ta["header"], ra, rb)
+                if x != y and col not in HOST_COLUMNS][:1]
+    runs = [[(r["label"], r["at_ns"]) for r in rep["runs"]] for rep in (a, b)]
+    if runs[0] != runs[1]:
+        out.append(f"runs (label, at_ns) {runs[0]} -> {runs[1]}")
+    else:
+        for ra, rb in zip(a["runs"], b["runs"]):
+            if run_digest(ra) == run_digest(rb):
+                continue
+            (ops_a, p99_a), (ops_b, p99_b) = app_stats(ra), app_stats(rb)
+            out.append(f"run {ra['label']}: {first_difference(ra, rb)}; "
+                       f"app.ops {ops_a} -> {ops_b}, p99 {p99_a} -> "
+                       f"{p99_b} ns")
+    ev_a, ev_b = (r["perf"]["events_processed"] for r in (a, b))
+    if ev_a != ev_b:
+        out.append(f"perf.events_processed {ev_a} -> {ev_b}")
+    return out
+
+
+def shard_scaling(report):
+    """Wall-clock gate of kernel_stress's shard sweep: the 4-shard speedup
+    must reach SPEEDUP_FLOOR, on hosts with SPEEDUP_MIN_CORES or more.
+    The sweep's determinism is validate_kernel_stress's gate."""
+    ss = next((t for t in report["tables"]
+               if t["name"] == "kernel_stress_shard_scaling"), None)
+    check(ss is not None, "report has no kernel_stress_shard_scaling table")
+    cols = {name: i for i, name in enumerate(ss["header"])}
+    row4 = next((r for r in ss["rows"] if int(r[cols["shards"]]) == 4), None)
+    check(row4 is not None, "shard_scaling table has no 4-shard row")
+    speedup = float(row4[cols["speedup_vs_1"]])
+    cores = int(report["perf"]["host_cores"])
+    if cores < SPEEDUP_MIN_CORES:
+        print(f"check_bench_json: 4-shard speedup {speedup:.2f}x not gated "
+              f"on a {cores}-core host (need {SPEEDUP_MIN_CORES})")
+        return
+    check(speedup >= SPEEDUP_FLOOR,
+          f"4-shard speedup {speedup:.2f}x < {SPEEDUP_FLOOR:.2f}x floor on "
+          f"a {cores}-core host")
+    print(f"check_bench_json: OK: 4-shard speedup {speedup:.2f}x >= "
+          f"{SPEEDUP_FLOOR:.2f}x ({cores} cores)")
+
+
+def cache_overhead(nocache, cached):
+    """Per run label, the cached run keeps CACHE_MIN_OPS_RATIO of the
+    no-cache app.ops and stays within CACHE_MAX_P99_RATIO of its p99."""
+    stats = {run["label"]: app_stats(run) for run in cached["runs"]}
+    for run in nocache["runs"]:
+        label = run["label"]
+        check(label in stats, f"run {label!r} missing from the cached report")
+        (ops, p99), (c_ops, c_p99) = app_stats(run), stats[label]
+        check(c_ops >= CACHE_MIN_OPS_RATIO * ops,
+              f"run {label!r}: cached app.ops {c_ops} < "
+              f"{CACHE_MIN_OPS_RATIO} x no-cache {ops}")
+        check(c_p99 <= CACHE_MAX_P99_RATIO * p99,
+              f"run {label!r}: cached p99 {c_p99} ns > "
+              f"{CACHE_MAX_P99_RATIO} x no-cache {p99} ns")
+    print(f"check_bench_json: OK: cache overhead within bounds on "
+          f"{len(nocache['runs'])} runs")
 
 
 def main(argv):
     if len(argv) == 3 and argv[0] == "--same-runs":
-        same_runs(argv[1], argv[2])
-        return 0
-    if len(argv) >= 2 and argv[0] == "--run":
+        problems = diff_reports(load(argv[1]), load(argv[2]))
+        for p in problems:
+            print(f"check_bench_json: {p}", file=sys.stderr)
+        check(not problems, f"{argv[2]} differs from {argv[1]} in "
+              f"{len(problems)} place(s)")
+        print(f"check_bench_json: OK: {argv[2]} simulated what {argv[1]} "
+              "did")
+    elif len(argv) == 2 and argv[0] == "--baseline":
+        print(json.dumps(to_baseline(load(argv[1])), indent=1))
+    elif len(argv) == 2 and argv[0] == "--shard-scaling":
+        shard_scaling(load(argv[1]))
+    elif len(argv) == 3 and argv[0] == "--cache-overhead":
+        cache_overhead(load(argv[1]), load(argv[2]))
+    elif len(argv) >= 2 and argv[0] == "--run":
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "report.json"
             cmd = argv[1:] + ["--quick", "--trace", "--json", str(out),

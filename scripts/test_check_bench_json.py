@@ -4,29 +4,28 @@
 Usage:
     test_check_bench_json.py [BASELINE_DIR]
 
-Each committed baseline (default: bench/baselines) must pass its bench's
-validator, and every mutated copy below, with one gated value pushed
-past its threshold, must be rejected. This shows that a gate which moved
-out of a bench's exit code into the validator really holds. The
---same-runs gate must accept a report against itself and reject a copy
-whose spans block differs. compare_bench.py at zero tolerance (the CI
-regression gate) must accept every baseline against itself and reject
-a run whose app.ops is one lower or whose p99 is one higher, and a
-kernel report whose perf.events_processed is one off. Exits 0 when every
+Each committed baseline (default: bench/baselines) must be in the slim
+--baseline form, pass its bench's validator and pass --same-runs against
+itself, and every mutated copy below must be rejected. The validator
+must reject a table cell pushed past its threshold. --same-runs must
+reject a +-1 change in one metric, one timeseries point, one table cell
+or perf.events_processed of a small full report, checked both against
+its --baseline form and against itself, and a changed spans block; it
+must accept a changed host wall-clock cell. --cache-overhead and
+--shard-scaling must hold their bounds exactly. Exits 0 when every
 expectation holds, 1 otherwise.
 """
 
 import contextlib
 import copy
+import functools
 import io
 import json
 import sys
-import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-import check_bench_json  # noqa: E402
-import compare_bench  # noqa: E402
+import check_bench_json as cbj  # noqa: E402
 
 BASELINES = ["BENCH_elasticity.json", "BENCH_fig07_hashtable.json",
              "BENCH_fig10_dtx.json", "BENCH_fig12_btree.json",
@@ -45,82 +44,45 @@ MUTATIONS = [
      "post_over_pre", "0.5"),
 ]
 
+# (what, path to one number of small_report(), text the --same-runs
+#  diagnostic between two full reports must name)
+DRIFTS = [
+    ("a smart.thread.* counter", ("runs", 0, "metrics", 2, "value"),
+     "smart.thread.doorbell_wait_ns"),
+    ("a timeseries point",
+     ("runs", 1, "timeseries", "series", 0, "points", 1),
+     "smart.ctrl.credit_cmax"),
+    ("a table cell", ("tables", 0, "rows", 1, 2), "column SMART-HT_kops"),
+    ("perf.events_processed", ("perf", "events_processed"),
+     "events_processed"),
+]
 
-def rejects(report):
-    """True when the bench's validator rejects @report."""
-    try:
-        check_bench_json.BENCH_VALIDATORS[report["bench"]](report)
-    except SystemExit:
-        return True
-    return False
+OK = True
 
 
-def same_runs_rejects(a, b):
-    """True when --same-runs rejects report @a against report @b."""
-    with tempfile.TemporaryDirectory() as tmp:
-        pa, pb = Path(tmp) / "a.json", Path(tmp) / "b.json"
-        pa.write_text(json.dumps(a))
-        pb.write_text(json.dumps(b))
+def expect(got, want, what):
+    global OK
+    if got == want:
+        print(f"test_check_bench_json: OK: {what}")
+    else:
+        print(f"test_check_bench_json: FAIL: {what}", file=sys.stderr)
+        OK = False
+
+
+def exits(gate, *args):
+    """True when @gate(*args) fails through check_bench_json.fail()."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
         try:
-            check_bench_json.same_runs(pa, pb)
+            gate(*args)
         except SystemExit:
             return True
     return False
 
 
-def exact_compare_rejects(base, cur):
-    """True when compare_bench at zero tolerance rejects @cur vs @base."""
-    compare_bench.FAIL.clear()
-    compare_bench.WARN.clear()
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        compare_bench.compare(base, cur, p99_tol=0.0, tput_tol=0.0)
-    return bool(compare_bench.FAIL)
-
-
-def app_metric(run, name, key):
-    """The @name metric of @run with the largest @key(value)."""
-    return max((m for m in run["metrics"] if m["name"] == name), key=key)
-
-
-def check_exact_compare(base_dir):
-    """The zero-tolerance gate passes on identity and fails on +-1."""
-    ok = True
-
-    def expect(rejected, want, what):
-        nonlocal ok
-        if rejected == want:
-            print(f"test_check_bench_json: OK: compare_bench --tput-tol 0 "
-                  f"--p99-tol 0 {'rejects' if want else 'accepts'} {what}")
-        else:
-            print(f"test_check_bench_json: FAIL: compare_bench --tput-tol 0 "
-                  f"--p99-tol 0 {'accepts' if want else 'rejects'} {what}",
-                  file=sys.stderr)
-            ok = False
-
-    reports = {n: json.loads((base_dir / n).read_text()) for n in BASELINES}
-    for name, report in reports.items():
-        expect(exact_compare_rejects(report, copy.deepcopy(report)), False,
-               f"{name} against itself")
-
-    fig07 = reports["BENCH_fig07_hashtable.json"]
-    fewer = copy.deepcopy(fig07)
-    app_metric(fewer["runs"][0], "app.ops", lambda v: v["value"])["value"] -= 1
-    expect(exact_compare_rejects(fig07, fewer), True,
-           "a fig07 run with app.ops - 1")
-    slower = copy.deepcopy(fig07)
-    app_metric(slower["runs"][0], "app.op_latency_ns",
-               lambda v: v["value"]["p99"])["value"]["p99"] += 1
-    expect(exact_compare_rejects(fig07, slower), True,
-           "a fig07 run with p99 + 1")
-
-    kernel = reports["BENCH_kernel_stress.json"]
-    for delta in (-1, 1):
-        off = copy.deepcopy(kernel)
-        off["perf"]["events_processed"] += delta
-        expect(exact_compare_rejects(kernel, off), True,
-               f"kernel_stress with perf.events_processed {delta:+d}")
-    return ok
+def rejects(report):
+    """True when the bench's validator rejects @report."""
+    return exits(cbj.BENCH_VALIDATORS[report["bench"]], report)
 
 
 def mutate(report, table, row_key, column, value):
@@ -133,40 +95,120 @@ def mutate(report, table, row_key, column, value):
     return out
 
 
+def bumped(report, path, delta):
+    """A copy of @report with the number (or numeric cell) at @path moved
+    by @delta."""
+    out = copy.deepcopy(report)
+    *head, last = path
+    obj = functools.reduce(lambda o, k: o[k], head, out)
+    v = obj[last]
+    obj[last] = str(int(v) + delta) if isinstance(v, str) else v + delta
+    return out
+
+
+def small_report():
+    """A two-run fig07-shaped full report: one table, app and per-thread
+    metrics, and a controller timeseries born one window late."""
+    def run(label, ops):
+        return {"label": label, "at_ns": 2_000_000, "metrics": [
+            {"name": "app.ops", "labels": {"blade": "cb0"},
+             "kind": "counter", "value": ops},
+            {"name": "app.op_latency_ns", "labels": {"blade": "cb0"},
+             "kind": "histogram", "value": {"count": ops, "p99": 4000}},
+            {"name": "smart.thread.doorbell_wait_ns",
+             "labels": {"thread": "0"}, "kind": "counter",
+             "value": 7 * ops}],
+            "timeseries": {
+                "window_ns": 500_000,
+                "t_ns": [500_000, 1_000_000, 1_500_000],
+                "series": [{"name": "smart.ctrl.credit_cmax",
+                            "labels": {"thread": "0"}, "kind": "gauge",
+                            "start": 1, "points": [8, 16]}],
+                "annotations": []}}
+    return {"schema": cbj.SCHEMA, "bench": "fig07_hashtable", "quick": True,
+            "seed": 7, "notes": [],
+            "tables": [{"name": "fig07_scaleup_write-heavy",
+                        "header": ["threads", "RACE_kops", "SMART-HT_kops"],
+                        "rows": [["8", "2810", "3020"],
+                                 ["96", "1100", "5700"]]}],
+            "runs": [run("RACE/write-heavy", 1200),
+                     run("SMART-HT/write-heavy", 2500)],
+            "perf": {"events_processed": 123456}}
+
+
+def check_same_runs(base_dir):
+    for name in BASELINES:
+        report = json.loads((base_dir / name).read_text())
+        expect(cbj.to_baseline(report) == report
+               and not cbj.diff_reports(report, copy.deepcopy(report)),
+               True, f"{name} is a slim baseline and accepts itself")
+
+    full = small_report()
+    slim = cbj.to_baseline(full)
+    expect(cbj.diff_reports(slim, full), [],
+           "a full report matches its --baseline form")
+    for what, path, named in DRIFTS:
+        for delta in (-1, 1):
+            drifted = bumped(full, path, delta)
+            expect(bool(cbj.diff_reports(slim, drifted)), True,
+                   f"baseline rejects {what} {delta:+d}")
+            problems = cbj.diff_reports(full, drifted)
+            expect(len(problems) == 1 and named in problems[0], True,
+                   f"full report rejects {what} {delta:+d}, naming {named}")
+
+    spans = copy.deepcopy(full)
+    spans["runs"][0]["spans"] = {"records": 1, "dropped": 0}
+    other = bumped(spans, ("runs", 0, "spans", "records"), 1)
+    expect(bool(cbj.diff_reports(spans, other)), True,
+           "--same-runs rejects differing spans")
+
+    kernel = json.loads((base_dir / "BENCH_kernel_stress.json").read_text())
+    expect(cbj.diff_reports(kernel, mutate(
+        kernel, "kernel_stress", None, "wall_ms", "1.5")), [],
+        "kernel_stress accepts a changed wall_ms cell")
+    for delta in (-1, 1):
+        expect(bool(cbj.diff_reports(kernel, bumped(
+            kernel, ("tables", 0, "rows", 0, 1), delta))), True,
+            f"kernel_stress rejects events {delta:+d}")
+
+
+def check_single_report_gates(base_dir):
+    full = small_report()
+    ops = ("runs", 0, "metrics", 0, "value")
+    p99 = ("runs", 0, "metrics", 1, "value", "p99")
+    for what, path, delta, want in (("app.ops", ops, -120, False),
+                                    ("app.ops", ops, -121, True),
+                                    ("p99", p99, 8000, False),
+                                    ("p99", p99, 8001, True)):
+        expect(exits(cbj.cache_overhead, full, bumped(full, path, delta)),
+               want, f"--cache-overhead {'rejects' if want else 'accepts'} "
+               f"{what} {delta:+d}")
+
+    kernel = json.loads((base_dir / "BENCH_kernel_stress.json").read_text())
+    for speedup, cores, want in (("1.60", 4, False), ("1.59", 4, True),
+                                 ("0.50", 3, False)):
+        report = mutate(kernel, "kernel_stress_shard_scaling", "4",
+                        "speedup_vs_1", speedup)
+        report["perf"]["host_cores"] = cores
+        expect(exits(cbj.shard_scaling, report), want,
+               f"--shard-scaling {'rejects' if want else 'accepts'} "
+               f"{speedup}x on {cores} cores")
+
+
 def main(argv):
     base_dir = Path(argv[0]) if argv else (
         Path(__file__).resolve().parent.parent / "bench" / "baselines")
-    ok = True
     for name in sorted({m[0] for m in MUTATIONS}):
-        if rejects(json.loads((base_dir / name).read_text())):
-            print(f"test_check_bench_json: FAIL: unmutated {name} is "
-                  "rejected", file=sys.stderr)
-            ok = False
+        expect(rejects(json.loads((base_dir / name).read_text())), False,
+               f"validator accepts unmutated {name}")
     for name, table, row_key, column, value in MUTATIONS:
         report = json.loads((base_dir / name).read_text())
-        what = f"{name}: {table}[{row_key or 0}].{column} = {value!r}"
-        if rejects(mutate(report, table, row_key, column, value)):
-            print(f"test_check_bench_json: OK: rejected {what}")
-        else:
-            print(f"test_check_bench_json: FAIL: accepted {what}",
-                  file=sys.stderr)
-            ok = False
-    report = json.loads((base_dir / "BENCH_fig10_dtx.json").read_text())
-    report["runs"][0]["spans"] = {"records": 1, "dropped": 0}
-    other = copy.deepcopy(report)
-    other["runs"][0]["spans"]["records"] = 2
-    if same_runs_rejects(report, copy.deepcopy(report)):
-        print("test_check_bench_json: FAIL: --same-runs rejected identical "
-              "reports", file=sys.stderr)
-        ok = False
-    elif not same_runs_rejects(report, other):
-        print("test_check_bench_json: FAIL: --same-runs accepted differing "
-              "spans", file=sys.stderr)
-        ok = False
-    else:
-        print("test_check_bench_json: OK: --same-runs gates spans")
-    ok = check_exact_compare(base_dir) and ok
-    return 0 if ok else 1
+        expect(rejects(mutate(report, table, row_key, column, value)), True,
+               f"validator rejects {name}: {table}[{row_key or 0}].{column} "
+               f"= {value!r}")
+    check_same_runs(base_dir)
+    check_single_report_gates(base_dir)
+    return 0 if OK else 1
 
 
 if __name__ == "__main__":

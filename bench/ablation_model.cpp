@@ -25,12 +25,9 @@ using namespace smart::harness;
 
 namespace {
 
-std::uint64_t g_seed = 0;   // from BenchCli --seed
-std::uint32_t g_shards = 1; // from BenchCli --shards
-
 double
 run(const rnic::RnicConfig &hw, QpPolicy policy, std::uint32_t depth,
-    RunCapture *cap = nullptr)
+    const RunSpec &spec)
 {
     TestbedConfig cfg;
     cfg.hw = hw;
@@ -38,12 +35,10 @@ run(const rnic::RnicConfig &hw, QpPolicy policy, std::uint32_t depth,
     cfg.memoryBlades = 1;
     cfg.threadsPerBlade = 96;
     cfg.smart = presets::baseline().withQpPolicy(policy).withCoros(1);
-    cfg.shards = g_shards;
     RdmaBenchParams p;
     p.depth = depth;
-    p.seed = g_seed;
     p.measureNs = sim::msec(2);
-    return runRdmaBench(cfg, p, cap).mops;
+    return runRdmaBench(cfg, p, spec).mops;
 }
 
 } // namespace
@@ -52,8 +47,6 @@ int
 main(int argc, char **argv)
 {
     BenchCli cli(argc, argv, "ablation_model");
-    g_seed = cli.seed();
-    g_shards = cli.shards();
     bool quick = cli.quick();
 
     std::cout << "== Ablation (a): doorbell bounce cost vs per-thread-QP "
@@ -67,11 +60,10 @@ main(int argc, char **argv)
         rnic::RnicConfig hw;
         hw.lockBouncePerWaiterNs = b;
         bool last = b == bounces.back();
-        double qp = run(hw, QpPolicy::PerThreadQp, 8,
-                        last ? cli.nextCapture("per-thread-qp/bounce" +
-                                               std::to_string(b))
-                             : nullptr);
-        double db = run(hw, QpPolicy::PerThreadDb, 8);
+        double qp = run(
+            hw, QpPolicy::PerThreadQp, 8,
+            cli.spec(last ? "per-thread-qp/bounce" + std::to_string(b) : ""));
+        double db = run(hw, QpPolicy::PerThreadDb, 8, cli.spec());
         a.row()
             .cell(b)
             .cell(qp, 1)
@@ -90,8 +82,8 @@ main(int argc, char **argv)
     for (std::uint32_t c : caps) {
         rnic::RnicConfig hw;
         hw.wqeCacheCapacity = c;
-        double shallow = run(hw, QpPolicy::PerThreadDb, 8);
-        double deep = run(hw, QpPolicy::PerThreadDb, 32);
+        double shallow = run(hw, QpPolicy::PerThreadDb, 8, cli.spec());
+        double deep = run(hw, QpPolicy::PerThreadDb, 32, cli.spec());
         t.row()
             .cell(static_cast<std::uint64_t>(c))
             .cell(shallow, 1)

@@ -29,12 +29,9 @@ using namespace smart::harness;
 
 namespace {
 
-std::uint64_t g_seed = 0;
-const BenchCli *g_cli = nullptr;
-
 HtBenchResult
 run(double theta, bool cached, std::uint64_t keys, bool quick,
-    const HtBenchParams *shift = nullptr, RunCapture *cap = nullptr)
+    RunSpec spec, const HtBenchParams *shift = nullptr)
 {
     TestbedConfig cfg;
     cfg.computeBlades = 1;
@@ -48,22 +45,23 @@ run(double theta, bool cached, std::uint64_t keys, bool quick,
         // far below the uniform working set (so theta=0 thrashes and the
         // crossover is visible). --cache-mb overrides.
         cfg.smart.withCacheMb(quick ? 8 : 32);
-        g_cli->configureCache(cfg.smart);
+    } else {
+        // The no-cache arm is the reference the cached arm is measured
+        // against, so --cache-mb never turns its cache on.
+        spec.cacheMb.reset();
     }
-    g_cli->configureShards(cfg);
 
     HtBenchParams p;
     p.numKeys = keys;
     p.zipfTheta = theta;
     p.mix = workload::YcsbMix::readHeavy();
-    p.seed = g_seed;
     p.warmupNs = sim::msec(8);
     p.measureNs = quick ? sim::msec(2) : sim::msec(4);
     if (shift != nullptr) {
         p.shiftAtNs = shift->shiftAtNs;
         p.shiftRotate = shift->shiftRotate;
     }
-    return runHtBench(cfg, p, cap);
+    return runHtBench(cfg, p, spec);
 }
 
 } // namespace
@@ -72,8 +70,6 @@ int
 main(int argc, char **argv)
 {
     BenchCli cli(argc, argv, "cache_crossover");
-    g_seed = cli.seed();
-    g_cli = &cli;
     bool quick = cli.quick();
     std::uint64_t keys = quick ? 200'000 : 1'000'000;
 
@@ -89,11 +85,9 @@ main(int argc, char **argv)
     for (double theta : thetas) {
         bool last = theta == thetas.back();
         HtBenchResult off =
-            run(theta, false, keys, quick, nullptr,
-                last ? cli.nextCapture("nocache") : nullptr);
+            run(theta, false, keys, quick, cli.spec(last ? "nocache" : ""));
         HtBenchResult on =
-            run(theta, true, keys, quick, nullptr,
-                last ? cli.nextCapture("cached") : nullptr);
+            run(theta, true, keys, quick, cli.spec(last ? "cached" : ""));
         t.row()
             .cell(theta, 2)
             .cell(off.mops, 2)
@@ -108,12 +102,12 @@ main(int argc, char **argv)
     // ---- skew shift: rotate the theta=0.99 hot set mid-measure ----
     std::cout << "== Cache under skew shift (theta = 0.99, cached) ==\n";
     sim::Table s({"run", "mops", "hit_ratio", "evictions"});
-    HtBenchResult steady = run(0.99, true, keys, quick);
+    HtBenchResult steady = run(0.99, true, keys, quick, cli.spec());
     HtBenchParams shift;
     shift.shiftAtNs = sim::msec(8) + (quick ? sim::msec(1) : sim::msec(2));
     shift.shiftRotate = keys / 2;
-    HtBenchResult shifted = run(0.99, true, keys, quick, &shift,
-                                cli.nextCapture("shifted"));
+    HtBenchResult shifted =
+        run(0.99, true, keys, quick, cli.spec("shifted"), &shift);
     s.row()
         .cell("steady")
         .cell(steady.mops, 2)

@@ -117,11 +117,13 @@ main(int argc, char **argv)
     cfg.smart = presets::full();
     cfg.smart.withBenchTimescale();
     cfg.smart.withOverloadWatermarks(48, 96);
-    cli.configureCache(cfg.smart);
     // +1 slot on thread 0 for the membership plane's migration worker.
     cfg.smart.corosPerThread = coros + 1;
-    RunCapture *cap = cli.nextCapture("elasticity");
-    observe(cfg, cap);
+    RunSpec spec = cli.spec("elasticity");
+    // The membership and fault planes hold cross-blade state on one
+    // shard (both abort on a sharded simulation): --shards is pinned.
+    spec.shards = 1;
+    observe(cfg, spec);
     Testbed tb(cfg);
     SmartRuntime &rt = tb.compute(0);
 
@@ -149,14 +151,14 @@ main(int argc, char **argv)
     const Time run_end = sim::msec(42);
     tb.sim().schedule(drain_at, [&plane] { plane.drain(2); });
     tb.sim().schedule(join_at, [&plane, &mb3] { plane.join(mb3); });
-    sim::FaultPlane &fp = tb.faultPlane(0xe1a5 + cli.seed());
+    sim::FaultPlane &fp = tb.faultPlane(0xe1a5 + spec.seed);
     fp.oneShot(crash_at, sim::FaultKind::Crash, "mb1", 0); // no restart
 
     Shared sh;
     for (std::uint32_t t = 0; t < threads; ++t) {
         for (std::uint32_t k = 0; k < coros; ++k) {
             std::uint64_t seed = 0xe1a57 + t * 131ull + k * 7ull +
-                                 cli.seed() * 0x9e3779b97f4a7c15ull;
+                                 spec.seed * 0x9e3779b97f4a7c15ull;
             rt.spawnWorker(t, [&plane, &sh, seed](SmartCtx &ctx) {
                 return elasticWorker(ctx, plane, seed, sh);
             });
@@ -248,7 +250,7 @@ main(int argc, char **argv)
         .cell(sh.migrationWaits);
     cli.addTable("elasticity_degradation", d);
 
-    captureRun(tb, cap);
+    captureRun(tb, spec);
 
     cli.note("Expected shape: dips at drain (10 ms), join rebalance "
              "(18 ms) and crash (26 ms); zero failed ops because every "

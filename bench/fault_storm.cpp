@@ -74,7 +74,49 @@ struct Phase
     Time end;
     std::uint64_t ops = 0;
     std::uint64_t failed = 0;
+
+    double
+    mops() const
+    {
+        return static_cast<double>(ops) /
+               (static_cast<double>(end - start) / 1000.0);
+    }
 };
+
+/**
+ * Run @p tb through @p phases, counting each phase's ops and failed ops
+ * (the gap before a phase is warm-up or settling time).
+ */
+void
+runPhases(Testbed &tb, const Shared &sh, std::vector<Phase> &phases)
+{
+    SmartRuntime &rt = tb.compute(0);
+    for (Phase &ph : phases) {
+        tb.runUntil(ph.start);
+        std::uint64_t ops0 = rt.appOps.value();
+        std::uint64_t failed0 = sh.failedOps;
+        tb.runUntil(ph.end);
+        ph.ops = rt.appOps.value() - ops0;
+        ph.failed = sh.failedOps - failed0;
+    }
+}
+
+sim::Table
+phaseTable(const std::vector<Phase> &phases)
+{
+    sim::Table t({"phase", "start_ms", "end_ms", "ops", "mops",
+                  "failed_ops"});
+    for (const Phase &ph : phases) {
+        t.row()
+            .cell(std::string(ph.name))
+            .cell(static_cast<std::uint64_t>(ph.start / 1'000'000))
+            .cell(static_cast<std::uint64_t>(ph.end / 1'000'000))
+            .cell(ph.ops)
+            .cell(ph.mops(), 2)
+            .cell(ph.failed);
+    }
+    return t;
+}
 
 /** Membership-churn worker: placement re-resolved every attempt. */
 Task
@@ -138,17 +180,19 @@ main(int argc, char **argv)
     cfg.bladeBytes = region;
     cfg.smart = presets::full();
     cfg.smart.withBenchTimescale();
-    cli.configureCache(cfg.smart);
     cfg.smart.corosPerThread = coros;
-    RunCapture *cap = cli.nextCapture("storm");
-    observe(cfg, cap);
+    RunSpec spec = cli.spec("storm");
+    // The fault plane holds cross-blade state on one shard (it aborts on
+    // a sharded simulation): --shards is pinned.
+    spec.shards = 1;
+    observe(cfg, spec);
     Testbed tb(cfg);
 
     // The fault schedule: mb1 crashes at 12 ms and restarts at 20 ms
     // (NVM contents survive; its rkey does not).
     const Time crash_at = sim::msec(12);
     const Time down_for = sim::msec(8);
-    sim::FaultPlane &fp = tb.faultPlane(0xfa57 + cli.seed());
+    sim::FaultPlane &fp = tb.faultPlane(0xfa57 + spec.seed);
     fp.oneShot(crash_at, sim::FaultKind::Crash, "mb1", down_for);
 
     Shared sh;
@@ -156,7 +200,7 @@ main(int argc, char **argv)
     for (std::uint32_t t = 0; t < threads; ++t) {
         for (std::uint32_t k = 0; k < coros; ++k) {
             std::uint64_t seed = 0x570a11 + t * 131ull + k * 7ull +
-                                 cli.seed() * 0x9e3779b97f4a7c15ull;
+                                 spec.seed * 0x9e3779b97f4a7c15ull;
             rt.spawnWorker(t, [&rt, &sh, seed, region](SmartCtx &ctx) {
                 return stormWorker(ctx, rt.numBlades(), seed, region, sh);
             });
@@ -170,45 +214,21 @@ main(int argc, char **argv)
         {"post", sim::msec(24), sim::msec(34)},
     };
 
-    tb.runUntil(phases.front().start); // warmup
-    for (Phase &ph : phases) {
-        tb.runUntil(ph.start); // settle gap between phases
-        std::uint64_t ops0 = rt.appOps.value();
-        std::uint64_t failed0 = sh.failedOps;
-        tb.runUntil(ph.end);
-        ph.ops = rt.appOps.value() - ops0;
-        ph.failed = sh.failedOps - failed0;
-    }
-
-    auto mops = [](const Phase &ph) {
-        return static_cast<double>(ph.ops) /
-               (static_cast<double>(ph.end - ph.start) / 1000.0);
-    };
+    runPhases(tb, sh, phases);
 
     std::cout << "== Fault storm: READ throughput across an mb1 crash ("
               << threads << " threads x " << coros << " coros) ==\n";
-    sim::Table t({"phase", "start_ms", "end_ms", "ops", "mops",
-                  "failed_ops"});
-    for (const Phase &ph : phases) {
-        t.row()
-            .cell(std::string(ph.name))
-            .cell(static_cast<std::uint64_t>(ph.start / 1'000'000))
-            .cell(static_cast<std::uint64_t>(ph.end / 1'000'000))
-            .cell(ph.ops)
-            .cell(mops(ph), 2)
-            .cell(ph.failed);
-    }
-    cli.addTable("fault_storm_phases", t);
+    cli.addTable("fault_storm_phases", phaseTable(phases));
 
-    double pre = mops(phases[0]);
-    double during = mops(phases[1]);
-    double post = mops(phases[2]);
+    double pre = phases[0].mops();
+    double during = phases[1].mops();
+    double post = phases[2].mops();
     double ratio = pre > 0 ? post / pre : 0.0;
     sim::Table d({"pre_mops", "during_mops", "post_mops", "post_over_pre"});
     d.row().cell(pre, 2).cell(during, 2).cell(post, 2).cell(ratio, 3);
     cli.addTable("fault_storm_degradation", d);
 
-    captureRun(tb, cap);
+    captureRun(tb, spec);
 
     cli.note("Expected shape: during_mops dips (ops on mb1 burn retry "
              "budget while it is down) but stays well above zero (mb0 "
@@ -230,8 +250,11 @@ main(int argc, char **argv)
         ccfg.bladeBytes = 8ull << 20;
         ccfg.smart = presets::full();
         ccfg.smart.withBenchTimescale();
-        cli.configureCache(ccfg.smart);
         ccfg.smart.corosPerThread = ccoros + 1; // +1 for migration worker
+        RunSpec cspec = cli.spec();
+        // Membership and fault planes: single-shard only, as above.
+        cspec.shards = 1;
+        observe(ccfg, cspec);
         Testbed ctb(ccfg);
         SmartRuntime &crt = ctb.compute(0);
 
@@ -248,7 +271,7 @@ main(int argc, char **argv)
         plane.startHealthMonitor();
         plane.enableChurnTargets();
 
-        sim::FaultPlane &cfp = ctb.faultPlane(0xc442 + cli.seed());
+        sim::FaultPlane &cfp = ctb.faultPlane(0xc442 + cspec.seed);
         cfp.periodic(sim::msec(6), sim::msec(10), sim::FaultKind::Crash,
                      "drain.mb1", sim::msec(3));
 
@@ -256,7 +279,7 @@ main(int argc, char **argv)
         for (std::uint32_t t = 0; t < cthreads; ++t) {
             for (std::uint32_t k = 0; k < ccoros; ++k) {
                 std::uint64_t seed = 0xc4a0 + t * 131ull + k * 7ull +
-                                     cli.seed() * 0x9e3779b97f4a7c15ull;
+                                     cspec.seed * 0x9e3779b97f4a7c15ull;
                 crt.spawnWorker(t, [&plane, &csh, seed](SmartCtx &ctx) {
                     return churnWorker(ctx, plane, seed, csh);
                 });
@@ -268,34 +291,15 @@ main(int argc, char **argv)
             {"churn", sim::msec(6), sim::msec(21)},
             {"post", sim::msec(21), sim::msec(25)},
         };
-        ctb.runUntil(cphases.front().start);
-        for (Phase &ph : cphases) {
-            ctb.runUntil(ph.start);
-            std::uint64_t ops0 = crt.appOps.value();
-            std::uint64_t failed0 = csh.failedOps;
-            ctb.runUntil(ph.end);
-            ph.ops = crt.appOps.value() - ops0;
-            ph.failed = csh.failedOps - failed0;
-        }
+        runPhases(ctb, csh, cphases);
 
         std::cout << "== Membership churn: periodic drain/rejoin of mb1 ("
                   << cthreads << " threads x " << ccoros << " coros) ==\n";
-        sim::Table ct({"phase", "start_ms", "end_ms", "ops", "mops",
-                       "failed_ops"});
-        for (const Phase &ph : cphases) {
-            ct.row()
-                .cell(std::string(ph.name))
-                .cell(static_cast<std::uint64_t>(ph.start / 1'000'000))
-                .cell(static_cast<std::uint64_t>(ph.end / 1'000'000))
-                .cell(ph.ops)
-                .cell(mops(ph), 2)
-                .cell(ph.failed);
-        }
-        cli.addTable("fault_storm_churn_phases", ct);
+        cli.addTable("fault_storm_churn_phases", phaseTable(cphases));
 
-        double cpre = mops(cphases[0]);
-        double cchurn = mops(cphases[1]);
-        double cpost = mops(cphases[2]);
+        double cpre = cphases[0].mops();
+        double cchurn = cphases[1].mops();
+        double cpost = cphases[2].mops();
         double cratio = cpre > 0 ? cpost / cpre : 0.0;
         sim::Table cs({"pre_mops", "churn_mops", "post_mops",
                        "post_over_pre", "drains", "joins", "migrated_parts",

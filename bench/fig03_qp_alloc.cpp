@@ -48,25 +48,22 @@ main(int argc, char **argv)
                 cfg.smart = presets::baseline() // §3: no SMART features
                                 .withQpPolicy(policy)
                                 .withCoros(1);
-                cli.configureShards(cfg);
 
                 RdmaBenchParams params;
                 params.op = op;
                 params.blockSize = 8;
                 params.depth = 8;
-                params.seed = cli.seed();
                 if (cli.quick())
                     params.measureNs = sim::msec(2);
 
                 // One capture per policy (at the max thread count) keeps
                 // the report small while covering every configuration.
-                RunCapture *cap =
+                RunSpec spec = cli.spec(
                     t == max_threads
-                        ? cli.nextCapture(std::string(op_name) + "/" +
-                                          qpPolicyName(policy) + "/t" +
-                                          std::to_string(t))
-                        : nullptr;
-                RdmaBenchResult r = runRdmaBench(cfg, params, cap);
+                        ? std::string(op_name) + "/" + qpPolicyName(policy) +
+                              "/t" + std::to_string(t)
+                        : "");
+                RdmaBenchResult r = runRdmaBench(cfg, params, spec);
                 table.cell(r.mops, 1);
             }
         }

@@ -57,23 +57,20 @@ main(int argc, char **argv)
                 cfg.smart = presets::baseline()
                                 .withQpPolicy(QpPolicy::PerThreadDb)
                                 .withCoros(1);
-                cli.configureShards(cfg);
 
                 RdmaBenchParams params;
                 params.op = op;
                 params.depth = d;
-                params.seed = cli.seed();
                 params.measureNs =
                     cli.quick() ? sim::msec(2) : sim::msec(4);
                 // Capture the deepest corner — where WQE-cache thrash
                 // (per-thread wqe_refetches) is actually visible.
-                RunCapture *cap =
+                RunSpec spec = cli.spec(
                     t == max_threads && d == max_depth
-                        ? cli.nextCapture(std::string(op_name) + "/t" +
-                                          std::to_string(t) + "/owr" +
-                                          std::to_string(d))
-                        : nullptr;
-                RdmaBenchResult r = runRdmaBench(cfg, params, cap);
+                        ? std::string(op_name) + "/t" + std::to_string(t) +
+                              "/owr" + std::to_string(d)
+                        : "");
+                RdmaBenchResult r = runRdmaBench(cfg, params, spec);
                 tput.cell(r.mops, 1);
                 dram.cell(r.dramBytesPerWr, 0);
             }

@@ -37,18 +37,15 @@ main(int argc, char **argv)
         cfg.threadsPerBlade = t;
         cfg.bladeBytes = 2ull << 30;
         cfg.smart = presets::baseline();
-        cli.configureShards(cfg);
 
         HtBenchParams p;
         p.numKeys = keys;
         p.mix = workload::YcsbMix::updateOnly();
-        p.seed = cli.seed();
         p.measureNs = cli.quick() ? sim::msec(2) : sim::msec(4);
-        RunCapture *cap =
-            t == threads.back()
-                ? cli.nextCapture("update-only/t" + std::to_string(t))
-                : nullptr;
-        HtBenchResult r = runHtBench(cfg, p, cap);
+        HtBenchResult r = runHtBench(
+            cfg, p,
+            cli.spec(t == threads.back() ? "update-only/t" + std::to_string(t)
+                                         : ""));
         a.row()
             .cell(static_cast<std::uint64_t>(t))
             .cell(r.mops, 2)
@@ -71,15 +68,13 @@ main(int argc, char **argv)
         cfg.threadsPerBlade = 16;
         cfg.bladeBytes = 2ull << 30;
         cfg.smart = presets::baseline();
-        cli.configureShards(cfg);
 
         HtBenchParams p;
         p.numKeys = keys;
         p.zipfTheta = theta;
         p.mix = workload::YcsbMix::updateOnly();
-        p.seed = cli.seed();
         p.measureNs = cli.quick() ? sim::msec(2) : sim::msec(4);
-        HtBenchResult r = runHtBench(cfg, p);
+        HtBenchResult r = runHtBench(cfg, p, cli.spec());
         b.row()
             .cell(theta, 2)
             .cell(r.mops, 2)

@@ -59,21 +59,17 @@ main(int argc, char **argv)
                 cfg.bladeBytes = 3ull << 30;
                 cfg.smart = s.cfg;
                 cfg.smart.withBenchTimescale();
-                cli.configureCache(cfg.smart);
-                cli.configureShards(cfg);
 
                 HtBenchParams p;
                 p.numKeys = keys;
                 p.mix = mix;
-                p.seed = cli.seed();
                 p.warmupNs = sim::msec(8);
                 p.measureNs = quick ? sim::msec(2) : sim::msec(4);
-                RunCapture *cap =
+                RunSpec spec = cli.spec(
                     thr == threads.back()
-                        ? cli.nextCapture(std::string(s.name) + "/" +
-                                          mix.name())
-                        : nullptr;
-                HtBenchResult r = runHtBench(cfg, p, cap);
+                        ? std::string(s.name) + "/" + mix.name()
+                        : "");
+                HtBenchResult r = runHtBench(cfg, p, spec);
                 t.cell(r.mops, 2);
             }
         }

@@ -42,20 +42,16 @@ main(int argc, char **argv)
             cfg.bladeBytes = 3ull << 30;
             cfg.smart = smart_on ? presets::full() : presets::baseline();
             cfg.smart.withBenchTimescale();
-            cli.configureCache(cfg.smart);
-            cli.configureShards(cfg);
 
             HtBenchParams p;
             p.numKeys = keys;
             p.mix = workload::YcsbMix::readOnly();
-            p.seed = cli.seed();
             p.interOpDelayNs = d;
             p.warmupNs = sim::msec(8);
             p.measureNs = cli.quick() ? sim::msec(2) : sim::msec(4);
-            RunCapture *cap =
-                d == 0 ? cli.nextCapture(std::string(label) + "/think0")
-                       : nullptr;
-            HtBenchResult r = runHtBench(cfg, p, cap);
+            RunSpec spec =
+                cli.spec(d == 0 ? std::string(label) + "/think0" : "");
+            HtBenchResult r = runHtBench(cfg, p, spec);
             t.row()
                 .cell(static_cast<std::uint64_t>(d / 1000))
                 .cell(r.mops, 2)

@@ -35,20 +35,17 @@ main(int argc, char **argv)
             DtxBenchParams p;
             p.workload = w;
             p.threads = thr;
-            p.seed = cli.seed();
-            p.shards = cli.shards();
             p.numAccounts = cli.quick() ? 20'000 : 100'000;
             p.measureNs = cli.quick() ? sim::msec(2) : sim::msec(4);
             p.smartOn = false;
             DtxBenchResult base = runDtxBench(
-                p, last ? cli.nextCapture(std::string("FORD+/") +
-                                          dtxWorkloadName(w))
-                        : nullptr);
+                p, cli.spec(last ? std::string("FORD+/") + dtxWorkloadName(w)
+                                 : ""));
             p.smartOn = true;
             DtxBenchResult sm = runDtxBench(
-                p, last ? cli.nextCapture(std::string("SMART-DTX/") +
-                                          dtxWorkloadName(w))
-                        : nullptr);
+                p, cli.spec(last ? std::string("SMART-DTX/") +
+                                       dtxWorkloadName(w)
+                                 : ""));
             t.row()
                 .cell(static_cast<std::uint64_t>(thr))
                 .cell(base.mtps, 2)

@@ -38,18 +38,15 @@ main(int argc, char **argv)
                 DtxBenchParams p;
                 p.workload = w;
                 p.threads = 96;
-                p.seed = cli.seed();
-                p.shards = cli.shards();
                 p.numAccounts = cli.quick() ? 20'000 : 100'000;
                 p.measureNs = cli.quick() ? sim::msec(2) : sim::msec(4);
                 p.smartOn = smart_on;
                 p.interTxnDelayNs = d;
-                RunCapture *cap =
-                    d == 0 ? cli.nextCapture(std::string(label) + "/" +
-                                             dtxWorkloadName(w) +
-                                             "/think0")
-                           : nullptr;
-                DtxBenchResult r = runDtxBench(p, cap);
+                RunSpec spec = cli.spec(
+                    d == 0 ? std::string(label) + "/" + dtxWorkloadName(w) +
+                                 "/think0"
+                           : "");
+                DtxBenchResult r = runDtxBench(p, spec);
                 t.row()
                     .cell(static_cast<std::uint64_t>(d / 1000))
                     .cell(r.mtps, 2)

@@ -35,28 +35,34 @@ main(int argc, char **argv)
     std::vector<std::uint32_t> threads =
         quick ? std::vector<std::uint32_t>{24, 94}
               : std::vector<std::uint32_t>{8, 16, 32, 48, 64, 94};
+    // Per mix, each variant's MOP/s at 94 threads: the scale-out table's
+    // 1-server row is that same run (same config and seed), so it is
+    // copied rather than run twice.
+    std::vector<std::vector<double>> one_server;
     for (const auto &mix : mixes) {
         std::cout << "== Figure 12 scale-up (" << mix.name()
                   << "): MOP/s, 1 server ==\n";
         sim::Table t({"threads", "Sherman+", "Sherman+_w/SL", "SMART-BT"});
         for (std::uint32_t thr : threads) {
             t.row().cell(static_cast<std::uint64_t>(thr));
+            if (thr == 94)
+                one_server.emplace_back();
             for (BtVariant v : variants) {
                 BtBenchParams p;
                 p.variant = v;
                 p.numKeys = keys;
                 p.servers = 1;
                 p.threadsPerServer = thr;
-                p.seed = cli.seed();
-                p.shards = cli.shards();
                 p.mix = mix;
                 p.measureNs = quick ? sim::msec(2) : sim::msec(4);
-                RunCapture *cap =
+                RunSpec spec = cli.spec(
                     thr == threads.back()
-                        ? cli.nextCapture(std::string(btVariantName(v)) +
-                                          "/" + mix.name())
-                        : nullptr;
-                t.cell(runBtBench(p, cap).mops, 2);
+                        ? std::string(btVariantName(v)) + "/" + mix.name()
+                        : "");
+                double mops = runBtBench(p, spec).mops;
+                t.cell(mops, 2);
+                if (thr == 94)
+                    one_server.back().push_back(mops);
             }
         }
         cli.addTable(std::string("fig12_scaleup_") + mix.name(), t);
@@ -67,23 +73,26 @@ main(int argc, char **argv)
     std::vector<std::uint32_t> servers =
         quick ? std::vector<std::uint32_t>{1, 2}
               : std::vector<std::uint32_t>{1, 2, 4, 6};
-    for (const auto &mix : mixes) {
+    for (std::size_t m = 0; m < mixes.size(); ++m) {
+        const workload::YcsbMix &mix = mixes[m];
         std::cout << "== Figure 12 scale-out (" << mix.name()
                   << "): MOP/s, 94 threads per server ==\n";
         sim::Table t({"servers", "Sherman+", "Sherman+_w/SL", "SMART-BT"});
         for (std::uint32_t sv : servers) {
             t.row().cell(static_cast<std::uint64_t>(sv));
-            for (BtVariant v : variants) {
+            for (std::size_t v = 0; v < variants.size(); ++v) {
+                if (sv == 1) {
+                    t.cell(one_server[m][v], 2);
+                    continue;
+                }
                 BtBenchParams p;
-                p.variant = v;
+                p.variant = variants[v];
                 p.numKeys = keys;
                 p.servers = sv;
                 p.threadsPerServer = 94;
-                p.seed = cli.seed();
-                p.shards = cli.shards();
                 p.mix = mix;
                 p.measureNs = quick ? sim::msec(2) : sim::msec(4);
-                t.cell(runBtBench(p).mops, 2);
+                t.cell(runBtBench(p, cli.spec()).mops, 2);
             }
         }
         cli.addTable(std::string("fig12_scaleout_") + mix.name(), t);

@@ -19,9 +19,6 @@ using namespace smart::harness;
 
 namespace {
 
-std::uint64_t g_seed = 0;   // from BenchCli --seed
-std::uint32_t g_shards = 1; // from BenchCli --shards
-
 struct Policy
 {
     const char *name;
@@ -46,7 +43,7 @@ policies()
 
 double
 run(const SmartConfig &smart, std::uint32_t threads, std::uint32_t batch,
-    bool quick, RunCapture *cap = nullptr)
+    bool quick, const RunSpec &spec)
 {
     TestbedConfig cfg;
     cfg.computeBlades = 1;
@@ -54,14 +51,12 @@ run(const SmartConfig &smart, std::uint32_t threads, std::uint32_t batch,
     cfg.threadsPerBlade = threads;
     cfg.smart = smart;
     cfg.smart.corosPerThread = 1;
-    cfg.shards = g_shards;
 
     RdmaBenchParams params;
     params.depth = batch;
-    params.seed = g_seed;
     params.warmupNs = smart.workReqThrottle ? sim::msec(8) : sim::msec(1);
     params.measureNs = quick ? sim::msec(2) : sim::msec(4);
-    return runRdmaBench(cfg, params, cap).mops;
+    return runRdmaBench(cfg, params, spec).mops;
 }
 
 } // namespace
@@ -70,8 +65,6 @@ int
 main(int argc, char **argv)
 {
     BenchCli cli(argc, argv, "fig13_micro");
-    g_seed = cli.seed();
-    g_shards = cli.shards();
     bool quick = cli.quick();
     std::vector<Policy> pols = policies();
 
@@ -86,12 +79,11 @@ main(int argc, char **argv)
     for (std::uint32_t t : threads) {
         a.row().cell(static_cast<std::uint64_t>(t));
         for (const Policy &p : pols) {
-            RunCapture *cap =
-                t == threads.back()
-                    ? cli.nextCapture(std::string(p.name) + "/t" +
-                                      std::to_string(t))
-                    : nullptr;
-            a.cell(run(p.cfg, t, 16, quick, cap), 1);
+            RunSpec spec = cli.spec(t == threads.back()
+                                        ? std::string(p.name) + "/t" +
+                                              std::to_string(t)
+                                        : "");
+            a.cell(run(p.cfg, t, 16, quick, spec), 1);
         }
     }
     cli.addTable("fig13a", a);
@@ -106,7 +98,7 @@ main(int argc, char **argv)
     for (std::uint32_t bs : batches) {
         b.row().cell(static_cast<std::uint64_t>(bs));
         for (const Policy &p : pols)
-            b.cell(run(p.cfg, 96, bs, quick), 1);
+            b.cell(run(p.cfg, 96, bs, quick, cli.spec()), 1);
     }
     cli.addTable("fig13b", b);
 

@@ -19,9 +19,6 @@ using namespace smart::harness;
 
 namespace {
 
-std::uint64_t g_seed = 0;       // from BenchCli --seed
-const BenchCli *g_cli = nullptr; // for --cache-* flags
-
 struct Variant
 {
     const char *name;
@@ -45,7 +42,7 @@ variants()
 
 HtBenchResult
 run(const SmartConfig &smart, std::uint32_t threads, std::uint64_t keys,
-    bool quick, RunCapture *cap)
+    bool quick, const RunSpec &spec)
 {
     TestbedConfig cfg;
     cfg.computeBlades = 1;
@@ -54,16 +51,13 @@ run(const SmartConfig &smart, std::uint32_t threads, std::uint64_t keys,
     cfg.bladeBytes = 3ull << 30;
     cfg.smart = smart;
     cfg.smart.withBenchTimescale();
-    g_cli->configureCache(cfg.smart);
-    g_cli->configureShards(cfg);
 
     HtBenchParams p;
     p.numKeys = keys;
     p.mix = workload::YcsbMix::updateOnly();
-    p.seed = g_seed;
     p.warmupNs = sim::msec(8);
     p.measureNs = quick ? sim::msec(2) : sim::msec(4);
-    return runHtBench(cfg, p, cap);
+    return runHtBench(cfg, p, spec);
 }
 
 } // namespace
@@ -72,8 +66,6 @@ int
 main(int argc, char **argv)
 {
     BenchCli cli(argc, argv, "fig14_conflict");
-    g_seed = cli.seed();
-    g_cli = &cli;
     bool quick = cli.quick();
     std::uint64_t keys = quick ? 200'000 : 1'000'000;
     std::vector<Variant> vars = variants();
@@ -94,11 +86,9 @@ main(int argc, char **argv)
         for (std::size_t v = 0; v < vars.size(); ++v) {
             // Capture the 96-thread run of every variant: the traces
             // show t_max / c_max adaptation kicking in (or not).
-            RunCapture *cap =
-                t == 96 ? cli.nextCapture(std::string(vars[v].name) +
-                                          "/t96")
-                        : nullptr;
-            HtBenchResult r = run(vars[v].cfg, t, keys, quick, cap);
+            RunSpec spec = cli.spec(
+                t == 96 ? std::string(vars[v].name) + "/t96" : "");
+            HtBenchResult r = run(vars[v].cfg, t, keys, quick, spec);
             a.cell(r.mops, 2);
             b.cell(r.avgRetries, 2);
             if (t == 96)

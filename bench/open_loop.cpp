@@ -69,8 +69,7 @@ struct Rig
 };
 
 Rig
-makeRig(const std::string &app, const Shape &sh, BenchCli &cli,
-        RunCapture *cap)
+makeRig(const std::string &app, const Shape &sh, const RunSpec &spec)
 {
     Rig rig;
     TestbedConfig cfg;
@@ -81,21 +80,15 @@ makeRig(const std::string &app, const Shape &sh, BenchCli &cli,
     cfg.smart = presets::full();
     cfg.smart.withBenchTimescale();
     cfg.smart.withOverloadWatermarks(48, 96);
-    cli.configureCache(cfg.smart);
     cfg.smart.corosPerThread = sh.coros;
-    cli.configureShards(cfg);
-    observe(cfg, cap);
+    observe(cfg, spec);
     rig.tb = std::make_unique<Testbed>(cfg);
     Testbed &tb = *rig.tb;
-
-    std::vector<memblade::MemoryBlade *> blades;
-    for (std::uint32_t i = 0; i < tb.numMemBlades(); ++i)
-        blades.push_back(&tb.memBlade(i));
 
     SmartRuntime *rt = &tb.compute(0);
     if (app == "ht") {
         rig.ht = std::make_unique<race::RaceTable>(
-            blades, sizedRaceConfig(sh.numKeys));
+            tb.memBlades(), sizedRaceConfig(sh.numKeys));
         for (std::uint64_t k = 0; k < sh.numKeys; ++k)
             rig.ht->loadInsert(k, k);
         rig.htClient = std::make_unique<race::RaceClient>(*rig.ht, *rt);
@@ -115,7 +108,7 @@ makeRig(const std::string &app, const Shape &sh, BenchCli &cli,
     } else {
         sherman::BtreeConfig bcfg;
         bcfg.speculativeLookup = true;
-        rig.bt = std::make_unique<sherman::BtreeIndex>(blades, bcfg);
+        rig.bt = std::make_unique<sherman::BtreeIndex>(tb.memBlades(), bcfg);
         rig.bt->loadSequential(sh.numKeys, 0x5a5aull);
         rig.btClient = std::make_unique<sherman::BtreeClient>(*rig.bt, *rt);
         sherman::BtreeClient *cl = rig.btClient.get();
@@ -188,10 +181,10 @@ closedWorker(SmartCtx &ctx, ServiceFn &svc, workload::YcsbGenerator gen)
 
 /** Closed-loop capacity (ops/us) and service p99 at the same shape. */
 void
-measureCapacity(const std::string &app, const Shape &sh, BenchCli &cli,
+measureCapacity(const std::string &app, const Shape &sh, const RunSpec &spec,
                 double &mops, Time &p99_ns)
 {
-    Rig rig = makeRig(app, sh, cli, nullptr);
+    Rig rig = makeRig(app, sh, spec);
     Testbed &tb = *rig.tb;
     SmartRuntime &rt = tb.compute(0);
     const workload::YcsbMix mixes[3] = {workload::YcsbMix::readHeavy(),
@@ -201,7 +194,7 @@ measureCapacity(const std::string &app, const Shape &sh, BenchCli &cli,
     for (std::uint32_t t = 0; t < sh.threads; ++t) {
         for (std::uint32_t k = 0; k < sh.coros; ++k) {
             std::uint64_t seed = 0xca9ac1 + t * 971ull + k * 13ull +
-                                 cli.seed() * 0x9e3779b97f4a7c15ull;
+                                 spec.seed * 0x9e3779b97f4a7c15ull;
             workload::YcsbGenerator gen(sh.numKeys, 0.99,
                                         mixes[(t + k) % 3], seed, zetan);
             rt.spawnWorker(t, [&rig, gen](SmartCtx &ctx) {
@@ -210,13 +203,11 @@ measureCapacity(const std::string &app, const Shape &sh, BenchCli &cli,
         }
     }
     tb.runUntil(sh.warmupNs);
-    std::uint64_t ops0 = rt.appOps.value();
-    rt.opLatency.reset();
+    MeasureWindow window(tb);
     tb.runUntil(sh.warmupNs + sh.measureNs);
-    std::uint64_t ops = rt.appOps.value() - ops0;
-    mops = static_cast<double>(ops) /
-           (static_cast<double>(sh.measureNs) / 1000.0);
-    p99_ns = rt.opLatency.p99();
+    Measured m = window.close();
+    mops = m.perUs(m.appOps);
+    p99_ns = m.latency.p99();
 }
 
 /** One measured sweep point. */
@@ -239,24 +230,23 @@ runPoint(const std::string &app, const Shape &sh, double frac,
 {
     char label[32];
     std::snprintf(label, sizeof label, "%s/%.1fx", app.c_str(), frac);
-    RunCapture *cap = cli.nextCapture(label);
-    Rig rig = makeRig(app, sh, cli, cap);
+    RunSpec spec = cli.spec(label);
+    Rig rig = makeRig(app, sh, spec);
     Testbed &tb = *rig.tb;
-    SmartRuntime &rt = tb.compute(0);
 
     OpenLoopConfig ocfg;
     ocfg.tenants = makeTenants(frac * capacity_mops, slo_base);
     ocfg.numKeys = sh.numKeys;
     ocfg.queueCap = 512;
-    ocfg.seed = cli.seed();
+    ocfg.seed = spec.seed;
     OpenLoopDriver driver(tb, ocfg, rig.service);
     driver.start(sh.coros);
 
     tb.runUntil(sh.warmupNs);
     driver.resetWindow();
-    rt.opLatency.reset();
-    std::uint64_t ladder0 = rt.chunkedPostCount() + rt.opDelayCount();
+    MeasureWindow window(tb);
     tb.runUntil(sh.warmupNs + sh.measureNs);
+    Measured m = window.close();
 
     PointResult r;
     r.offeredX = frac;
@@ -275,16 +265,15 @@ runPoint(const std::string &app, const Shape &sh, double frac,
             r.violMax = std::max(r.violMax, vf);
         }
     }
-    double us = static_cast<double>(sh.measureNs) / 1000.0;
-    r.offeredMops = static_cast<double>(offered) / us;
-    r.completedMops = static_cast<double>(completed) / us;
+    r.offeredMops = m.perUs(offered);
+    r.completedMops = m.perUs(completed);
     r.p50 = e2e.p50();
     r.p99 = e2e.p99();
     r.p999 = e2e.p999();
     r.queueP99 = qwait.p99();
-    r.ladder = rt.chunkedPostCount() + rt.opDelayCount() - ladder0;
+    r.ladder = m.ladder;
     r.slo = driver.sloJson();
-    captureRun(tb, cap);
+    captureRun(tb, spec);
     return r;
 }
 
@@ -336,10 +325,9 @@ churnService(MembershipPlane &plane, std::uint64_t *failed_ops)
     };
 }
 
-/** Closed-loop capacity (ops/us) of the raw partitioned service on the
- *  churn shape, with a quiescent membership plane. */
-double
-measureChurnCapacity(const Shape &sh, BenchCli &cli)
+/** The churn shape's cluster, with @p spec applied. */
+TestbedConfig
+churnConfig(const Shape &sh, RunSpec spec)
 {
     TestbedConfig cfg;
     cfg.computeBlades = 1;
@@ -349,29 +337,48 @@ measureChurnCapacity(const Shape &sh, BenchCli &cli)
     cfg.smart = presets::full();
     cfg.smart.withBenchTimescale();
     cfg.smart.withOverloadWatermarks(48, 96);
-    cli.configureCache(cfg.smart);
+    // +1 slot on thread 0 for the plane's migration worker.
     cfg.smart.corosPerThread = sh.coros + 1;
-    Testbed tb(cfg);
-    SmartRuntime &rt = tb.compute(0);
+    // Membership + fault planes keep the churn arm single-shard (both
+    // abort on a sharded simulation), so --shards is pinned.
+    spec.shards = 1;
+    observe(cfg, spec);
+    return cfg;
+}
 
+/** A membership plane placing 24 partitions over @p tb's memory blades. */
+std::unique_ptr<MembershipPlane>
+churnPlane(Testbed &tb, const char *name)
+{
     MembershipPlane::Config pc;
     pc.partitions = 24;
     pc.partBytes = 128ull << 10;
     pc.settleNs = sim::usec(100);
     pc.healthCheckNs = sim::usec(200);
-    MembershipPlane plane(tb.sim(), pc, "olprobe");
-    plane.addRuntime(rt);
-    for (std::uint32_t m = 0; m < tb.numMemBlades(); ++m)
-        plane.addBlade(tb.memBlade(m));
-    plane.seedPartitions();
+    auto plane = std::make_unique<MembershipPlane>(tb.sim(), pc, name);
+    plane->addRuntime(tb.compute(0));
+    for (memblade::MemoryBlade *mb : tb.memBlades())
+        plane->addBlade(*mb);
+    plane->seedPartitions();
+    return plane;
+}
+
+/** Closed-loop capacity (ops/us) of the raw partitioned service on the
+ *  churn shape, with a quiescent membership plane. */
+double
+measureChurnCapacity(const Shape &sh, const RunSpec &spec)
+{
+    Testbed tb(churnConfig(sh, spec));
+    SmartRuntime &rt = tb.compute(0);
+    std::unique_ptr<MembershipPlane> plane = churnPlane(tb, "olprobe");
 
     std::uint64_t failed_ops = 0;
-    ServiceFn svc = churnService(plane, &failed_ops);
+    ServiceFn svc = churnService(*plane, &failed_ops);
     workload::YcsbMix mix{0.75, 0.25, 0.0};
     for (std::uint32_t t = 0; t < sh.threads; ++t) {
         for (std::uint32_t k = 0; k < sh.coros; ++k) {
             std::uint64_t seed = 0xc4a9 + t * 971ull + k * 13ull +
-                                 cli.seed() * 0x9e3779b97f4a7c15ull;
+                                 spec.seed * 0x9e3779b97f4a7c15ull;
             workload::YcsbGenerator gen(sh.numKeys, 0.0, mix, seed);
             rt.spawnWorker(t, [&svc, gen](SmartCtx &ctx) {
                 return closedWorker(ctx, svc, gen);
@@ -381,11 +388,10 @@ measureChurnCapacity(const Shape &sh, BenchCli &cli)
     const Time warm = sim::msec(1);
     const Time measure = sim::msec(2);
     tb.runUntil(warm);
-    std::uint64_t ops0 = rt.appOps.value();
+    MeasureWindow window(tb);
     tb.runUntil(warm + measure);
-    std::uint64_t ops = rt.appOps.value() - ops0;
-    return static_cast<double>(ops) /
-           (static_cast<double>(measure) / 1000.0);
+    Measured m = window.close();
+    return m.perUs(m.appOps);
 }
 
 } // namespace
@@ -425,7 +431,7 @@ main(int argc, char **argv)
     for (const std::string &app : {std::string("ht"), std::string("bt")}) {
         double capacity = 0;
         Time closed_p99 = 0;
-        measureCapacity(app, sh, cli, capacity, closed_p99);
+        measureCapacity(app, sh, cli.spec(), capacity, closed_p99);
         std::cout << "== open_loop " << app << ": closed-loop capacity "
                   << capacity << " mops, service p99 " << closed_p99
                   << " ns ==\n";
@@ -486,42 +492,15 @@ main(int argc, char **argv)
 
     // ---------------------------------------------------------- churn
     if (churn) {
-        const std::uint32_t partitions = 24;
-        TestbedConfig cfg;
-        cfg.computeBlades = 1;
-        cfg.memoryBlades = 3;
-        cfg.threadsPerBlade = sh.threads;
-        cfg.bladeBytes = 8ull << 20;
-        cfg.smart = presets::full();
-        cfg.smart.withBenchTimescale();
-        cfg.smart.withOverloadWatermarks(48, 96);
-        cli.configureCache(cfg.smart);
-        // +1 slot on thread 0 for the plane's migration worker.
-        cfg.smart.corosPerThread = sh.coros + 1;
-        // Membership + fault planes keep the churn arm single-shard
-        // (both abort on a sharded simulation), so --shards is not
-        // applied here.
-        RunCapture *cap = cli.nextCapture("churn/0.9x");
-        observe(cfg, cap);
-        Testbed tb(cfg);
-        SmartRuntime &rt = tb.compute(0);
-
-        MembershipPlane::Config pc;
-        pc.partitions = partitions;
-        pc.partBytes = 128ull << 10;
-        pc.settleNs = sim::usec(100);
-        pc.healthCheckNs = sim::usec(200);
-        MembershipPlane plane(tb.sim(), pc, "olchurn");
-        plane.addRuntime(rt);
-        for (std::uint32_t m = 0; m < tb.numMemBlades(); ++m)
-            plane.addBlade(tb.memBlade(m));
-        plane.seedPartitions();
-        plane.startHealthMonitor();
+        RunSpec spec = cli.spec("churn/0.9x");
+        Testbed tb(churnConfig(sh, spec));
+        std::unique_ptr<MembershipPlane> plane = churnPlane(tb, "olchurn");
+        plane->startHealthMonitor();
 
         std::uint64_t failed_ops = 0;
-        ServiceFn svc = churnService(plane, &failed_ops);
+        ServiceFn svc = churnService(*plane, &failed_ops);
 
-        double est_capacity = measureChurnCapacity(sh, cli);
+        double est_capacity = measureChurnCapacity(sh, cli.spec());
         std::cout << "== open_loop churn: raw closed-loop capacity "
                   << est_capacity << " mops ==\n";
 
@@ -539,7 +518,7 @@ main(int argc, char **argv)
         ocfg.tenants = {raw};
         ocfg.numKeys = sh.numKeys;
         ocfg.queueCap = 2048;
-        ocfg.seed = cli.seed();
+        ocfg.seed = spec.seed;
         OpenLoopDriver driver(tb, ocfg, svc);
         driver.start(sh.coros);
 
@@ -551,7 +530,7 @@ main(int argc, char **argv)
         // target: same virtual times as scheduling plane.drain/rejoin
         // directly, but the event is now a first-class injected fault
         // (counted, recorded, and annotated on the time series).
-        plane.enableChurnTargets();
+        plane->enableChurnTargets();
         tb.faultPlane().oneShot(drain_at, sim::FaultKind::Crash,
                                 "drain.mb2", rejoin_at - drain_at);
 
@@ -583,7 +562,7 @@ main(int argc, char **argv)
                 .cell(failed_ops);
         }
         cli.addTable("open_loop_churn", ct);
-        captureRun(tb, cap);
+        captureRun(tb, spec);
     }
 
     cli.setSlo(slo);

@@ -68,8 +68,7 @@ controller(sim::Simulator &sim, Shared &shared, Time interval,
 }
 
 double
-run(bool throttle, Time interval, Time window, std::uint64_t seed,
-    RunCapture *cap = nullptr)
+run(bool throttle, Time interval, Time window, const RunSpec &spec)
 {
     TestbedConfig cfg;
     cfg.computeBlades = 1;
@@ -79,27 +78,26 @@ run(bool throttle, Time interval, Time window, std::uint64_t seed,
     cfg.smart = throttle ? presets::workReqThrot() : presets::thdResAlloc();
     cfg.smart.corosPerThread = 1;
     cfg.smart.withBenchTimescale();
-    observe(cfg, cap);
+    observe(cfg, spec);
 
     Testbed tb(cfg);
     Shared shared;
     for (std::uint32_t t = 0; t < 96; ++t) {
-        tb.compute(0).spawnWorker(t, [&shared, seed](SmartCtx &ctx) {
-            return dynWorker(ctx, shared, 64, seed);
-        });
+        tb.compute(0).spawnWorker(
+            t, [&shared, seed = spec.seed](SmartCtx &ctx) {
+                return dynWorker(ctx, shared, 64, seed);
+            });
     }
     tb.compute(0).sim().spawn(
-        controller(tb.compute(0).sim(), shared, interval, seed));
+        controller(tb.compute(0).sim(), shared, interval, spec.seed));
 
     Time warmup = sim::msec(8);
     tb.runUntil(warmup);
-    std::uint64_t wrs0 = tb.compute(0).rnic().perf().wrsCompleted.value();
+    MeasureWindow measure(tb);
     tb.runUntil(warmup + window);
-    std::uint64_t wrs =
-        tb.compute(0).rnic().perf().wrsCompleted.value() - wrs0;
-    captureRun(tb, cap);
-    return static_cast<double>(wrs) /
-           (static_cast<double>(window) / 1000.0);
+    Measured m = measure.close();
+    captureRun(tb, spec);
+    return m.perUs(m.wrs);
 }
 
 } // namespace
@@ -127,13 +125,12 @@ main(int argc, char **argv)
         // trace shows the credit controller re-probing after every
         // workload change.
         bool first = iv == intervals.front();
-        double off = run(false, iv, window, cli.seed());
-        double on =
-            run(true, iv, window, cli.seed(),
-                first ? cli.nextCapture(
-                            "throttle/iv" +
-                            std::to_string(iv / 1000000) + "ms")
-                      : nullptr);
+        double off = run(false, iv, window, cli.spec());
+        double on = run(true, iv, window,
+                        cli.spec(first ? "throttle/iv" +
+                                             std::to_string(iv / 1000000) +
+                                             "ms"
+                                       : ""));
         t.row()
             .cell(static_cast<std::uint64_t>(iv / 1000000))
             .cell(off, 1)

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -30,8 +29,7 @@ usage(const std::string &bench, int exit_code)
     os << "usage: " << bench
        << " [--quick] [--json PATH] [--out-dir DIR] [--seed N] "
           "[--trace] [--trace-spans[=N]] [--flame PATH] [--perf]\n"
-          "  [--cache-mb N] [--no-cache] "
-          "[--shards N]\n"
+          "  [--cache-mb N] [--shards N]\n"
           "  --quick        reduced sweep for CI / smoke runs\n"
           "  --json PATH    write a smart-bench-report/v1 JSON report\n"
           "  --out-dir DIR  directory for CSV/JSON outputs (default .)\n"
@@ -46,9 +44,8 @@ usage(const std::string &bench, int exit_code)
           "PATH (implies --trace-spans)\n"
           "  --perf         print a wall-clock perf summary (always "
           "embedded in the JSON report)\n"
-          "  --cache-mb N   enable the compute-side cache tier with an "
-          "N MiB frame pool\n"
-          "  --no-cache     force the cache tier off\n"
+          "  --cache-mb N   run every testbed with an N MiB compute-side "
+          "cache frame pool (0 turns the cache tier off)\n"
           "  --shards N     run the simulation on N parallel shards "
           "(clamped to the blade count; byte-identical output at any N)\n"
           "  --ts-window W  windowed time-series sampling every W of "
@@ -141,17 +138,18 @@ BenchCli::BenchCli(int argc, char **argv, std::string bench_name)
         } else if (arg == "--out-dir") {
             outDir_ = value(i, "--out-dir");
         } else if (arg == "--seed") {
-            seed_ = parseUint(benchName_, "--seed", value(i, "--seed"));
+            flags_.seed =
+                parseUint(benchName_, "--seed", value(i, "--seed"));
         } else if (arg == "--trace") {
             trace = true;
         } else if (arg == "--trace-spans") {
-            spanSampleEvery_ = 1;
+            flags_.spanSampleEvery = 1;
         } else if (arg.rfind("--trace-spans=", 0) == 0) {
-            spanSampleEvery_ = static_cast<std::uint32_t>(
+            flags_.spanSampleEvery = static_cast<std::uint32_t>(
                 parseUint(benchName_, "--trace-spans=N",
                           arg.substr(sizeof("--trace-spans=") - 1),
                           UINT32_MAX));
-            if (spanSampleEvery_ == 0) {
+            if (flags_.spanSampleEvery == 0) {
                 std::cerr << benchName_
                           << ": --trace-spans=N needs N >= 1\n";
                 usage(benchName_, 2);
@@ -159,20 +157,19 @@ BenchCli::BenchCli(int argc, char **argv, std::string bench_name)
         } else if (arg == "--flame") {
             flamePath_ = value(i, "--flame");
         } else if (arg == "--cache-mb") {
-            cacheMb_ = static_cast<int>(parseUint(
-                benchName_, "--cache-mb", value(i, "--cache-mb"), INT_MAX));
-        } else if (arg == "--no-cache") {
-            noCache_ = true;
+            flags_.cacheMb = static_cast<std::uint32_t>(parseUint(
+                benchName_, "--cache-mb", value(i, "--cache-mb"),
+                UINT32_MAX));
         } else if (arg == "--shards") {
-            shards_ = static_cast<std::uint32_t>(parseUint(
+            flags_.shards = static_cast<std::uint32_t>(parseUint(
                 benchName_, "--shards", value(i, "--shards"), UINT32_MAX));
-            if (shards_ == 0) {
+            if (flags_.shards == 0) {
                 std::cerr << benchName_ << ": --shards N needs N >= 1\n";
                 usage(benchName_, 2);
             }
         } else if (arg == "--ts-window") {
-            tsWindowNs_ = parseTimeNs(benchName_, "--ts-window",
-                                      value(i, "--ts-window"));
+            flags_.tsWindowNs = parseTimeNs(benchName_, "--ts-window",
+                                            value(i, "--ts-window"));
         } else if (arg == "--ts-out") {
             tsOutPath_ = value(i, "--ts-out");
         } else if (arg == "--perf") {
@@ -186,11 +183,12 @@ BenchCli::BenchCli(int argc, char **argv, std::string bench_name)
     }
     if (outDir_.empty())
         outDir_ = ".";
-    if (!flamePath_.empty() && spanSampleEvery_ == 0)
-        spanSampleEvery_ = 1;
-    if (trace && tsWindowNs_ == 0)
-        tsWindowNs_ = sim::usec(500);
-    if ((spanSampleEvery_ > 0 || tsWindowNs_ > 0) && jsonPath_.empty())
+    if (!flamePath_.empty() && flags_.spanSampleEvery == 0)
+        flags_.spanSampleEvery = 1;
+    if (trace && flags_.tsWindowNs == 0)
+        flags_.tsWindowNs = sim::usec(500);
+    if ((flags_.spanSampleEvery > 0 || flags_.tsWindowNs > 0) &&
+        jsonPath_.empty())
         jsonPath_ = outDir_ + "/" + benchName_ + "_report.json";
 
     std::error_code ec;
@@ -201,27 +199,29 @@ BenchCli::BenchCli(int argc, char **argv, std::string bench_name)
         std::exit(2);
     }
 
-    reporter_ = std::make_unique<Reporter>(benchName_, quick_, seed_);
+    reporter_ = std::make_unique<Reporter>(benchName_, quick_, flags_.seed);
 }
 
-RunCapture *
-BenchCli::nextCapture(std::string label)
+RunSpec
+BenchCli::spec(std::string label)
 {
-    if (!capturing())
-        return nullptr;
-    if (captures_.size() >= maxCaptures_) {
+    RunSpec s = flags_;
+    s.label = std::move(label);
+    if (!s.label.empty() && capturing()) {
+        if (captures_.size() < maxCaptures_) {
+            s.capture = &captures_.emplace_back();
+            return s;
+        }
         if (!capturesDropped_) {
             capturesDropped_ = true;
             note("note: capture cap (" + std::to_string(maxCaptures_) +
                  " runs) reached; later runs are not captured");
         }
-        return nullptr;
     }
-    RunCapture &cap = captures_.emplace_back();
-    cap.label = std::move(label);
-    cap.spanSampleEvery = spanSampleEvery_;
-    cap.tsWindowNs = tsWindowNs_;
-    return &cap;
+    // The observers only serve a capture.
+    s.spanSampleEvery = 0;
+    s.tsWindowNs = 0;
+    return s;
 }
 
 void

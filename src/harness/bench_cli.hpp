@@ -17,9 +17,9 @@
  *                  <out-dir>/<bench>_<label>_trace.json per captured run)
  *   --flame PATH   write collapsed-stack flamegraph lines to PATH
  *                  (implies --trace-spans)
- *   --cache-mb N   enable the compute-side cache tier with an N MiB
- *                  frame pool per runtime
- *   --no-cache     force the cache tier off (overrides bench defaults)
+ *   --cache-mb N   run every testbed with an N MiB compute-side cache
+ *                  frame pool per runtime, replacing the bench's own
+ *                  setting (0 turns the cache tier off)
  *   --shards N     run the simulation on N parallel shards (blades are
  *                  round-robined over shards; clamped to the blade
  *                  count; output is byte-identical at any N)
@@ -33,6 +33,9 @@
  * Numeric values (--seed, --shards, --cache-mb, --trace-spans=N, the
  * number of --ts-window) are unsigned integers — decimal, 0x hex or 0
  * octal; a value with trailing garbage is a usage error (exit 2).
+ *
+ * --seed, --shards, --cache-mb and the observers reach a run only through
+ * the RunSpec that spec() hands out for it (see harness/testbed.hpp).
  */
 
 #ifndef SMART_HARNESS_BENCH_CLI_HPP
@@ -47,7 +50,6 @@
 #include "harness/reporter.hpp"
 #include "harness/testbed.hpp"
 #include "sim/table.hpp"
-#include "smart/smart_config.hpp"
 
 namespace smart::harness {
 
@@ -62,7 +64,6 @@ class BenchCli
     BenchCli(int argc, char **argv, std::string bench_name);
 
     bool quick() const { return quick_; }
-    std::uint64_t seed() const { return seed_; }
     const std::string &outDir() const { return outDir_; }
 
     /** @return true when --perf asked for a wall-clock summary line. */
@@ -78,40 +79,13 @@ class BenchCli
     /** @return true when runs should fill RunCaptures (JSON requested). */
     bool capturing() const { return !jsonPath_.empty(); }
 
-    /** Shard count from --shards (default 1). */
-    std::uint32_t shards() const { return shards_; }
-
-    /** Apply --shards to a testbed config (call before building). */
-    void configureShards(TestbedConfig &cfg) const { cfg.shards = shards_; }
-
     /**
-     * Apply the cache flags onto @p cfg. Bench defaults survive unless a
-     * flag was given: --no-cache wins over everything, --cache-mb sets
-     * the pool size.
+     * The spec of the next run: seed, shards and cache override from the
+     * flags. A non-empty @p label also reserves a capture slot, carrying
+     * the observers --trace-spans / --ts-window ask for, when a report
+     * was requested and the per-report capture cap is not reached.
      */
-    void
-    configureCache(SmartConfig &cfg) const
-    {
-        if (noCache_) {
-            cfg.withoutCache();
-            return;
-        }
-        if (cacheMb_ >= 0)
-            cfg.withCacheMb(static_cast<std::uint32_t>(cacheMb_));
-    }
-
-    /** --cache-mb value, or -1 when the flag was absent. */
-    int cacheMb() const { return cacheMb_; }
-
-    /**
-     * Reserve a capture slot for the next measured run, labelled
-     * @p label, carrying the observers --trace-spans / --ts-window ask
-     * for. @return nullptr when no report was requested (or the
-     * per-report capture cap was reached) — benches pass the result
-     * straight to the run functions, which switch its observers on
-     * (observe()) and treat nullptr as "don't capture".
-     */
-    RunCapture *nextCapture(std::string label);
+    RunSpec spec(std::string label = {});
 
     /** Print @p t, write it to <out-dir>/<name>.csv, add to the report. */
     void addTable(const std::string &name, const sim::Table &t);
@@ -134,17 +108,13 @@ class BenchCli
         std::chrono::steady_clock::now();
     bool quick_ = false;
     bool perf_ = false;
-    std::uint64_t seed_ = 0;
-    std::uint32_t spanSampleEvery_ = 0;
-    std::uint32_t shards_ = 1;
-    sim::Time tsWindowNs_ = 0;
+    // Every flag a run takes; spec() copies it for each run.
+    RunSpec flags_;
     std::string tsOutPath_;
-    bool noCache_ = false;
-    int cacheMb_ = -1;
     std::string outDir_ = ".";
     std::string jsonPath_;
     std::string flamePath_;
-    // Stable-address storage: run functions hold RunCapture* across runs.
+    // Stable-address storage: each RunSpec points at its capture slot.
     std::deque<RunCapture> captures_;
     std::size_t maxCaptures_ = 32;
     bool capturesDropped_ = false;

@@ -44,7 +44,7 @@ btWorker(SmartCtx &ctx, sherman::BtreeClient &client, BtBenchParams params,
 } // namespace
 
 BtBenchResult
-runBtBench(const BtBenchParams &params, RunCapture *capture)
+runBtBench(const BtBenchParams &params, const RunSpec &spec)
 {
     TestbedConfig cfg;
     cfg.computeBlades = params.servers;
@@ -55,17 +55,12 @@ runBtBench(const BtBenchParams &params, RunCapture *capture)
                                                      : presets::baseline();
     cfg.smart.corosPerThread = params.corosPerThread;
     cfg.smart.withBenchTimescale();
-    cfg.shards = params.shards;
-    observe(cfg, capture);
+    observe(cfg, spec);
     Testbed tb(cfg);
-
-    std::vector<memblade::MemoryBlade *> blades;
-    for (std::uint32_t i = 0; i < tb.numMemBlades(); ++i)
-        blades.push_back(&tb.memBlade(i));
 
     sherman::BtreeConfig bcfg;
     bcfg.speculativeLookup = params.variant != BtVariant::ShermanPlus;
-    sherman::BtreeIndex index(blades, bcfg);
+    sherman::BtreeIndex index(tb.memBlades(), bcfg);
     index.loadSequential(params.numKeys, 0x5a5aull);
 
     double zetan =
@@ -80,7 +75,7 @@ runBtBench(const BtBenchParams &params, RunCapture *capture)
             for (std::uint32_t k = 0; k < params.corosPerThread; ++k) {
                 std::uint64_t seed =
                     0xbee5 + c * 1000003ull + t * 977ull + k * 17ull +
-                    params.seed * 0x9e3779b97f4a7c15ull;
+                    spec.seed * 0x9e3779b97f4a7c15ull;
                 sherman::BtreeClient *cl = clients.back().get();
                 rt.spawnWorker(t, [&, cl, seed](SmartCtx &ctx) {
                     return btWorker(ctx, *cl, params, seed, zetan);
@@ -90,41 +85,23 @@ runBtBench(const BtBenchParams &params, RunCapture *capture)
     }
 
     tb.runUntil(params.warmupNs);
-    std::uint64_t ops0 = 0;
-    std::uint64_t wrs0 = 0;
-    for (std::uint32_t c = 0; c < tb.numComputeBlades(); ++c) {
-        ops0 += tb.compute(c).appOps.value();
-        wrs0 += tb.compute(c).rnic().perf().wrsCompleted.value();
-        tb.compute(c).opLatency.reset();
-    }
-
+    MeasureWindow window(tb);
     tb.runUntil(params.warmupNs + params.measureNs);
+    Measured m = window.close();
 
-    BtBenchResult res;
-    std::uint64_t ops = 0;
-    std::uint64_t wrs = 0;
     std::uint64_t spec_hits = 0;
     std::uint64_t spec_total = 0;
-    sim::LatencyHistogram lat;
-    for (std::uint32_t c = 0; c < tb.numComputeBlades(); ++c) {
-        ops += tb.compute(c).appOps.value();
-        wrs += tb.compute(c).rnic().perf().wrsCompleted.value();
-        lat.merge(tb.compute(c).opLatency);
-        spec_hits += clients[c]->specHits();
-        spec_total += clients[c]->specHits() + clients[c]->specMisses();
+    for (const auto &cl : clients) {
+        spec_hits += cl->specHits();
+        spec_total += cl->specHits() + cl->specMisses();
     }
-    ops -= ops0;
-    wrs -= wrs0;
-
-    double us = static_cast<double>(params.measureNs) / 1000.0;
-    res.mops = static_cast<double>(ops) / us;
-    res.rdmaMops = static_cast<double>(wrs) / us;
-    res.medianNs = static_cast<double>(lat.p50());
-    res.p99Ns = static_cast<double>(lat.p99());
-    res.specHitRate = spec_total
-        ? static_cast<double>(spec_hits) / static_cast<double>(spec_total)
-        : 0.0;
-    captureRun(tb, capture);
+    BtBenchResult res;
+    res.mops = m.perUs(m.appOps);
+    res.rdmaMops = m.perUs(m.wrs);
+    res.medianNs = static_cast<double>(m.latency.p50());
+    res.p99Ns = static_cast<double>(m.latency.p99());
+    res.specHitRate = Measured::ratio(spec_hits, spec_total);
+    captureRun(tb, spec);
     return res;
 }
 

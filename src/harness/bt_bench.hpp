@@ -47,10 +47,6 @@ struct BtBenchParams
     std::uint32_t corosPerThread = 8;
     sim::Time warmupNs = sim::msec(8);
     sim::Time measureNs = sim::msec(4);
-    /** Workload RNG seed (from BenchCli --seed); 0 = default stream. */
-    std::uint64_t seed = 0;
-    /** Simulation shard count (BenchCli --shards); clamped to blades. */
-    std::uint32_t shards = 1;
 };
 
 struct BtBenchResult
@@ -63,13 +59,11 @@ struct BtBenchResult
 };
 
 /**
- * Run one B+Tree benchmark configuration.
- * @param capture when non-null, filled with the run's full metrics
- *        snapshot; its observers (spans, time series) are switched on
- *        for the run.
+ * Run one B+Tree benchmark configuration on a fresh testbed with @p spec
+ * applied (observe()); the run is captured when @p spec asks for it.
  */
 BtBenchResult runBtBench(const BtBenchParams &params,
-                         RunCapture *capture = nullptr);
+                         const RunSpec &spec);
 
 } // namespace smart::harness
 

@@ -59,7 +59,7 @@ tatpWorker(SmartCtx &ctx, ford::Tatp &tatp, DtxBenchParams params,
 } // namespace
 
 DtxBenchResult
-runDtxBench(const DtxBenchParams &params, RunCapture *capture)
+runDtxBench(const DtxBenchParams &params, const RunSpec &spec)
 {
     TestbedConfig cfg;
     cfg.computeBlades = 1;
@@ -69,14 +69,10 @@ runDtxBench(const DtxBenchParams &params, RunCapture *capture)
     cfg.smart = params.smartOn ? presets::full() : presets::baseline();
     cfg.smart.corosPerThread = params.corosPerThread;
     cfg.smart.withBenchTimescale();
-    cfg.shards = params.shards;
-    observe(cfg, capture);
+    observe(cfg, spec);
     Testbed tb(cfg);
 
-    std::vector<memblade::MemoryBlade *> blades;
-    for (std::uint32_t i = 0; i < tb.numMemBlades(); ++i)
-        blades.push_back(&tb.memBlade(i));
-    ford::DtxSystem sys(blades, params.threads);
+    ford::DtxSystem sys(tb.memBlades(), params.threads);
 
     std::unique_ptr<ford::SmallBank> bank;
     std::unique_ptr<ford::Tatp> tatp;
@@ -94,7 +90,7 @@ runDtxBench(const DtxBenchParams &params, RunCapture *capture)
     for (std::uint32_t t = 0; t < params.threads; ++t) {
         for (std::uint32_t k = 0; k < params.corosPerThread; ++k) {
             std::uint64_t seed = 0xd7 + t * 911ull + k * 31ull +
-                                 params.seed * 0x9e3779b97f4a7c15ull;
+                                 spec.seed * 0x9e3779b97f4a7c15ull;
             if (bank) {
                 rt.spawnWorker(t, [&, seed](SmartCtx &ctx) {
                     return sbWorker(ctx, *bank, params, seed, zetan);
@@ -108,25 +104,17 @@ runDtxBench(const DtxBenchParams &params, RunCapture *capture)
     }
 
     tb.runUntil(params.warmupNs);
-    std::uint64_t ops0 = rt.appOps.value();
-    std::uint64_t aborts0 = rt.totalRetries.value();
-    std::uint64_t wrs0 = rt.rnic().perf().wrsCompleted.value();
-    rt.opLatency.reset();
-
+    MeasureWindow window(tb);
     tb.runUntil(params.warmupNs + params.measureNs);
+    Measured m = window.close();
 
     DtxBenchResult res;
-    std::uint64_t ops = rt.appOps.value() - ops0;
-    std::uint64_t aborts = rt.totalRetries.value() - aborts0;
-    std::uint64_t wrs = rt.rnic().perf().wrsCompleted.value() - wrs0;
-    double us = static_cast<double>(params.measureNs) / 1000.0;
-    res.mtps = static_cast<double>(ops) / us;
-    res.rdmaMops = static_cast<double>(wrs) / us;
-    res.medianNs = static_cast<double>(rt.opLatency.p50());
-    res.p99Ns = static_cast<double>(rt.opLatency.p99());
-    res.abortRate =
-        ops ? static_cast<double>(aborts) / static_cast<double>(ops) : 0.0;
-    captureRun(tb, capture);
+    res.mtps = m.perUs(m.appOps);
+    res.rdmaMops = m.perUs(m.wrs);
+    res.medianNs = static_cast<double>(m.latency.p50());
+    res.p99Ns = static_cast<double>(m.latency.p99());
+    res.abortRate = Measured::ratio(m.retries, m.appOps);
+    captureRun(tb, spec);
     return res;
 }
 

@@ -33,10 +33,6 @@ struct DtxBenchParams
     sim::Time warmupNs = sim::msec(8);
     sim::Time measureNs = sim::msec(4);
     sim::Time interTxnDelayNs = 0; ///< Fig. 11 throughput throttling
-    /** Workload RNG seed (from BenchCli --seed); 0 = default stream. */
-    std::uint64_t seed = 0;
-    /** Simulation shard count (BenchCli --shards); clamped to blades. */
-    std::uint32_t shards = 1;
 };
 
 struct DtxBenchResult
@@ -49,12 +45,11 @@ struct DtxBenchResult
 };
 
 /**
- * @param capture when non-null, filled with the run's full metrics
- *        snapshot; its observers (spans, time series) are switched on
- *        for the run.
+ * Run one transaction benchmark on a fresh testbed with @p spec applied
+ * (observe()); the run is captured when @p spec asks for it.
  */
 DtxBenchResult runDtxBench(const DtxBenchParams &params,
-                           RunCapture *capture = nullptr);
+                           const RunSpec &spec);
 
 } // namespace smart::harness
 

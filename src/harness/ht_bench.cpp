@@ -7,7 +7,6 @@
 
 #include <memory>
 
-#include "smart/cache/buffer_manager.hpp"
 #include "smart/smart_ctx.hpp"
 
 namespace smart::harness {
@@ -73,17 +72,14 @@ htWorker(SmartCtx &ctx, race::RaceClient &client, HtBenchParams params,
 
 HtBenchResult
 runHtBench(const TestbedConfig &cfg, const HtBenchParams &params,
-           RunCapture *capture)
+           const RunSpec &spec)
 {
     TestbedConfig tb_cfg = cfg;
     tb_cfg.smart.corosPerThread = params.corosPerThread;
-    observe(tb_cfg, capture);
+    observe(tb_cfg, spec);
     Testbed tb(tb_cfg);
 
-    std::vector<memblade::MemoryBlade *> blades;
-    for (std::uint32_t i = 0; i < tb.numMemBlades(); ++i)
-        blades.push_back(&tb.memBlade(i));
-    race::RaceTable table(blades, sizedRaceConfig(params.numKeys));
+    race::RaceTable table(tb.memBlades(), sizedRaceConfig(params.numKeys));
     for (std::uint64_t k = 0; k < params.numKeys; ++k)
         table.loadInsert(k, k);
 
@@ -99,7 +95,7 @@ runHtBench(const TestbedConfig &cfg, const HtBenchParams &params,
             for (std::uint32_t k = 0; k < params.corosPerThread; ++k) {
                 std::uint64_t seed =
                     0xf00d + c * 1000003ull + t * 971ull + k * 13ull +
-                    params.seed * 0x9e3779b97f4a7c15ull;
+                    spec.seed * 0x9e3779b97f4a7c15ull;
                 race::RaceClient *cl = clients.back().get();
                 rt.spawnWorker(t, [&, cl, seed](SmartCtx &ctx) {
                     return htWorker(ctx, *cl, params, seed, zetan);
@@ -118,67 +114,22 @@ runHtBench(const TestbedConfig &cfg, const HtBenchParams &params,
     }
 
     tb.runUntil(params.warmupNs);
-    std::uint64_t ops0 = 0;
-    std::uint64_t retries0 = 0;
-    std::uint64_t wrs0 = 0;
-    std::uint64_t hits0 = 0;
-    std::uint64_t misses0 = 0;
-    std::uint64_t evict0 = 0;
-    std::vector<std::uint64_t> hist0(64, 0);
-    for (std::uint32_t c = 0; c < tb.numComputeBlades(); ++c) {
-        SmartRuntime &rt = tb.compute(c);
-        ops0 += rt.appOps.value();
-        retries0 += rt.totalRetries.value();
-        wrs0 += rt.rnic().perf().wrsCompleted.value();
-        for (int i = 0; i < 64; ++i)
-            hist0[i] += rt.retryHist[i];
-        rt.opLatency.reset();
-        if (cache::BufferManager *bm = rt.cache()) {
-            hits0 += bm->hitCount();
-            misses0 += bm->missCount();
-            evict0 += bm->evictionCount();
-        }
-    }
-
+    MeasureWindow window(tb);
     tb.runUntil(params.warmupNs + params.measureNs);
+    Measured m = window.close();
 
     HtBenchResult res;
-    std::uint64_t ops = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t wrs = 0;
-    sim::LatencyHistogram lat;
-    for (std::uint32_t c = 0; c < tb.numComputeBlades(); ++c) {
-        SmartRuntime &rt = tb.compute(c);
-        ops += rt.appOps.value();
-        retries += rt.totalRetries.value();
-        wrs += rt.rnic().perf().wrsCompleted.value();
-        for (int i = 0; i < 64; ++i)
-            res.retryHist[i] += rt.retryHist[i] - hist0[i];
-        lat.merge(rt.opLatency);
-        if (cache::BufferManager *bm = rt.cache()) {
-            res.cacheHits += bm->hitCount();
-            res.cacheMisses += bm->missCount();
-            res.cacheEvictions += bm->evictionCount();
-        }
-    }
-    ops -= ops0;
-    retries -= retries0;
-    wrs -= wrs0;
-    res.cacheHits -= hits0;
-    res.cacheMisses -= misses0;
-    res.cacheEvictions -= evict0;
-    if (res.cacheHits + res.cacheMisses > 0)
-        res.hitRatio = static_cast<double>(res.cacheHits) /
-                       static_cast<double>(res.cacheHits + res.cacheMisses);
-
-    double us = static_cast<double>(params.measureNs) / 1000.0;
-    res.mops = static_cast<double>(ops) / us;
-    res.rdmaMops = static_cast<double>(wrs) / us;
-    res.medianNs = static_cast<double>(lat.p50());
-    res.p99Ns = static_cast<double>(lat.p99());
-    res.avgRetries =
-        ops ? static_cast<double>(retries) / static_cast<double>(ops) : 0.0;
-    captureRun(tb, capture);
+    res.mops = m.perUs(m.appOps);
+    res.rdmaMops = m.perUs(m.wrs);
+    res.medianNs = static_cast<double>(m.latency.p50());
+    res.p99Ns = static_cast<double>(m.latency.p99());
+    res.avgRetries = Measured::ratio(m.retries, m.appOps);
+    res.retryHist = m.retryHist;
+    res.cacheHits = m.cacheHits;
+    res.cacheMisses = m.cacheMisses;
+    res.cacheEvictions = m.cacheEvictions;
+    res.hitRatio = Measured::ratio(m.cacheHits, m.cacheHits + m.cacheMisses);
+    captureRun(tb, spec);
     return res;
 }
 

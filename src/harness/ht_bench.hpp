@@ -29,8 +29,6 @@ struct HtBenchParams
     sim::Time measureNs = sim::msec(5);
     /** Injected think time per op (Fig. 9 latency/throughput curves). */
     sim::Time interOpDelayNs = 0;
-    /** Workload RNG seed (from BenchCli --seed); 0 = default stream. */
-    std::uint64_t seed = 0;
     /** When non-zero, rotate the Zipfian hot set at this virtual time
      *  (cache adaptivity under a skew shift). */
     sim::Time shiftAtNs = 0;
@@ -57,14 +55,12 @@ struct HtBenchResult
 };
 
 /**
- * Run the benchmark on a fresh testbed built from @p cfg.
- * @param capture when non-null, filled with the run's full metrics
- *        snapshot; its observers (spans, time series) are switched on
- *        for the run.
+ * Run the benchmark on a fresh testbed built from @p cfg with @p spec
+ * applied (observe()); the run is captured when @p spec asks for it.
  */
 HtBenchResult runHtBench(const TestbedConfig &cfg,
                          const HtBenchParams &params,
-                         RunCapture *capture = nullptr);
+                         const RunSpec &spec);
 
 /** Size a RaceConfig so @p num_keys load at ~60% occupancy (no splits). */
 race::RaceConfig sizedRaceConfig(std::uint64_t num_keys);

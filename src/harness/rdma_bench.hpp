@@ -25,8 +25,6 @@ struct RdmaBenchParams
     sim::Time warmupNs = sim::msec(1);
     sim::Time measureNs = sim::msec(4);
     std::uint64_t regionBytes = 1ull << 30; ///< random-access footprint
-    /** Workload RNG seed (from BenchCli --seed); 0 = default stream. */
-    std::uint64_t seed = 0;
 };
 
 /** Results of one micro-benchmark run. */
@@ -42,17 +40,14 @@ struct RdmaBenchResult
 };
 
 /**
- * Run the micro-benchmark on a fresh testbed built from @p cfg.
- * All compute-blade threads target memory blade 0 (like the artifact's
- * client/server pair).
- *
- * @param capture when non-null, filled with the run's full metrics
- *        snapshot; its observers (spans, time series) are switched on
- *        for the run.
+ * Run the micro-benchmark on a fresh testbed built from @p cfg with
+ * @p spec applied (observe()); the run is captured when @p spec asks for
+ * it. All compute-blade threads target memory blade 0 (like the
+ * artifact's client/server pair).
  */
 RdmaBenchResult runRdmaBench(const TestbedConfig &cfg,
                              const RdmaBenchParams &params,
-                             RunCapture *capture = nullptr);
+                             const RunSpec &spec);
 
 } // namespace smart::harness
 

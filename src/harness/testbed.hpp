@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "sim/simulator.hpp"
 #include "sim/span.hpp"
 #include "sim/timeline.hpp"
+#include "smart/cache/buffer_manager.hpp"
 #include "smart/smart_config.hpp"
 #include "smart/smart_runtime.hpp"
 
@@ -147,6 +149,16 @@ class Testbed
     std::uint32_t numMemBlades() const { return memBlades_.size(); }
     memblade::MemoryBlade &memBlade(std::uint32_t i) { return *memBlades_[i]; }
 
+    /** Every memory blade, in index order (what the apps shard over). */
+    std::vector<memblade::MemoryBlade *>
+    memBlades()
+    {
+        std::vector<memblade::MemoryBlade *> out;
+        for (auto &mb : memBlades_)
+            out.push_back(mb.get());
+        return out;
+    }
+
     std::uint32_t numComputeBlades() const { return computeBlades_.size(); }
     SmartRuntime &compute(std::uint32_t i) { return *computeBlades_[i]; }
     const SmartRuntime &compute(std::uint32_t i) const
@@ -240,10 +252,6 @@ class Testbed
 struct RunCapture
 {
     std::string label;
-    /** Span stride for the captured testbed (0 = spans off). */
-    std::uint32_t spanSampleEvery = 0;
-    /** Time-series window for the captured testbed (0 = plane off). */
-    sim::Time tsWindowNs = 0;
     sim::MetricsSnapshot metrics;
     /** Per-stage latency attribution (null unless spans were recorded). */
     sim::Json spans;
@@ -258,27 +266,50 @@ struct RunCapture
 };
 
 /**
- * Switch on the observers @p cap asks for in @p cfg (call before building
- * the testbed). A null @p cap, or an observer it leaves at 0, keeps
- * @p cfg's own setting.
+ * Everything the command line sets about one run (BenchCli::spec hands
+ * one out per run). observe() applies it to the run's TestbedConfig; the
+ * run functions also seed their workload streams from it. An arm that
+ * cannot take a value overrides it at its call site, saying why.
  */
-inline void
-observe(TestbedConfig &cfg, const RunCapture *cap)
+struct RunSpec
 {
-    if (cap == nullptr)
-        return;
-    if (cap->spanSampleEvery > 0)
-        cfg.spanSampleEvery = cap->spanSampleEvery;
-    if (cap->tsWindowNs > 0)
-        cfg.tsWindowNs = cap->tsWindowNs;
+    /** Names the run's capture (empty for a run that is not captured). */
+    std::string label;
+    /** Where captureRun() stores the run (nullptr = not captured). */
+    RunCapture *capture = nullptr;
+    /** Perturbs every workload RNG stream (same seed => same run). */
+    std::uint64_t seed = 0;
+    /** Simulation shards (TestbedConfig::shards). */
+    std::uint32_t shards = 1;
+    /** Cache-tier frame pool in MiB, replacing the bench's own setting
+     *  (0 turns the tier off); empty keeps the bench's setting. */
+    std::optional<std::uint32_t> cacheMb;
+    /** Observers of a captured run (0 keeps the config's own value). */
+    std::uint32_t spanSampleEvery = 0;
+    sim::Time tsWindowNs = 0;
+};
+
+/** Apply @p spec to @p cfg (call before building the testbed). */
+inline void
+observe(TestbedConfig &cfg, const RunSpec &spec)
+{
+    cfg.shards = spec.shards;
+    if (spec.cacheMb)
+        cfg.smart.withCacheMb(*spec.cacheMb);
+    if (spec.spanSampleEvery > 0)
+        cfg.spanSampleEvery = spec.spanSampleEvery;
+    if (spec.tsWindowNs > 0)
+        cfg.tsWindowNs = spec.tsWindowNs;
 }
 
-/** Fill @p cap (if non-null) from @p tb after a finished run. */
+/** Fill @p spec's capture (if any) from @p tb after a finished run. */
 inline void
-captureRun(Testbed &tb, RunCapture *cap)
+captureRun(Testbed &tb, const RunSpec &spec)
 {
+    RunCapture *cap = spec.capture;
     if (cap == nullptr)
         return;
+    cap->label = spec.label;
     cap->metrics = tb.snapshot();
     sim::Timeline *tl = tb.timeline();
     if (tb.mergedSpanTracer() != nullptr) {
@@ -310,6 +341,108 @@ captureRun(Testbed &tb, RunCapture *cap)
         cap->timeseriesCsv = tl->csv(cap->label);
     }
 }
+
+/**
+ * What one measure window saw, summed over the compute blades: each
+ * counter's growth while the window was open, and every blade's
+ * opLatency merged.
+ */
+struct Measured
+{
+    double us = 0; ///< window length in microseconds
+    std::uint64_t appOps = 0;
+    std::uint64_t retries = 0;
+    /** retryHist[n] = ops that needed n retries (63 = "63 or more"). */
+    std::vector<std::uint64_t> retryHist = std::vector<std::uint64_t>(64, 0);
+    std::uint64_t wrs = 0;
+    std::uint64_t dramBytes = 0;
+    std::uint64_t doorbellRings = 0;
+    std::uint64_t doorbellWaitNs = 0;
+    std::uint64_t cacheHits = 0;
+    std::uint64_t cacheMisses = 0;
+    std::uint64_t cacheEvictions = 0;
+    /** Degradation-ladder engagements: chunked posts + delayed ops. */
+    std::uint64_t ladder = 0;
+    sim::LatencyHistogram latency;
+
+    /** @p n over the window, per microsecond. */
+    double perUs(std::uint64_t n) const { return static_cast<double>(n) / us; }
+
+    /** @p num / @p den, or 0 when @p den is 0. */
+    static double
+    ratio(std::uint64_t num, std::uint64_t den)
+    {
+        return den ? static_cast<double>(num) / static_cast<double>(den)
+                   : 0.0;
+    }
+};
+
+/**
+ * The measured part of a run: open it after warm-up (which resets every
+ * compute blade's opLatency), close() it at the end.
+ */
+class MeasureWindow
+{
+  public:
+    explicit MeasureWindow(Testbed &tb)
+        : tb_(tb), openedAt_(tb.sim().now()), start_(sum(tb))
+    {
+        for (std::uint32_t c = 0; c < tb.numComputeBlades(); ++c)
+            tb.compute(c).opLatency.reset();
+    }
+
+    /** @return what the compute blades did since the window opened. */
+    Measured
+    close() const
+    {
+        Measured m = sum(tb_);
+        m.us = static_cast<double>(tb_.sim().now() - openedAt_) / 1000.0;
+        m.appOps -= start_.appOps;
+        m.retries -= start_.retries;
+        for (std::size_t i = 0; i < m.retryHist.size(); ++i)
+            m.retryHist[i] -= start_.retryHist[i];
+        m.wrs -= start_.wrs;
+        m.dramBytes -= start_.dramBytes;
+        m.doorbellRings -= start_.doorbellRings;
+        m.doorbellWaitNs -= start_.doorbellWaitNs;
+        m.cacheHits -= start_.cacheHits;
+        m.cacheMisses -= start_.cacheMisses;
+        m.cacheEvictions -= start_.cacheEvictions;
+        m.ladder -= start_.ladder;
+        return m;
+    }
+
+  private:
+    static Measured
+    sum(Testbed &tb)
+    {
+        Measured m;
+        for (std::uint32_t c = 0; c < tb.numComputeBlades(); ++c) {
+            SmartRuntime &rt = tb.compute(c);
+            const rnic::PerfCounters &perf = rt.rnic().perf();
+            m.appOps += rt.appOps.value();
+            m.retries += rt.totalRetries.value();
+            for (std::size_t i = 0; i < m.retryHist.size(); ++i)
+                m.retryHist[i] += rt.retryHist[i];
+            m.wrs += perf.wrsCompleted.value();
+            m.dramBytes += perf.dramBytes.value();
+            m.doorbellRings += perf.doorbellRings.value();
+            m.doorbellWaitNs += perf.doorbellWaitNs.value();
+            if (const cache::BufferManager *bm = rt.cache()) {
+                m.cacheHits += bm->hitCount();
+                m.cacheMisses += bm->missCount();
+                m.cacheEvictions += bm->evictionCount();
+            }
+            m.ladder += rt.chunkedPostCount() + rt.opDelayCount();
+            m.latency.merge(rt.opLatency);
+        }
+        return m;
+    }
+
+    Testbed &tb_;
+    sim::Time openedAt_;
+    Measured start_;
+};
 
 } // namespace smart::harness
 

@@ -191,19 +191,11 @@ struct SmartConfig
         return *this;
     }
 
-    /** Enable the cache tier with a pool of @p mb megabytes. */
+    /** Enable the cache tier with a pool of @p mb megabytes (0 = off). */
     SmartConfig &
     withCacheMb(std::uint32_t mb)
     {
         cacheBytes = static_cast<std::uint64_t>(mb) << 20;
-        return *this;
-    }
-
-    /** Disable the cache tier (the default). */
-    SmartConfig &
-    withoutCache()
-    {
-        cacheBytes = 0;
         return *this;
     }
 

@@ -34,7 +34,7 @@ rawRead(QpPolicy policy, std::uint32_t threads, std::uint32_t depth,
     p.depth = depth;
     p.warmupNs = throttle ? sim::msec(8) : sim::msec(1);
     p.measureNs = sim::msec(2);
-    return runRdmaBench(cfg, p);
+    return runRdmaBench(cfg, p, {});
 }
 
 } // namespace
@@ -112,7 +112,7 @@ htRun(const SmartConfig &smart, std::uint32_t threads,
     p.mix = mix;
     p.warmupNs = sim::msec(8);
     p.measureNs = sim::msec(2);
-    return runHtBench(cfg, p);
+    return runHtBench(cfg, p, {});
 }
 
 } // namespace
@@ -173,9 +173,9 @@ TEST(IntegrationBt, SpeculativeLookupCutsBytesAndBoostsThroughput)
     p.threadsPerServer = 24;
     p.measureNs = sim::msec(2);
     p.variant = BtVariant::ShermanPlus;
-    BtBenchResult plain = runBtBench(p);
+    BtBenchResult plain = runBtBench(p, {});
     p.variant = BtVariant::ShermanPlusSl;
-    BtBenchResult sl = runBtBench(p);
+    BtBenchResult sl = runBtBench(p, {});
     EXPECT_GT(sl.mops, plain.mops * 1.3); // bandwidth -> IOPS bound
     EXPECT_GT(sl.specHitRate, 0.3);
 }
@@ -187,9 +187,9 @@ TEST(IntegrationBt, SmartBtFixesTheHighThreadDip)
     p.threadsPerServer = 94;
     p.measureNs = sim::msec(2);
     p.variant = BtVariant::ShermanPlusSl;
-    BtBenchResult sl = runBtBench(p);
+    BtBenchResult sl = runBtBench(p, {});
     p.variant = BtVariant::SmartBt;
-    BtBenchResult sm = runBtBench(p);
+    BtBenchResult sm = runBtBench(p, {});
     EXPECT_GT(sm.mops, sl.mops * 1.3); // thread-aware allocation wins
 }
 
@@ -204,11 +204,11 @@ TEST(IntegrationDtx, SmartDtxScalesWhereFordDegrades)
 
     p.threads = 24;
     p.smartOn = false;
-    double ford24 = runDtxBench(p).mtps;
+    double ford24 = runDtxBench(p, {}).mtps;
     p.threads = 96;
-    double ford96 = runDtxBench(p).mtps;
+    double ford96 = runDtxBench(p, {}).mtps;
     p.smartOn = true;
-    double smart96 = runDtxBench(p).mtps;
+    double smart96 = runDtxBench(p, {}).mtps;
 
     EXPECT_LT(ford96, ford24);       // baseline collapses (Fig. 10)
     EXPECT_GT(smart96, 3 * ford96);  // SMART-DTX keeps scaling
@@ -223,8 +223,8 @@ TEST(IntegrationDtx, SmartCutsMedianLatencyAtMatchedLoad)
     p.measureNs = sim::msec(2);
     p.interTxnDelayNs = sim::usec(300); // matched, sub-saturation load
     p.smartOn = false;
-    DtxBenchResult ford = runDtxBench(p);
+    DtxBenchResult ford = runDtxBench(p, {});
     p.smartOn = true;
-    DtxBenchResult smart_dtx = runDtxBench(p);
+    DtxBenchResult smart_dtx = runDtxBench(p, {});
     EXPECT_LT(smart_dtx.medianNs, ford.medianNs); // Fig. 11
 }

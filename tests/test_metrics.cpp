@@ -3,8 +3,9 @@
  * Unit tests for the observability layer: MetricsRegistry registration /
  * snapshot / delta / unregistration, snapshot JSON round-trip, histogram
  * bucket boundary behaviour, the Timeline capturing the adaptive-
- * controller timelines (C_max, t_max) through a Testbed run, and
- * BenchCli's strict numeric flag parsing.
+ * controller timelines (C_max, t_max) through a Testbed run,
+ * BenchCli's strict numeric flag parsing, and the run spec carrying the
+ * flags into every runner's testbed.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +16,12 @@
 #include <vector>
 
 #include "harness/bench_cli.hpp"
+#include "harness/bt_bench.hpp"
+#include "harness/dtx_bench.hpp"
+#include "harness/ht_bench.hpp"
+#include "harness/rdma_bench.hpp"
 #include "harness/testbed.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/json.hpp"
 #include "sim/metrics.hpp"
 #include "sim/timeline.hpp"
@@ -384,18 +390,162 @@ TEST(BenchCliDeathTest, RejectsMalformedNumericFlags)
                 msg);
 }
 
+TEST(BenchCliDeathTest, RejectsTheRemovedNoCacheFlag)
+{
+    // --cache-mb 0 is the way to turn the cache tier off.
+    EXPECT_EXIT(parseCli({"--no-cache"}), testing::ExitedWithCode(2),
+                "unknown flag '--no-cache'");
+}
+
 TEST(BenchCli, ParsesNumericFlags)
 {
-    EXPECT_EQ(parseCli({"--seed", "7"})->seed(), 7u);
-    EXPECT_EQ(parseCli({"--seed", "0x10"})->seed(), 16u);
-    EXPECT_EQ(parseCli({"--shards", "3"})->shards(), 3u);
-    EXPECT_EQ(parseCli({"--cache-mb", "8"})->cacheMb(), 8);
+    EXPECT_EQ(parseCli({"--seed", "7"})->spec().seed, 7u);
+    EXPECT_EQ(parseCli({"--seed", "0x10"})->spec().seed, 16u);
+    EXPECT_EQ(parseCli({"--shards", "3"})->spec().shards, 3u);
+    EXPECT_EQ(parseCli({"--cache-mb", "8"})->spec().cacheMb, 8u);
+    EXPECT_FALSE(parseCli({})->spec().cacheMb.has_value());
     EXPECT_FALSE(parseCli({})->capturing());
 
     // --trace is --ts-window 500us, handed to every captured run.
     std::unique_ptr<BenchCli> traced = parseCli({"--trace"});
-    RunCapture *cap = traced->nextCapture("run");
-    ASSERT_NE(cap, nullptr);
-    EXPECT_EQ(cap->tsWindowNs, sim::usec(500));
-    EXPECT_EQ(cap->spanSampleEvery, 0u);
+    RunSpec spec = traced->spec("run");
+    ASSERT_NE(spec.capture, nullptr);
+    EXPECT_EQ(spec.tsWindowNs, sim::usec(500));
+    EXPECT_EQ(spec.spanSampleEvery, 0u);
+    // An unlabelled run is not captured, so it carries no observers.
+    RunSpec plain = traced->spec();
+    EXPECT_EQ(plain.capture, nullptr);
+    EXPECT_EQ(plain.tsWindowNs, 0u);
+}
+
+// ------------------------------------------- run specs reach the runners
+
+namespace {
+
+DtxBenchParams
+tinyDtx()
+{
+    DtxBenchParams p;
+    p.numAccounts = 1000;
+    p.threads = 2;
+    p.corosPerThread = 2;
+    p.warmupNs = sim::usec(200);
+    p.measureNs = sim::usec(200);
+    return p;
+}
+
+/** Events shard 1 has processed so far, process-wide. */
+std::uint64_t
+shard1Events()
+{
+    for (const sim::KernelPerf::Shard &s : sim::collectKernelPerf().shards)
+        if (s.shard == 1)
+            return s.eventsProcessed;
+    return 0;
+}
+
+/**
+ * Run @p run with a 1 MiB cache at 1 and at 2 shards: the cache tier
+ * must export its metrics, the second run must really use shard 1, and
+ * both snapshots must be identical.
+ */
+template <typename Run>
+void
+expectSpecReachesRunner(Run run)
+{
+    std::string one_shard;
+    for (std::uint32_t shards : {1u, 2u}) {
+        RunCapture cap;
+        RunSpec spec;
+        spec.label = "spec";
+        spec.capture = &cap;
+        spec.seed = 3;
+        spec.shards = shards;
+        spec.cacheMb = 1;
+        std::uint64_t shard1_before = shard1Events();
+        run(spec);
+        EXPECT_GT(cap.metrics.sumCounters("app.ops"), 0u) << shards;
+        EXPECT_NE(cap.metrics.find("smart.cache.hits"), nullptr) << shards;
+        std::string json = cap.metrics.toJson().dump();
+        if (shards == 1) {
+            one_shard = json;
+        } else {
+            EXPECT_GT(shard1Events(), shard1_before);
+            EXPECT_EQ(json, one_shard);
+        }
+    }
+}
+
+} // namespace
+
+TEST(RunSpec, ReachesRdmaBench)
+{
+    expectSpecReachesRunner([](const RunSpec &spec) {
+        TestbedConfig cfg;
+        cfg.memoryBlades = 1;
+        cfg.threadsPerBlade = 2;
+        cfg.smart = presets::full().withCoros(1);
+        RdmaBenchParams p;
+        p.depth = 4;
+        p.regionBytes = 1ull << 20;
+        p.warmupNs = sim::usec(50);
+        p.measureNs = sim::usec(100);
+        runRdmaBench(cfg, p, spec);
+    });
+}
+
+TEST(RunSpec, ReachesHtBench)
+{
+    expectSpecReachesRunner([](const RunSpec &spec) {
+        TestbedConfig cfg;
+        cfg.memoryBlades = 1;
+        cfg.threadsPerBlade = 2;
+        cfg.bladeBytes = 64ull << 20;
+        cfg.smart = presets::full();
+        HtBenchParams p;
+        p.numKeys = 1000;
+        p.mix = workload::YcsbMix::readHeavy();
+        p.corosPerThread = 2;
+        p.warmupNs = sim::usec(100);
+        p.measureNs = sim::usec(200);
+        runHtBench(cfg, p, spec);
+    });
+}
+
+TEST(RunSpec, ReachesDtxBench)
+{
+    expectSpecReachesRunner(
+        [](const RunSpec &spec) { runDtxBench(tinyDtx(), spec); });
+}
+
+TEST(RunSpec, ReachesBtBench)
+{
+    expectSpecReachesRunner([](const RunSpec &spec) {
+        BtBenchParams p;
+        p.numKeys = 2000;
+        p.threadsPerServer = 2;
+        p.corosPerThread = 2;
+        p.mix = workload::YcsbMix::readHeavy();
+        p.warmupNs = sim::usec(200);
+        p.measureNs = sim::usec(200);
+        runBtBench(p, spec);
+    });
+}
+
+TEST(RunSpec, CacheMbFlagReachesADtxTestbed)
+{
+    // The report is never written: finish() is not called.
+    const std::string json = "unwritten_report.json";
+    std::unique_ptr<BenchCli> with =
+        parseCli({"--cache-mb", "4", "--json", json});
+    RunSpec cached = with->spec("cached");
+    ASSERT_NE(cached.capture, nullptr);
+    runDtxBench(tinyDtx(), cached);
+    EXPECT_NE(cached.capture->metrics.find("smart.cache.hits"), nullptr);
+
+    std::unique_ptr<BenchCli> without = parseCli({"--json", json});
+    RunSpec plain = without->spec("plain");
+    ASSERT_NE(plain.capture, nullptr);
+    runDtxBench(tinyDtx(), plain);
+    EXPECT_EQ(plain.capture->metrics.find("smart.cache.hits"), nullptr);
 }

@@ -292,8 +292,10 @@ runReport(std::size_t tenant_count, std::uint64_t seed)
     Reporter rep("open_loop_test", true, seed);
     rep.setSlo(f.driver->sloJson());
     RunCapture cap;
-    cap.label = "run";
-    captureRun(*f.tb, &cap);
+    RunSpec spec;
+    spec.label = "run";
+    spec.capture = &cap;
+    captureRun(*f.tb, spec);
     rep.addRun(cap);
     return rep.toJson().dump();
 }

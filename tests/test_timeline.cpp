@@ -198,14 +198,11 @@ shardedRunTimeseries(std::uint32_t shards, std::uint64_t seed)
     // loops — the identity check below then covers the per-shard
     // annotation buffers, not just barrier-point sampling.
     cfg.smart.withOverloadWatermarks(1, 2);
-    cfg.shards = shards;
-    cfg.tsWindowNs = sim::usec(100);
 
     HtBenchParams p;
     p.numKeys = 2000;
     p.zipfTheta = 0.99;
     p.mix = workload::YcsbMix::readHeavy();
-    p.seed = seed;
     p.corosPerThread = 2;
     p.warmupNs = sim::usec(200);
     p.measureNs = sim::usec(600);
@@ -213,8 +210,13 @@ shardedRunTimeseries(std::uint32_t shards, std::uint64_t seed)
     p.shiftRotate = 37;
 
     RunCapture cap;
-    cap.label = "shards" + std::to_string(shards);
-    runHtBench(cfg, p, &cap);
+    RunSpec spec;
+    spec.label = "shards" + std::to_string(shards);
+    spec.capture = &cap;
+    spec.seed = seed;
+    spec.shards = shards;
+    spec.tsWindowNs = sim::usec(100);
+    runHtBench(cfg, p, spec);
     // Exclude the label-bearing capture bits: compare the block itself.
     return cap.timeseries.dump(1);
 }
@@ -362,14 +364,16 @@ TEST(Timeline, SamplingDoesNotPerturbTheSimulation)
         p.numKeys = 1000;
         p.zipfTheta = 0.99;
         p.mix = workload::YcsbMix::readHeavy();
-        p.seed = 5;
         p.corosPerThread = 2;
         p.warmupNs = sim::usec(100);
         p.measureNs = sim::usec(300);
 
         RunCapture cap;
-        cap.label = "x";
-        runHtBench(cfg, p, &cap);
+        RunSpec spec;
+        spec.label = "x";
+        spec.capture = &cap;
+        spec.seed = 5;
+        runHtBench(cfg, p, spec);
         return cap.metrics.toJson().dump(1);
     };
     // Final metrics identical with the plane off, coarse, and fine.

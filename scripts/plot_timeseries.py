@@ -7,8 +7,12 @@ Usage:
 
 Reads a smart-bench-report/v1 JSON written with --ts-window and:
   --list           print every run label and series name, then exit
-  --csv OUT.csv    export the selected run's series in long format
-                   (same layout as the C++ side's *_timeseries.csv)
+  --csv OUT.csv    export the selected run's series in long format:
+                   label,t_ns,name,labels,kind,value,count,mean,min,max,
+                   p50,p99,p999 (counters/gauges fill value, histograms
+                   the summary columns; annotations are "!annotation"
+                   rows with target in labels, kind in kind and detail
+                   in value)
   --png OUT.png    render throughput / violation-fraction / burn-rate
                    panels with annotation markers (needs matplotlib;
                    exits 0 with a note when it is unavailable)
@@ -70,7 +74,7 @@ def select(ts, names):
 
 def write_csv(ts, label, sel, out):
     with open(out, "w", newline="") as f:
-        w = csv.writer(f)
+        w = csv.writer(f, lineterminator="\n")
         w.writerow(["label", "t_ns", "name", "labels", "kind", "value",
                     "count", "mean", "min", "max", "p50", "p99", "p999"])
         for s in sel:

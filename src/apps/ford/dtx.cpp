@@ -456,8 +456,7 @@ Dtx::commit(DtxResult &res)
     }
 
     // Persistence barrier on the NVM media.
-    co_await ctx_.sim().delay(
-        ctx_.runtime().rnic().config().nvmPersistNs);
+    co_await ctx_.sim().delay(rnic::kNvmPersistNs);
 
     res.committed = true;
 }

@@ -116,7 +116,7 @@ void
 BtreeIndex::loadSequential(std::uint64_t num_keys, std::uint64_t value_mask)
 {
     std::uint32_t fill = std::max<std::uint32_t>(
-        1, static_cast<std::uint32_t>(cfg_.loadFill * kNodeCapacity));
+        1, static_cast<std::uint32_t>(kLoadFill * kNodeCapacity));
 
     // Build the leaf level.
     struct Sep
@@ -236,9 +236,9 @@ BtreeIndex::carveArena(std::uint32_t &blade_out)
     std::uint32_t b = nextArenaBlade_;
     nextArenaBlade_ = (nextArenaBlade_ + 1) % blades_.size();
     std::uint64_t base =
-        blades_[b]->alloc(cfg_.nodeArenaPerThread, kNodeBytes);
+        blades_[b]->alloc(kNodeArenaPerThread, kNodeBytes);
     blade_out = b;
-    return memblade::RemoteArena(base, cfg_.nodeArenaPerThread);
+    return memblade::RemoteArena(base, kNodeArenaPerThread);
 }
 
 // =========================================================== BtreeClient
@@ -384,7 +384,6 @@ BtreeClient::hoclAcquire(SmartCtx &ctx, std::uint64_t ptr, BtOpResult &res)
     // Under a FaultPlane, a holder that died (blade crash wiped its
     // lock-release WRITE, or the client blade reset) would deadlock
     // every later writer of this node; a lease bounds the wait.
-    const sim::Time lease = index_.config().lockLeaseNs;
     sim::Time wait_start = ctx.sim().now();
     for (;;) {
         std::uint64_t old = 0;
@@ -399,8 +398,8 @@ BtreeClient::hoclAcquire(SmartCtx &ctx, std::uint64_t ptr, BtOpResult &res)
             co_return;
         }
         ++res.retries;
-        if (ctx.sim().faultPlane() != nullptr && lease > 0 &&
-            ctx.sim().now() - wait_start > lease) {
+        if (ctx.sim().faultPlane() != nullptr &&
+            ctx.sim().now() - wait_start > kLockLeaseNs) {
             // Stale lease: break the lock and re-contend for it.
             std::uint64_t zero = 0;
             co_await ctx.access(rptr(ptr),
@@ -497,8 +496,7 @@ BtreeClient::lookup(SmartCtx &ctx, std::uint64_t key, BtOpResult &res)
                     res.ok = true;
                     res.value = e.value;
                     if (index_.config().speculativeLookup) {
-                        if (specCache_.size() >=
-                            index_.config().specCacheCapacity)
+                        if (specCache_.size() >= kSpecCacheCapacity)
                             specCache_.clear();
                         specCache_[key] = SpecEntry{leaf_ptr, l, s};
                     }

@@ -34,26 +34,26 @@
 
 namespace smart::sherman {
 
+/** Entries in the speculative key -> line cache. */
+inline constexpr std::uint32_t kSpecCacheCapacity = 1u << 20;
+/** Node-arena bytes carved per client thread (for splits). */
+inline constexpr std::uint64_t kNodeArenaPerThread = 8ull << 20;
+/** Leaf fill fraction for bulk loading. */
+inline constexpr double kLoadFill = 0.7;
+/**
+ * Lock lease: a writer spinning on a remote node lock for longer than
+ * this assumes the holder died (crashed blade / lost client) and breaks
+ * the lock. Only consulted when a FaultPlane is installed; must exceed
+ * the longest healthy backoff (~1.75 ms at t0=4096 cycles,
+ * t_M=1024*t0) so live holders are never preempted.
+ */
+inline constexpr sim::Time kLockLeaseNs = sim::msec(4);
+
 /** Client-side knobs. */
 struct BtreeConfig
 {
     /** Enable the paper's speculative lookup fast path. */
     bool speculativeLookup = false;
-    /** Entries in the speculative key -> line cache. */
-    std::uint32_t specCacheCapacity = 1u << 20;
-    /** Node-arena bytes carved per client thread (for splits). */
-    std::uint64_t nodeArenaPerThread = 8ull << 20;
-    /** Leaf fill fraction for bulk loading. */
-    double loadFill = 0.7;
-    /**
-     * Lock lease: a writer spinning on a remote node lock for longer
-     * than this assumes the holder died (crashed blade / lost client)
-     * and breaks the lock. Only consulted when a FaultPlane is
-     * installed; must exceed the longest healthy backoff (~1.75 ms at
-     * the default t0=4096 cycles, t_M=1024*t0) so live holders are
-     * never preempted.
-     */
-    sim::Time lockLeaseNs = sim::msec(4);
 };
 
 /** Per-operation outcome. */

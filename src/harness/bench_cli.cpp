@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "sim/event_queue.hpp"
@@ -45,14 +46,13 @@ usage(const std::string &bench, int exit_code)
           "  --perf         print a wall-clock perf summary (always "
           "embedded in the JSON report)\n"
           "  --cache-mb N   run every testbed with an N MiB compute-side "
-          "cache frame pool (0 turns the cache tier off)\n"
+          "cache frame pool (0 turns the cache tier off; N > 0 is an "
+          "error where the bench's verbs bypass the tier)\n"
           "  --shards N     run the simulation on N parallel shards "
           "(clamped to the blade count; byte-identical output at any N)\n"
           "  --ts-window W  windowed time-series sampling every W of "
-          "virtual time (suffix us/ms, plain = ns; implies a JSON report "
-          "and writes a per-run CSV)\n"
-          "  --ts-out PATH  concatenate every run's time-series CSV "
-          "into PATH\n";
+          "virtual time (suffix us/ms, plain = ns; implies a JSON report; "
+          "scripts/plot_timeseries.py --csv exports a run as CSV)\n";
     std::exit(exit_code);
 }
 
@@ -99,6 +99,15 @@ parseTimeNs(const std::string &bench, const char *flag,
     }
     return ns;
 }
+
+/**
+ * Benches whose workers post SmartCtx::read/write directly, past the
+ * compute-side cache tier: a --cache-mb pool would be built and never
+ * filled.
+ */
+constexpr std::string_view kRawVerbBenches[] = {
+    "fig03_qp_alloc", "fig04_cache_thrash", "fig13_micro",
+    "ablation_model", "table1_dynamic"};
 
 /** Turn a run label into a filename fragment ("SMART-HT/t0" ->
  *  "SMART-HT_t0"). */
@@ -170,8 +179,6 @@ BenchCli::BenchCli(int argc, char **argv, std::string bench_name)
         } else if (arg == "--ts-window") {
             flags_.tsWindowNs = parseTimeNs(benchName_, "--ts-window",
                                             value(i, "--ts-window"));
-        } else if (arg == "--ts-out") {
-            tsOutPath_ = value(i, "--ts-out");
         } else if (arg == "--perf") {
             perf_ = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -180,6 +187,13 @@ BenchCli::BenchCli(int argc, char **argv, std::string bench_name)
             std::cerr << benchName_ << ": unknown flag '" << arg << "'\n";
             usage(benchName_, 2);
         }
+    }
+    if (flags_.cacheMb.value_or(0) > 0 &&
+        std::find(std::begin(kRawVerbBenches), std::end(kRawVerbBenches),
+                  benchName_) != std::end(kRawVerbBenches)) {
+        std::cerr << benchName_ << ": --cache-mb N > 0 has no effect: "
+                  << "this bench's verbs bypass the cache tier\n";
+        usage(benchName_, 2);
     }
     if (outDir_.empty())
         outDir_ = ".";
@@ -281,32 +295,8 @@ BenchCli::finish()
     reporter_->setPerf(perf);
     int rc = 0;
     std::string folded; // all captures, label-prefixed, one flame file
-    std::string tsAll;  // all captures' time-series CSV, one header
     for (const RunCapture &cap : captures_) {
         reporter_->addRun(cap);
-        if (!cap.timeseriesCsv.empty()) {
-            std::string path = outDir_ + "/" + benchName_ + "_" +
-                               fileSafe(cap.label) + "_timeseries.csv";
-            std::ofstream os(path);
-            os << cap.timeseriesCsv;
-            if (!os) {
-                std::cerr << benchName_ << ": failed to write '" << path
-                          << "'\n";
-                rc = 1;
-            } else {
-                std::cout << "timeseries: " << path << "\n";
-            }
-            if (!tsOutPath_.empty()) {
-                if (tsAll.empty()) {
-                    tsAll = cap.timeseriesCsv;
-                } else {
-                    // Drop the repeated header line when concatenating.
-                    std::size_t eol = cap.timeseriesCsv.find('\n');
-                    if (eol != std::string::npos)
-                        tsAll += cap.timeseriesCsv.substr(eol + 1);
-                }
-            }
-        }
         if (!cap.spanTrace.empty()) {
             std::string path = outDir_ + "/" + benchName_ + "_" +
                                fileSafe(cap.label) + "_trace.json";
@@ -332,17 +322,6 @@ BenchCli::finish()
                           cap.spanFolded.substr(pos, eol - pos) + "\n";
                 pos = eol + 1;
             }
-        }
-    }
-    if (!tsOutPath_.empty()) {
-        std::ofstream os(tsOutPath_);
-        os << tsAll;
-        if (!os) {
-            std::cerr << benchName_ << ": failed to write '" << tsOutPath_
-                      << "'\n";
-            rc = 1;
-        } else {
-            std::cout << "timeseries (all runs): " << tsOutPath_ << "\n";
         }
     }
     if (!flamePath_.empty()) {

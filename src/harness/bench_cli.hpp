@@ -19,16 +19,17 @@
  *                  (implies --trace-spans)
  *   --cache-mb N   run every testbed with an N MiB compute-side cache
  *                  frame pool per runtime, replacing the bench's own
- *                  setting (0 turns the cache tier off)
+ *                  setting (0 turns the cache tier off); N > 0 is a
+ *                  usage error on the benches whose verbs bypass the
+ *                  tier (fig03, fig04, fig13, ablation_model,
+ *                  table1_dynamic)
  *   --shards N     run the simulation on N parallel shards (blades are
  *                  round-robined over shards; clamped to the blade
  *                  count; output is byte-identical at any N)
  *   --ts-window W  sample every registered metric into windowed time
  *                  series every W of virtual time (suffix us/ms; plain
- *                  number = ns; implies a JSON report; also writes
- *                  <out-dir>/<bench>_<label>_timeseries.csv per run)
- *   --ts-out PATH  additionally concatenate every captured run's
- *                  time-series CSV into PATH
+ *                  number = ns; implies a JSON report, whose runs
+ *                  scripts/plot_timeseries.py --csv exports as CSV)
  *
  * Numeric values (--seed, --shards, --cache-mb, --trace-spans=N, the
  * number of --ts-window) are unsigned integers — decimal, 0x hex or 0
@@ -110,7 +111,6 @@ class BenchCli
     bool perf_ = false;
     // Every flag a run takes; spec() copies it for each run.
     RunSpec flags_;
-    std::string tsOutPath_;
     std::string outDir_ = ".";
     std::string jsonPath_;
     std::string flamePath_;

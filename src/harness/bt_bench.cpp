@@ -6,6 +6,7 @@
 #include "harness/bt_bench.hpp"
 
 #include <memory>
+#include <utility>
 
 #include "smart/smart_ctx.hpp"
 
@@ -84,23 +85,29 @@ runBtBench(const BtBenchParams &params, const RunSpec &spec)
         }
     }
 
+    // Speculative-lookup hits and lookups so far, over every client.
+    auto specTally = [&clients] {
+        std::pair<std::uint64_t, std::uint64_t> t{0, 0};
+        for (const auto &cl : clients) {
+            t.first += cl->specHits();
+            t.second += cl->specHits() + cl->specMisses();
+        }
+        return t;
+    };
+
     tb.runUntil(params.warmupNs);
     MeasureWindow window(tb);
+    auto [hits0, total0] = specTally();
     tb.runUntil(params.warmupNs + params.measureNs);
     Measured m = window.close();
+    auto [hits1, total1] = specTally();
 
-    std::uint64_t spec_hits = 0;
-    std::uint64_t spec_total = 0;
-    for (const auto &cl : clients) {
-        spec_hits += cl->specHits();
-        spec_total += cl->specHits() + cl->specMisses();
-    }
     BtBenchResult res;
     res.mops = m.perUs(m.appOps);
     res.rdmaMops = m.perUs(m.wrs);
     res.medianNs = static_cast<double>(m.latency.p50());
     res.p99Ns = static_cast<double>(m.latency.p99());
-    res.specHitRate = Measured::ratio(spec_hits, spec_total);
+    res.specHitRate = Measured::ratio(hits1 - hits0, total1 - total0);
     captureRun(tb, spec);
     return res;
 }

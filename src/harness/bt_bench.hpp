@@ -54,7 +54,7 @@ struct BtBenchResult
     double mops = 0;
     double medianNs = 0;
     double p99Ns = 0;
-    double specHitRate = 0; ///< fraction of lookups on the fast path
+    double specHitRate = 0; ///< window's lookups on the fast path
     double rdmaMops = 0;
 };
 

@@ -73,18 +73,6 @@ ArrivalProcess::peakRateNs() const
     return base;
 }
 
-double
-ArrivalProcess::meanRateNs() const
-{
-    double base = cfg_.ratePerUs / 1000.0;
-    if (cfg_.kind == ArrivalKind::Spike) {
-        double duty = static_cast<double>(cfg_.spikeLenNs) /
-                      static_cast<double>(cfg_.spikePeriodNs);
-        return base * (1.0 + (cfg_.spikeFactor - 1.0) * duty);
-    }
-    return base; // the sinusoid integrates to its base rate
-}
-
 Time
 ArrivalProcess::next()
 {

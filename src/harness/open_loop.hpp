@@ -98,9 +98,6 @@ class ArrivalProcess
     /** Peak instantaneous rate, requests per ns (thinning envelope). */
     double peakRateNs() const;
 
-    /** Long-run mean rate, requests per ns (for offered-load math). */
-    double meanRateNs() const;
-
   private:
     ArrivalConfig cfg_;
     sim::Rng rng_;

@@ -75,8 +75,7 @@ class Testbed
   public:
     explicit Testbed(const TestbedConfig &cfg)
         : cfg_(cfg),
-          group_(effectiveShards(cfg),
-                 static_cast<sim::Time>(cfg.hw.propagationNs))
+          group_(effectiveShards(cfg), rnic::kPropagationNs)
     {
         const std::uint32_t shards = group_.size();
         if (cfg.spanSampleEvery > 0) {
@@ -261,8 +260,6 @@ struct RunCapture
     std::string spanFolded;
     /** Windowed time-series block (null unless the plane was on). */
     sim::Json timeseries;
-    /** Same data in long-format CSV (empty unless the plane was on). */
-    std::string timeseriesCsv;
 };
 
 /**
@@ -336,10 +333,8 @@ captureRun(Testbed &tb, const RunSpec &spec)
         root.set("displayTimeUnit", "ns");
         cap->spanTrace = root.dump(1);
     }
-    if (tl != nullptr && tl->windows() > 0) {
+    if (tl != nullptr && tl->windows() > 0)
         cap->timeseries = tl->toJson();
-        cap->timeseriesCsv = tl->csv(cap->label);
-    }
 }
 
 /**

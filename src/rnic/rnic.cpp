@@ -14,31 +14,15 @@ namespace smart::rnic {
 using sim::Task;
 using sim::Time;
 
-const char *
-wcStatusName(WcStatus s)
-{
-    switch (s) {
-    case WcStatus::Success:
-        return "success";
-    case WcStatus::RemoteAccessError:
-        return "remote_access_error";
-    case WcStatus::RetryExceeded:
-        return "retry_exceeded";
-    case WcStatus::FlushedInError:
-        return "flushed_in_error";
-    }
-    return "unknown";
-}
-
 Rnic::Rnic(sim::Simulator &sim, const RnicConfig &cfg, std::string name)
     : sim_(sim), cfg_(cfg), name_(std::move(name)),
       faultName_(name_ + ".rnic"), wire_(sim),
       pipeline_(sim, 1, name_ + ".pipe"),
-      atomicUnits_(sim, cfg.atomicUnits, name_ + ".atomic"),
-      dmaEngines_(sim, cfg.dmaEngines, name_ + ".dma"),
+      atomicUnits_(sim, kAtomicUnits, name_ + ".atomic"),
+      dmaEngines_(sim, kDmaEngines, name_ + ".dma"),
       pcie_(sim, 1, name_ + ".pcie"),
       egress_(sim, 1, name_ + ".egress"),
-      mttCache_(cfg.mttCacheCapacity)
+      mttCache_(kMttCacheCapacity)
 {
     sim::Labels labels{{"blade", name_}};
     sim::MetricsRegistry &m = sim_.metrics();
@@ -72,7 +56,7 @@ Rnic::applyFault(sim::FaultKind kind, sim::Time duration)
         // at completion time) and bound QPs must walk back to RTS. The
         // device absorbs no new doorbells while re-initializing.
         ++epoch_;
-        stallUntil_ = std::max(stallUntil_, sim_.now() + cfg_.qpModifyNs);
+        stallUntil_ = std::max(stallUntil_, sim_.now() + kQpModifyNs);
         break;
     case sim::FaultKind::Crash:
         setDown(true);
@@ -149,7 +133,7 @@ Rnic::processBatch(Rnic *target, std::vector<WorkReq> batch)
     // The doorbell ring triggers a DMA fetch of the new WQEs, in
     // chunk-sized PCIe reads (the hardware prefetches whole chunks).
     std::uint32_t wqe_bytes =
-        static_cast<std::uint32_t>(batch.size()) * cfg_.wqeBytes;
+        static_cast<std::uint32_t>(batch.size()) * kWqeBytes;
     std::uint32_t lines = (wqe_bytes + 63) / 64;
     std::uint32_t fetch_bytes = lines * 64;
     perf_.dramBytes.add(fetch_bytes);
@@ -195,16 +179,13 @@ Rnic::dmaStart(std::uint32_t bytes, std::coroutine_handle<> h)
 void
 Rnic::dmaOccupy(std::uint32_t bytes, std::coroutine_handle<> h)
 {
-    // The zero-duration checks mirror delay()'s await_ready elision in
+    // The zero-occupancy check mirrors delay()'s await_ready elision in
     // the coroutine formulation: a 0 ns stage runs inline, no event.
     Time occupancy =
-        static_cast<Time>(static_cast<double>(bytes) / cfg_.pcieBytesPerNs);
+        static_cast<Time>(static_cast<double>(bytes) / kPcieBytesPerNs);
     auto landed = [this, h] {
         pcie_.release();
-        if (cfg_.pcieLatencyNs == 0)
-            h.resume();
-        else
-            sim_.scheduleResume(cfg_.pcieLatencyNs, h);
+        sim_.scheduleResume(kPcieLatencyNs, h);
     };
     if (occupancy == 0)
         landed();
@@ -227,7 +208,7 @@ Rnic::sendOccupy(std::uint32_t bytes, std::coroutine_handle<> h)
     // Resumes at serialization end; propagation is carried by the wire
     // crossing's delivery timestamp (see cross()), not modelled here.
     Time occupancy =
-        static_cast<Time>(static_cast<double>(bytes) / cfg_.linkBytesPerNs);
+        static_cast<Time>(static_cast<double>(bytes) / kLinkBytesPerNs);
     if (occupancy == 0) {
         // May run inside await_suspend, where the frame is not suspended
         // yet: bounce through the event queue instead of resuming inline.
@@ -247,7 +228,7 @@ Rnic::translateStart(std::coroutine_handle<> h)
     // Only reached on a miss (await_ready covered the hit): an extra
     // pipeline pass plus a host-DRAM read.
     perf_.mttRefetches.add();
-    perf_.dramBytes.add(cfg_.mttMissBytes);
+    perf_.dramBytes.add(kMttMissBytes);
     if (pipeline_.tryAcquire())
         translatePipe(h);
     else
@@ -257,17 +238,10 @@ Rnic::translateStart(std::coroutine_handle<> h)
 void
 Rnic::translatePipe(std::coroutine_handle<> h)
 {
-    auto passed = [this, h] {
+    sim_.schedule(kPipeResponderNs, [this, h] {
         pipeline_.release();
-        if (cfg_.mttMissLatencyNs == 0)
-            h.resume();
-        else
-            sim_.scheduleResume(cfg_.mttMissLatencyNs, h);
-    };
-    if (cfg_.pipeResponderNs == 0)
-        passed();
-    else
-        sim_.schedule(cfg_.pipeResponderNs, passed);
+        sim_.scheduleResume(kMttMissLatencyNs, h);
+    });
 }
 
 Task
@@ -291,22 +265,22 @@ Rnic::executeWr(Rnic *target, WorkReq wr)
 
     // ---- Initiator issue ----
     co_await pipeline_.acquire();
-    co_await sim_.delay(cfg_.pipeIssueNs);
+    co_await sim_.delay(kPipeIssueNs);
     pipeline_.release();
 
     // Device-context ICM lookup (QPC root / MPT segment). With one
     // shared context this always hits; with per-thread contexts the
     // aggregate footprint thrashes the on-chip cache (s2.2).
     std::uint64_t icm_key =
-        wr.icmBase + wr.uid % cfg_.icmEntriesPerContext;
+        wr.icmBase + wr.uid % kIcmEntriesPerContext;
     if (!mttCache_.access(icm_key)) {
         Time t0 = sim_.now();
         perf_.mttRefetches.add();
-        perf_.dramBytes.add(cfg_.mttMissBytes);
+        perf_.dramBytes.add(kMttMissBytes);
         co_await pipeline_.acquire();
-        co_await sim_.delay(cfg_.icmMissExtraPipeNs);
+        co_await sim_.delay(kIcmMissExtraPipeNs);
         pipeline_.release();
-        co_await sim_.delay(cfg_.mttMissLatencyNs);
+        co_await sim_.delay(kMttMissLatencyNs);
         devSpan(*this, sim::Stage::MttFetch, t0, sim_.now());
     }
 
@@ -320,13 +294,13 @@ Rnic::executeWr(Rnic *target, WorkReq wr)
     // Unreachable responder (crashed blade): the transport retries for
     // its timeout budget, then completes the WR in error.
     if (target == nullptr || target->down_) {
-        co_await sim_.delay(cfg_.transportRetryNs);
+        co_await sim_.delay(kTransportRetryNs);
         completeError(wr, WcStatus::RetryExceeded);
         co_return;
     }
 
     // ---- Request over the wire ----
-    std::uint32_t req_bytes = cfg_.headerBytes;
+    std::uint32_t req_bytes = kHeaderBytes;
     if (wr.op == Op::Write)
         req_bytes += wr.length;
     else if (wr.op == Op::Cas)
@@ -335,7 +309,7 @@ Rnic::executeWr(Rnic *target, WorkReq wr)
         req_bytes += 8;
     Time wire_t0 = sim_.now();
     co_await sendTo(*target, req_bytes); // resumes at serialization end
-    Time arrival = sim_.now() + cfg_.propagationNs;
+    Time arrival = sim_.now() + kPropagationNs;
     devSpan(*this, sim::Stage::Link, wire_t0, arrival);
     // The READ payload is borrowed from (and later returned to) this
     // initiator's pool, so the pool is touched only on this shard.
@@ -354,14 +328,14 @@ Rnic::executeWr(Rnic *target, WorkReq wr)
         // initiator transport retries for its budget, then gives up. The
         // crossing back lands when that budget expires.
         status = WcStatus::RetryExceeded;
-        back_at = r.sim_.now() + r.cfg_.transportRetryNs;
+        back_at = r.sim_.now() + kTransportRetryNs;
     } else {
         r.perf_.wrsServed.add();
         co_await r.pipeline_.acquire();
-        co_await r.sim_.delay(r.cfg_.pipeResponderNs);
+        co_await r.sim_.delay(kPipeResponderNs);
         r.pipeline_.release();
 
-        std::uint32_t resp_bytes = r.cfg_.headerBytes;
+        std::uint32_t resp_bytes = kHeaderBytes;
         const MrRecord *mr = r.findMr(wr.rkey);
         if (mr == nullptr || wr.remoteOffset + wr.length > mr->length) {
             // Invalid rkey (e.g. the MR was re-registered after a blade
@@ -376,7 +350,7 @@ Rnic::executeWr(Rnic *target, WorkReq wr)
 
             t0 = r.sim_.now();
             if (wr.op == Op::Read || wr.op == Op::Write) {
-                std::uint32_t bytes = wr.length + r.cfg_.payloadPadBytes;
+                std::uint32_t bytes = wr.length + kPayloadPadBytes;
                 r.perf_.dramBytes.add(bytes);
                 co_await r.pcieDma(bytes);
                 devSpan(r, sim::Stage::Dma, t0, r.sim_.now());
@@ -396,7 +370,7 @@ Rnic::executeWr(Rnic *target, WorkReq wr)
             } else {
                 assert(wr.length == 8);
                 co_await r.atomicUnits_.acquire();
-                co_await r.sim_.delay(r.cfg_.atomicServiceNs);
+                co_await r.sim_.delay(kAtomicServiceNs);
                 // Atomic read-modify-write executes in one event: no
                 // interleaving.
                 std::memcpy(&old_value, remote, 8);
@@ -416,7 +390,7 @@ Rnic::executeWr(Rnic *target, WorkReq wr)
         // ---- Response (or NAK) over the wire ----
         wire_t0 = r.sim_.now();
         co_await r.sendTo(*this, resp_bytes);
-        back_at = r.sim_.now() + r.cfg_.propagationNs;
+        back_at = r.sim_.now() + kPropagationNs;
         if (status == WcStatus::Success)
             devSpan(r, sim::Stage::Link, wire_t0, back_at);
     }
@@ -452,21 +426,21 @@ Rnic::executeWr(Rnic *target, WorkReq wr)
         perf_.wqeRefetches.add();
         if (wr.wqeMissCounter)
             wr.wqeMissCounter->add();
-        perf_.dramBytes.add(cfg_.wqeMissBytes);
+        perf_.dramBytes.add(kWqeMissBytes);
         Time t0 = sim_.now();
         co_await dmaEngines_.acquire();
-        co_await sim_.delay(cfg_.dmaMissServiceNs);
+        co_await sim_.delay(kDmaMissServiceNs);
         dmaEngines_.release();
         devSpan(*this, sim::Stage::WqeFetch, t0, sim_.now());
     }
     co_await pipeline_.acquire();
-    co_await sim_.delay(cfg_.pipeCompletionNs);
+    co_await sim_.delay(kPipeCompletionNs);
     pipeline_.release();
 
     // Land payload and the (compressed) CQE in host memory.
-    std::uint32_t land_bytes = cfg_.cqeBytes;
+    std::uint32_t land_bytes = kCqeBytes;
     if (wr.op == Op::Read)
-        land_bytes += wr.length + cfg_.payloadPadBytes;
+        land_bytes += wr.length + kPayloadPadBytes;
     else if (wr.op == Op::Cas || wr.op == Op::Faa)
         land_bytes += 8;
     perf_.dramBytes.add(land_bytes);

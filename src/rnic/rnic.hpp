@@ -48,9 +48,6 @@ enum class WcStatus : std::uint8_t
     FlushedInError,
 };
 
-/** @return a short stable name for @p s (logs, test diagnostics). */
-const char *wcStatusName(WcStatus s);
-
 class Rnic;
 struct WorkReq;
 
@@ -132,8 +129,9 @@ struct WorkReq
 };
 
 /**
- * The RNIC model. All latencies/capacities come from RnicConfig; see
- * DESIGN.md §5 for the calibration rationale.
+ * The RNIC model. Latencies and capacities are the constants of
+ * rnic_config.hpp plus the RnicConfig values; see DESIGN.md §5 for the
+ * calibration rationale.
  *
  * The device is also a fault target (name "<blade>.rnic"): it absorbs
  * injected completion errors, doorbell stalls, resets and crash windows
@@ -158,7 +156,8 @@ class Rnic : public sim::FaultTarget
     /** @return diagnostic name ("mb0", "cb1", ...). */
     const std::string &name() const { return name_; }
 
-    /** @return performance counters (mutable: windowed benches reset). */
+    /** @return performance counters (mutable: the verbs layer counts
+     *  doorbell rings and waits). */
     PerfCounters &perf() { return perf_; }
 
     /** @return performance counters, read-only. */
@@ -270,7 +269,7 @@ class Rnic : public sim::FaultTarget
     allocContextIcm()
     {
         std::uint64_t base =
-            kIcmTag + nextContext_ * cfg_.icmEntriesPerContext;
+            kIcmTag + nextContext_ * kIcmEntriesPerContext;
         ++nextContext_;
         return base;
     }

@@ -81,36 +81,6 @@ MetricsSnapshot::sumCounters(const std::string &name) const
     return sum;
 }
 
-MetricsSnapshot
-MetricsSnapshot::deltaSince(const MetricsSnapshot &earlier) const
-{
-    MetricsSnapshot out = *this;
-    for (SnapshotEntry &e : out.entries) {
-        const SnapshotEntry *prev = earlier.find(e.id.name, e.id.labels);
-        if (!prev || prev->kind != e.kind) {
-            // Registered after @p earlier was taken: fall back to the
-            // registration-time baseline so the first windowed point is
-            // still a delta (growth since registration), not a lifetime
-            // total.
-            if (e.kind == MetricKind::Counter)
-                e.counter -= std::min(e.baseline, e.counter);
-            continue;
-        }
-        if (e.kind == MetricKind::Counter) {
-            e.counter -= std::min(prev->counter, e.counter);
-        } else if (e.kind == MetricKind::Histogram) {
-            std::uint64_t dcount =
-                e.hist.count - std::min(prev->hist.count, e.hist.count);
-            double dsum = e.hist.mean * static_cast<double>(e.hist.count) -
-                          prev->hist.mean *
-                              static_cast<double>(prev->hist.count);
-            e.hist.count = dcount;
-            e.hist.mean = dcount ? dsum / static_cast<double>(dcount) : 0.0;
-        }
-    }
-    return out;
-}
-
 Json
 MetricsSnapshot::toJson() const
 {
@@ -277,7 +247,6 @@ MetricsRegistry::sample(const Entry &e)
     SnapshotEntry s;
     s.id = e.id;
     s.kind = e.kind;
-    s.baseline = e.baseline;
     switch (e.kind) {
       case MetricKind::Counter:
         s.counter = e.counter->value();
@@ -323,22 +292,6 @@ MetricsRegistry::mergedSnapshot(Time now,
     for (auto &[stamp, s] : keyed)
         snap.entries.push_back(std::move(s));
     return snap;
-}
-
-void
-MetricsRegistry::forEachScalar(
-    const std::function<void(const MetricId &, MetricKind,
-                             const std::function<double()> &)> &fn) const
-{
-    for (const Entry &e : entries_) {
-        if (e.kind == MetricKind::Counter) {
-            const Counter *c = e.counter;
-            fn(e.id, e.kind,
-               [c] { return static_cast<double>(c->value()); });
-        } else if (e.kind == MetricKind::Gauge) {
-            fn(e.id, e.kind, e.gauge);
-        }
-    }
 }
 
 void

@@ -76,20 +76,12 @@ struct SnapshotEntry
     std::uint64_t counter = 0; ///< MetricKind::Counter
     double gauge = 0;          ///< MetricKind::Gauge
     HistogramSummary hist;     ///< MetricKind::Histogram
-    /**
-     * Counter value at registration time (in-memory only, not
-     * serialized). deltaSince() subtracts it for counters registered
-     * after the earlier snapshot was taken, so a late-registered
-     * counter's first windowed point reports its growth since
-     * registration instead of its lifetime total.
-     */
-    std::uint64_t baseline = 0;
 };
 
 /**
  * A full registry snapshot: every metric's value at one virtual time.
  * Snapshots are value types — they stay valid after the components (or
- * the registry) are gone, and two snapshots can be diffed.
+ * the registry) are gone.
  */
 struct MetricsSnapshot
 {
@@ -105,14 +97,6 @@ struct MetricsSnapshot
 
     /** Sum of all counters named @p name across label sets. */
     std::uint64_t sumCounters(const std::string &name) const;
-
-    /**
-     * Windowed view: counters become deltas against @p earlier (matched
-     * by id; unmatched entries keep their cumulative value). Gauges and
-     * histogram percentiles stay at this snapshot's (later) values;
-     * histogram count/mean are recomputed over the window.
-     */
-    MetricsSnapshot deltaSince(const MetricsSnapshot &earlier) const;
 
     /** Serialize to the report JSON form (array of metric objects). */
     Json toJson() const;
@@ -159,15 +143,6 @@ class MetricsRegistry
      */
     static MetricsSnapshot
     mergedSnapshot(Time now, const std::vector<const MetricsRegistry *> &regs);
-
-    /**
-     * Visit every scalar metric (counters and gauges) as a double —
-     * the tracer uses this to build its series list.
-     */
-    void forEachScalar(
-        const std::function<void(const MetricId &, MetricKind,
-                                 const std::function<double()> &)> &fn)
-        const;
 
     /**
      * Borrowed view of one registration, for samplers that keep their

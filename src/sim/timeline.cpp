@@ -7,12 +7,38 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <tuple>
 
 #include "sim/simulator.hpp"
 
 namespace smart::sim {
+
+namespace {
+
+/** @return whether @p id gets a series: per-thread metrics only for
+ *  thread 0 (see sampleAt()). */
+bool
+sampled(const MetricId &id)
+{
+    const std::string &thread = id.label("thread");
+    return thread.empty() || thread == "0";
+}
+
+std::string
+labelsText(const Labels &labels)
+{
+    std::string out;
+    for (const auto &[k, v] : labels) {
+        if (!out.empty())
+            out += ';';
+        out += k;
+        out += '=';
+        out += v;
+    }
+    return out;
+}
+
+} // namespace
 
 Timeline::Timeline(Time window_ns, std::uint32_t num_shards)
     : window_(window_ns)
@@ -57,14 +83,6 @@ Timeline::annotateAt(Time at, std::string kind, std::string target,
                    std::move(detail)});
 }
 
-bool
-Timeline::defaultFilter(const MetricId &id, MetricKind kind)
-{
-    (void)kind;
-    const std::string &thread = id.label("thread");
-    return thread.empty() || thread == "0";
-}
-
 void
 Timeline::sampleAt(Time now)
 {
@@ -90,7 +108,7 @@ Timeline::sampleAt(Time now)
               [](const auto &a, const auto &b) { return a.stamp < b.stamp; });
 
     for (const MetricsRegistry::RawMetric &m : raw) {
-        if (filter_ && !filter_(*m.id, m.kind))
+        if (!sampled(*m.id))
             continue;
         auto [it, created] = series_.try_emplace(m.stamp);
         Series &s = it->second;
@@ -164,15 +182,18 @@ Timeline::toJson() const
         js.set("labels", std::move(labels));
         js.set("kind", metricKindName(s.kind));
         js.set("start", static_cast<std::uint64_t>(s.start));
+        // Scalar points are built in place: moving a scalar Json
+        // temporary in here draws a false -Wmaybe-uninitialized from
+        // GCC 12 at -O2.
         Json points = Json::array();
         switch (s.kind) {
           case MetricKind::Counter:
             for (std::uint64_t v : s.counterPoints)
-                points.push(v);
+                points.asArray().emplace_back(v);
             break;
           case MetricKind::Gauge:
             for (double v : s.gaugePoints)
-                points.push(v);
+                points.asArray().emplace_back(v);
             break;
           case MetricKind::Histogram:
             for (const WindowSummary &w : s.histPoints) {
@@ -203,120 +224,6 @@ Timeline::toJson() const
         anns.push(std::move(ja));
     }
     out.set("annotations", std::move(anns));
-    return out;
-}
-
-namespace {
-
-/** CSV-quote @p s if it contains a separator, quote or newline. */
-std::string
-csvField(const std::string &s)
-{
-    if (s.find_first_of(",\"\n") == std::string::npos)
-        return s;
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"')
-            out += '"';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
-std::string
-fmtDouble(double d)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", d);
-    return buf;
-}
-
-std::string
-labelsText(const Labels &labels)
-{
-    std::string out;
-    for (const auto &[k, v] : labels) {
-        if (!out.empty())
-            out += ';';
-        out += k;
-        out += '=';
-        out += v;
-    }
-    return out;
-}
-
-} // namespace
-
-std::string
-Timeline::csv(const std::string &label) const
-{
-    std::string out =
-        "label,t_ns,name,labels,kind,value,count,mean,min,max,p50,p99,"
-        "p999\n";
-    const std::string lbl = csvField(label);
-    for (const auto &[stamp, s] : series_) {
-        const std::string name = csvField(s.id.name);
-        const std::string labels = csvField(labelsText(s.id.labels));
-        const std::size_t n = s.kind == MetricKind::Counter
-                                  ? s.counterPoints.size()
-                                  : s.kind == MetricKind::Gauge
-                                        ? s.gaugePoints.size()
-                                        : s.histPoints.size();
-        for (std::size_t i = 0; i < n; ++i) {
-            out += lbl;
-            out += ',';
-            out += std::to_string(t_[s.start + i]);
-            out += ',';
-            out += name;
-            out += ',';
-            out += labels;
-            out += ',';
-            out += metricKindName(s.kind);
-            out += ',';
-            switch (s.kind) {
-              case MetricKind::Counter:
-                out += std::to_string(s.counterPoints[i]);
-                out += ",,,,,,,";
-                break;
-              case MetricKind::Gauge:
-                out += fmtDouble(s.gaugePoints[i]);
-                out += ",,,,,,,";
-                break;
-              case MetricKind::Histogram: {
-                const WindowSummary &w = s.histPoints[i];
-                out += ',';
-                out += std::to_string(w.count);
-                out += ',';
-                out += fmtDouble(w.mean);
-                out += ',';
-                out += std::to_string(w.min);
-                out += ',';
-                out += std::to_string(w.max);
-                out += ',';
-                out += std::to_string(w.p50);
-                out += ',';
-                out += std::to_string(w.p99);
-                out += ',';
-                out += std::to_string(w.p999);
-                break;
-              }
-            }
-            out += '\n';
-        }
-    }
-    for (const Annotation &a : sortedAnnotations()) {
-        out += lbl;
-        out += ',';
-        out += std::to_string(a.at);
-        out += ",!annotation,";
-        out += csvField(a.target);
-        out += ',';
-        out += csvField(a.kind);
-        out += ',';
-        out += csvField(a.detail);
-        out += ",,,,,,,\n";
-    }
     return out;
 }
 

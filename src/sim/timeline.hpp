@@ -55,14 +55,6 @@ class Timeline
 {
   public:
     /**
-     * Decides which metrics get a series. The default drops per-thread
-     * series except thread 0 (one exemplar thread keeps the block size
-     * independent of the 96-thread blade width; totals are still in the
-     * final snapshot). Must be deterministic (pure in the id).
-     */
-    using Filter = std::function<bool(const MetricId &, MetricKind)>;
-
-    /**
      * Runs at every window boundary *before* metrics are sampled, on the
      * barrier thread (all shards parked). Derived-signal producers (the
      * SLO burn-rate detector) update their gauges here so the same
@@ -116,12 +108,6 @@ class Timeline
     /** Register a pre-sample hook (see WindowHook). */
     void addWindowHook(WindowHook fn) { hooks_.push_back(std::move(fn)); }
 
-    /** Replace the series filter. Call before the first sample. */
-    void setFilter(Filter f) { filter_ = std::move(f); }
-
-    /** The default thread-0-exemplar filter (see Filter). */
-    static bool defaultFilter(const MetricId &id, MetricKind kind);
-
     /**
      * Sample one window ending at @p now (call with now == nextSampleAt(),
      * all shards parked at that time). Runs hooks, then appends one point
@@ -130,7 +116,9 @@ class Timeline
      * its first window's growth, not its lifetime total), gauges report
      * the instantaneous value, histograms report a summary computed from
      * the window's *delta buckets* (per-window percentiles, not the
-     * cumulative distribution).
+     * cumulative distribution). Per-thread metrics get a series for
+     * thread 0 only: one exemplar thread keeps the block size independent
+     * of the 96-thread blade width (totals are in the final snapshot).
      */
     void sampleAt(Time now);
 
@@ -147,15 +135,6 @@ class Timeline
      * independent, so the block is byte-identical at any --shards N.
      */
     Json toJson() const;
-
-    /**
-     * Long-format CSV (for scripts/plot_timeseries.py):
-     *   label,t_ns,name,labels,kind,value,count,mean,min,max,p50,p99,p999
-     * Counters/gauges fill "value"; histograms fill the summary columns.
-     * Annotations ride along as kind "annotation.<kind>" rows with the
-     * target in "labels" and the detail in "value".
-     */
-    std::string csv(const std::string &label) const;
 
     /**
      * Append Chrome/Perfetto events to @p events (a traceEvents array):
@@ -190,7 +169,6 @@ class Timeline
 
     Time window_ = 0;
     Time lastSample_ = 0;
-    Filter filter_ = &Timeline::defaultFilter;
     std::vector<WindowHook> hooks_;
     std::vector<Simulator *> sims_;
     std::vector<const MetricsRegistry *> registries_;

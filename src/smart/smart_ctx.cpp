@@ -16,22 +16,6 @@ namespace smart {
 using sim::Task;
 using sim::Time;
 
-const char *
-verbErrorKindName(VerbError::Kind k)
-{
-    switch (k) {
-    case VerbError::Kind::None:
-        return "none";
-    case VerbError::Kind::RetriesExhausted:
-        return "retries_exhausted";
-    case VerbError::Kind::Timeout:
-        return "timeout";
-    case VerbError::Kind::StaleView:
-        return "stale_view";
-    }
-    return "unknown";
-}
-
 SmartCtx::SmartCtx(SmartRuntime &rt, std::uint32_t tid,
                    std::uint32_t coro_idx)
     : rt_(rt), thr_(rt.thread(tid)), coroIdx_(coro_idx)

@@ -68,9 +68,6 @@ struct VerbError
     explicit operator bool() const { return kind != Kind::None; }
 };
 
-/** @return a short stable name for @p k. */
-const char *verbErrorKindName(VerbError::Kind k);
-
 /**
  * Handle held by one application coroutine. Not thread-safe (it belongs
  * to exactly one coroutine, which belongs to exactly one thread).

@@ -123,12 +123,6 @@ SmartThread::stageWr(std::uint32_t blade_idx, rnic::WorkReq wr)
     q.wrs.push_back(wr);
 }
 
-std::size_t
-SmartThread::stagedCount(std::uint32_t blade_idx) const
-{
-    return blade_idx < staged_.size() ? staged_[blade_idx].wrs.size() : 0;
-}
-
 void
 SmartThread::kickFlush(std::uint32_t blade_idx)
 {
@@ -439,8 +433,7 @@ SmartRuntime::connect(memblade::MemoryBlade &blade)
         // driver hands low-latency UARs to app QPs, burn those on dummy
         // QPs first so the alignment still holds.
         if (!rnic_.config().reserveLowLatencyUars && dummyQps_.empty()) {
-            for (std::uint32_t i = 0;
-                 i < rnic_.config().numLowLatencyUars; ++i) {
+            for (std::uint32_t i = 0; i < rnic::kNumLowLatencyUars; ++i) {
                 dummyQps_.push_back(
                     sharedContext_->createQp(*threads_[0]->cq_, nullptr));
             }

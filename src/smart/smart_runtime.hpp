@@ -201,9 +201,6 @@ class SmartThread
     /** Ensure a flusher is draining the buffer of @p blade_idx. */
     void kickFlush(std::uint32_t blade_idx);
 
-    /** WRs staged but not yet handed to the RNIC (introspection). */
-    std::size_t stagedCount(std::uint32_t blade_idx) const;
-
     /**
      * Times the staging buffer's capacity grew (allocation audit). The
      * buffer swaps with pooled batch vectors rather than being replaced,

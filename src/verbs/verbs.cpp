@@ -9,6 +9,13 @@
 
 namespace smart::verbs {
 
+namespace {
+
+/** Doorbells reserved as dedicated low-latency UARs (mlx5 default). */
+constexpr std::uint32_t kNumLow = rnic::kNumLowLatencyUars;
+
+} // namespace
+
 Task
 Cq::pollUntil(SimThread &thr, const bool &done)
 {
@@ -26,8 +33,8 @@ Cq::chargePoll(SimThread &thr, std::uint32_t ncqes)
 {
     co_await thr.cpu().acquire();
     co_await lock_.acquire();
-    Time penalty = cfg_.lockBaseNs + lockHoldPenalty(cfg_, lock_);
-    co_await sim_.delay(penalty + cfg_.cqePollNs * ncqes);
+    Time penalty = rnic::kLockBaseNs + lockHoldPenalty(cfg_, lock_);
+    co_await sim_.delay(penalty + rnic::kCqePollNs * ncqes);
     lock_.release();
     thr.cpu().release();
 }
@@ -67,14 +74,13 @@ Qp::reconnect(SimThread &thr)
         co_return;
     }
     reconnecting_ = true;
-    const Time step = ctx_.config().qpModifyNs;
     co_await thr.cpu().acquire();
     state_ = QpState::Reset;
-    co_await ctx_.sim().delay(step);
+    co_await ctx_.sim().delay(rnic::kQpModifyNs);
     state_ = QpState::Init;
-    co_await ctx_.sim().delay(step);
+    co_await ctx_.sim().delay(rnic::kQpModifyNs);
     state_ = QpState::Rtr;
-    co_await ctx_.sim().delay(step);
+    co_await ctx_.sim().delay(rnic::kQpModifyNs);
     thr.cpu().release();
     boundEpoch_ = ctx_.rnic().epoch();
     state_ = QpState::Rts;
@@ -115,12 +121,12 @@ Qp::postSend(SimThread &thr, std::vector<WorkReq> wrs)
     // QP) keep pulling the lock line between their caches.
     std::uint32_t qp_sharers = std::max(
         qpLock_.waiters(),
-        qpSharers_.activeSharers(&thr, sim.now(), cfg.bounceWindowNs));
-    qp_sharers = std::min(qp_sharers, cfg.lockBounceWaiterCap);
+        qpSharers_.activeSharers(&thr, sim.now(), rnic::kBounceWindowNs));
+    qp_sharers = std::min(qp_sharers, rnic::kLockBounceWaiterCap);
     qpSharers_.noteUse(&thr, sim.now());
-    Time qp_cost = cfg.lockBaseNs +
+    Time qp_cost = rnic::kLockBaseNs +
                    cfg.lockBouncePerWaiterNs * qp_sharers +
-                   cfg.wqeBuildNs * static_cast<Time>(wrs.size());
+                   rnic::kWqeBuildNs * static_cast<Time>(wrs.size());
     co_await sim.delay(qp_cost);
 
     // Doorbell arbitration attributes to the first traced WR's op (the
@@ -156,11 +162,12 @@ Qp::postSend(SimThread &thr, std::vector<WorkReq> wrs)
     // queued spinners if that is momentarily larger.
     std::uint32_t sharers = std::max(
         uar_->lock.waiters(),
-        uar_->sharers.activeSharers(this, sim.now(), cfg.bounceWindowNs));
-    sharers = std::min(sharers, cfg.lockBounceWaiterCap);
+        uar_->sharers.activeSharers(this, sim.now(),
+                                    rnic::kBounceWindowNs));
+    sharers = std::min(sharers, rnic::kLockBounceWaiterCap);
     uar_->sharers.noteUse(this, sim.now());
     Time ring_cost =
-        cfg.doorbellRingNs + cfg.lockBouncePerWaiterNs * sharers;
+        rnic::kDoorbellRingNs + cfg.lockBouncePerWaiterNs * sharers;
     co_await sim.delay(ring_cost);
     uar_->lock.release();
 
@@ -174,12 +181,10 @@ Context::Context(Simulator &sim, Rnic &rnic, std::uint32_t total_uars)
     : sim_(sim), rnic_(rnic)
 {
     icmBase_ = rnic_.allocContextIcm();
-    const RnicConfig &cfg = rnic.config();
-    numLow_ = cfg.numLowLatencyUars;
-    numMedium_ = total_uars == 0 ? cfg.numMediumUars : total_uars;
-    numMedium_ = std::min(numMedium_, cfg.maxUars - numLow_);
+    numMedium_ = total_uars == 0 ? rnic::kNumMediumUars : total_uars;
+    numMedium_ = std::min(numMedium_, rnic::kMaxUars - kNumLow);
     std::uint32_t id = 0;
-    for (std::uint32_t i = 0; i < numLow_; ++i)
+    for (std::uint32_t i = 0; i < kNumLow; ++i)
         uars_.push_back(std::make_unique<Uar>(sim_, id++, true));
     for (std::uint32_t i = 0; i < numMedium_; ++i)
         uars_.push_back(std::make_unique<Uar>(sim_, id++, false));
@@ -196,12 +201,12 @@ Context::predictNextUar()
 {
     if (rnic_.config().reserveLowLatencyUars) {
         // App QPs only ever see the medium-latency pool.
-        return uars_[numLow_ + qpsCreated_ % numMedium_].get();
+        return uars_[kNumLow + qpsCreated_ % numMedium_].get();
     }
-    if (qpsCreated_ < numLow_)
+    if (qpsCreated_ < kNumLow)
         return uars_[qpsCreated_].get();
-    std::uint32_t medium = (qpsCreated_ - numLow_) % numMedium_;
-    return uars_[numLow_ + medium].get();
+    std::uint32_t medium = (qpsCreated_ - kNumLow) % numMedium_;
+    return uars_[kNumLow + medium].get();
 }
 
 std::unique_ptr<Qp>

@@ -289,8 +289,8 @@ class Qp
 /**
  * An RDMA device context (ibv_open_device + ibv_alloc_pd). Owns the
  * driver-side doorbell registers and hands them to new QPs round-robin:
- * the first `numLowLatencyUars` QPs get dedicated low-latency doorbells,
- * all later QPs share the medium-latency ones (paper Fig. 2b).
+ * the first `rnic::kNumLowLatencyUars` QPs get dedicated low-latency
+ * doorbells, all later QPs share the medium-latency ones (paper Fig. 2b).
  */
 class Context
 {
@@ -350,7 +350,6 @@ class Context
     Simulator &sim_;
     Rnic &rnic_;
     std::vector<std::unique_ptr<Uar>> uars_;
-    std::uint32_t numLow_;
     std::uint32_t numMedium_;
     std::uint32_t qpsCreated_ = 0;
     std::uint64_t icmBase_ = 0;
@@ -369,7 +368,7 @@ Qp::wakeReconnectWaiters()
 inline Time
 lockHoldPenalty(const RnicConfig &cfg, const Resource &lock)
 {
-    std::uint32_t w = std::min(lock.waiters(), cfg.lockBounceWaiterCap);
+    std::uint32_t w = std::min(lock.waiters(), rnic::kLockBounceWaiterCap);
     return cfg.lockBouncePerWaiterNs * w;
 }
 

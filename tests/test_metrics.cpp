@@ -100,27 +100,6 @@ TEST(MetricsRegistry, UnregisterOwnerDropsOnlyThatOwner)
     EXPECT_NE(s.find("b"), nullptr);
 }
 
-TEST(MetricsSnapshot, DeltaSinceSubtractsCounters)
-{
-    sim::MetricsRegistry reg;
-    sim::Counter ops;
-    int token = 0;
-    reg.registerCounter(&token, "ops", {}, &ops);
-    reg.registerGauge(&token, "g", {}, [&] {
-        return static_cast<double>(ops.value());
-    });
-
-    ops.add(100);
-    sim::MetricsSnapshot early = reg.snapshot(1000);
-    ops.add(50);
-    sim::MetricsSnapshot late = reg.snapshot(2000);
-
-    sim::MetricsSnapshot d = late.deltaSince(early);
-    EXPECT_EQ(d.find("ops")->counter, 50u);
-    // Gauges are point-in-time: the later value survives.
-    EXPECT_DOUBLE_EQ(d.find("g")->gauge, 150.0);
-}
-
 // ----------------------------------------------------- JSON round-tripping
 
 TEST(MetricsSnapshot, JsonRoundTrip)
@@ -359,15 +338,15 @@ TEST(Timeline, CapturesControllerTimeline)
 
 namespace {
 
-/** Parse @p args (after argv[0]) the way a bench main does. */
+/** Parse @p args (after argv[0]) the way bench @p name's main does. */
 std::unique_ptr<BenchCli>
-parseCli(std::vector<std::string> args)
+parseCli(std::vector<std::string> args, const std::string &name = "bench")
 {
-    std::vector<char *> argv{const_cast<char *>("bench")};
+    std::vector<char *> argv{const_cast<char *>(name.c_str())};
     for (std::string &a : args)
         argv.push_back(a.data());
     return std::make_unique<BenchCli>(static_cast<int>(argv.size()),
-                                      argv.data(), "bench");
+                                      argv.data(), name);
 }
 
 } // namespace
@@ -395,6 +374,24 @@ TEST(BenchCliDeathTest, RejectsTheRemovedNoCacheFlag)
     // --cache-mb 0 is the way to turn the cache tier off.
     EXPECT_EXIT(parseCli({"--no-cache"}), testing::ExitedWithCode(2),
                 "unknown flag '--no-cache'");
+}
+
+TEST(BenchCliDeathTest, RejectsACachePoolOnTheRawVerbBenches)
+{
+    // Their workers post SmartCtx::read/write past the cache tier, so an
+    // N MiB pool would be built and never filled.
+    for (const char *bench : {"fig03_qp_alloc", "fig04_cache_thrash",
+                              "fig13_micro", "ablation_model",
+                              "table1_dynamic"}) {
+        EXPECT_EXIT(parseCli({"--cache-mb", "4"}, bench),
+                    testing::ExitedWithCode(2), "bypass the cache tier")
+            << bench;
+        EXPECT_EQ(parseCli({"--cache-mb", "0"}, bench)->spec().cacheMb, 0u)
+            << bench;
+    }
+    // A bench that reads through the tier keeps the flag.
+    EXPECT_EQ(parseCli({"--cache-mb", "4"}, "fig10_dtx")->spec().cacheMb,
+              4u);
 }
 
 TEST(BenchCli, ParsesNumericFlags)
@@ -530,6 +527,26 @@ TEST(RunSpec, ReachesBtBench)
         p.measureNs = sim::usec(200);
         runBtBench(p, spec);
     });
+}
+
+TEST(BtBench, SpecHitRateCoversOnlyTheMeasureWindow)
+{
+    // The speculative cache starts cold, so the warm-up's first lookups
+    // miss. A window opened after warm-up must report a higher rate than
+    // the same run measured from time zero.
+    BtBenchParams p;
+    p.numKeys = 2000;
+    p.threadsPerServer = 2;
+    p.corosPerThread = 2;
+    p.variant = BtVariant::ShermanPlusSl;
+    p.mix = workload::YcsbMix::readHeavy();
+    p.warmupNs = sim::usec(300);
+    p.measureNs = sim::usec(300);
+    double windowed = runBtBench(p, {}).specHitRate;
+    p.warmupNs = 0;
+    p.measureNs = sim::usec(600);
+    double whole = runBtBench(p, {}).specHitRate;
+    EXPECT_GT(windowed, whole);
 }
 
 TEST(RunSpec, CacheMbFlagReachesADtxTestbed)

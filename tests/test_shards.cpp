@@ -510,7 +510,7 @@ struct NakCase
     std::uint64_t owrAtPost = 0;
 
     explicit NakCase(std::uint32_t shards)
-        : group(shards, static_cast<Time>(cfg.propagationNs)),
+        : group(shards, rnic::kPropagationNs),
           responder(group.shard(0), cfg, "mb0"),
           initiator(group.shard(shards - 1), cfg, "cb0"),
           remoteMr(responder.registerMemory(remote.data(), remote.size())),

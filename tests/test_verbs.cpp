@@ -132,7 +132,7 @@ TEST_F(VerbsFixture, TotalUarsKnobExpandsMediumPool)
 TEST_F(VerbsFixture, TotalUarsClampedToHardwareMax)
 {
     Context huge(sim, *clientRnic, 10000);
-    EXPECT_EQ(huge.numUars(), static_cast<std::size_t>(cfg.maxUars));
+    EXPECT_EQ(huge.numUars(), static_cast<std::size_t>(rnic::kMaxUars));
 }
 
 namespace {

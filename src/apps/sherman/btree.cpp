@@ -361,24 +361,9 @@ BtreeClient::hoclAcquire(SmartCtx &ctx, std::uint64_t ptr, BtOpResult &res)
 {
     // Level 1: the local (on-blade) lock table — only one thread per
     // compute blade proceeds to the remote lock (HOCL's hierarchy).
-    LocalLock &local = localLocks_[ptr];
-    if (local.held) {
-        struct Awaiter
-        {
-            LocalLock &lock;
-            bool await_ready() const noexcept { return false; }
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                lock.waiters.push_back(h);
-            }
-            void await_resume() const noexcept {}
-        };
-        co_await Awaiter{local};
-        // Woken by the previous holder; local.held stays true for us.
-    } else {
-        local.held = true;
-    }
+    // A release hands the lock straight to the oldest local waiter.
+    co_await localLocks_.try_emplace(ptr, rt_.sim(), 1)
+        .first->second.acquire();
 
     // Level 2: the remote lock word (contended only across blades).
     // Under a FaultPlane, a holder that died (blade crash wiped its
@@ -427,14 +412,7 @@ BtreeClient::hoclRelease(SmartCtx &ctx, std::uint64_t ptr, BtOpResult &res)
         // clear the word once the blade is back.
         ctx.clearError();
     }
-    LocalLock &local = localLocks_[ptr];
-    if (!local.waiters.empty()) {
-        std::coroutine_handle<> h = local.waiters.front();
-        local.waiters.pop_front();
-        ctx.sim().post(h); // hand the local lock over
-    } else {
-        local.held = false;
-    }
+    localLocks_.at(ptr).release();
 }
 
 Task

@@ -22,13 +22,13 @@
 #define SMART_APPS_SHERMAN_BTREE_HPP
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "apps/sherman/btree_layout.hpp"
 #include "memblade/memory_blade.hpp"
+#include "sim/resource.hpp"
 #include "smart/smart_ctx.hpp"
 #include "smart/smart_runtime.hpp"
 
@@ -167,12 +167,6 @@ class BtreeClient
     std::uint64_t leaseBreaks() const { return leaseBreaks_; }
 
   private:
-    struct LocalLock
-    {
-        bool held = false;
-        std::deque<std::coroutine_handle<>> waiters;
-    };
-
     struct SpecEntry
     {
         std::uint64_t leafPtr = 0;
@@ -219,7 +213,8 @@ class BtreeClient
 
     std::uint64_t cachedRoot_ = 0;
     std::unordered_map<std::uint64_t, NodeImage> nodeCache_;
-    std::unordered_map<std::uint64_t, LocalLock> localLocks_;
+    /** HOCL level 1: one capacity-1 lock per node this blade writes. */
+    std::unordered_map<std::uint64_t, sim::Resource> localLocks_;
     std::unordered_map<std::uint64_t, SpecEntry> specCache_;
 
     struct ThreadArena

@@ -23,6 +23,33 @@ namespace smart::harness {
 
 namespace {
 
+/**
+ * Benches that cannot apply some run flags, which are usage errors there
+ * rather than silent no-ops. The raw-verb benches' workers post
+ * SmartCtx::read/write past the compute-side cache tier, so a --cache-mb
+ * pool would be built and never filled; kernel_stress drives bare
+ * Simulators and never asks for a RunSpec, so no run flag reaches a run.
+ */
+struct FlagLimit
+{
+    std::string_view bench;
+    bool noTestbed; ///< false: only the cache tier is bypassed
+};
+constexpr FlagLimit kFlagLimits[] = {
+    {"fig03_qp_alloc", false}, {"fig04_cache_thrash", false},
+    {"fig13_micro", false},    {"ablation_model", false},
+    {"table1_dynamic", false}, {"kernel_stress", true}};
+
+const FlagLimit *
+flagLimitOf(const std::string &bench)
+{
+    for (const FlagLimit &l : kFlagLimits) {
+        if (l.bench == bench)
+            return &l;
+    }
+    return nullptr;
+}
+
 [[noreturn]] void
 usage(const std::string &bench, int exit_code)
 {
@@ -53,6 +80,11 @@ usage(const std::string &bench, int exit_code)
           "  --ts-window W  windowed time-series sampling every W of "
           "virtual time (suffix us/ms, plain = ns; implies a JSON report; "
           "scripts/plot_timeseries.py --csv exports a run as CSV)\n";
+    const FlagLimit *limit = flagLimitOf(bench);
+    if (limit != nullptr && limit->noTestbed)
+        os << "  " << bench << " builds no testbed: --seed and --trace "
+           << "are recorded but change nothing; --cache-mb N > 0, "
+              "--shards N > 1, --trace-spans and --flame are errors\n";
     std::exit(exit_code);
 }
 
@@ -99,15 +131,6 @@ parseTimeNs(const std::string &bench, const char *flag,
     }
     return ns;
 }
-
-/**
- * Benches whose workers post SmartCtx::read/write directly, past the
- * compute-side cache tier: a --cache-mb pool would be built and never
- * filled.
- */
-constexpr std::string_view kRawVerbBenches[] = {
-    "fig03_qp_alloc", "fig04_cache_thrash", "fig13_micro",
-    "ablation_model", "table1_dynamic"};
 
 /** Turn a run label into a filename fragment ("SMART-HT/t0" ->
  *  "SMART-HT_t0"). */
@@ -188,12 +211,22 @@ BenchCli::BenchCli(int argc, char **argv, std::string bench_name)
             usage(benchName_, 2);
         }
     }
-    if (flags_.cacheMb.value_or(0) > 0 &&
-        std::find(std::begin(kRawVerbBenches), std::end(kRawVerbBenches),
-                  benchName_) != std::end(kRawVerbBenches)) {
-        std::cerr << benchName_ << ": --cache-mb N > 0 has no effect: "
-                  << "this bench's verbs bypass the cache tier\n";
-        usage(benchName_, 2);
+    if (const FlagLimit *limit = flagLimitOf(benchName_)) {
+        auto reject = [&](const char *flag) {
+            std::cerr << benchName_ << ": " << flag << " has no effect: "
+                      << (limit->noTestbed
+                              ? "this bench builds no testbed\n"
+                              : "this bench's verbs bypass the cache tier\n");
+            usage(benchName_, 2);
+        };
+        if (flags_.cacheMb.value_or(0) > 0)
+            reject("--cache-mb N > 0");
+        if (limit->noTestbed && flags_.shards > 1)
+            reject("--shards N > 1");
+        if (limit->noTestbed && flags_.spanSampleEvery > 0)
+            reject("--trace-spans");
+        if (limit->noTestbed && !flamePath_.empty())
+            reject("--flame");
     }
     if (outDir_.empty())
         outDir_ = ".";

@@ -22,7 +22,7 @@
  *                  setting (0 turns the cache tier off); N > 0 is a
  *                  usage error on the benches whose verbs bypass the
  *                  tier (fig03, fig04, fig13, ablation_model,
- *                  table1_dynamic)
+ *                  table1_dynamic) and on kernel_stress
  *   --shards N     run the simulation on N parallel shards (blades are
  *                  round-robined over shards; clamped to the blade
  *                  count; output is byte-identical at any N)
@@ -37,6 +37,9 @@
  *
  * --seed, --shards, --cache-mb and the observers reach a run only through
  * the RunSpec that spec() hands out for it (see harness/testbed.hpp).
+ * kernel_stress never asks for one: there --cache-mb N > 0, --shards
+ * N > 1, --trace-spans and --flame are usage errors, and --seed and
+ * --trace are recorded but change nothing.
  */
 
 #ifndef SMART_HARNESS_BENCH_CLI_HPP

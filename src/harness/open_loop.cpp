@@ -118,7 +118,8 @@ OpenLoopDriver::OpenLoopDriver(Testbed &tb, OpenLoopConfig cfg,
                                ServiceFn service)
     : tb_(tb),
       home_(tb.numComputeBlades() > 0 ? tb.compute(0).sim() : tb.sim()),
-      cfg_(std::move(cfg)), service_(std::move(service))
+      cfg_(std::move(cfg)), service_(std::move(service)),
+      idleWorkers_(home_)
 {
     if (tb.shards() > 1 && tb.numComputeBlades() > 1) {
         // Always-on (not assert): with several compute blades the
@@ -238,7 +239,8 @@ OpenLoopDriver::arrivalLoop(std::size_t ti)
             t.vtime = std::max(t.vtime, globalVtime_);
         t.queue.push_back({req, sim.now()});
         t.s.admitted.add();
-        postTicket();
+        if (!idleWorkers_.wakeOne())
+            ++tickets_;
     }
 }
 
@@ -263,7 +265,10 @@ OpenLoopDriver::worker(SmartCtx &ctx)
     sim::TrackId track = 0;
     std::uint64_t samples = 0;
     for (;;) {
-        co_await acquireTicket();
+        if (tickets_ > 0)
+            --tickets_;
+        else
+            co_await idleWorkers_.wait(); // woken holding a ticket
         std::size_t ti = pickTenant();
         Tenant &t = tenants_[ti];
         Pending p = t.queue.front();

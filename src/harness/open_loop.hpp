@@ -31,7 +31,6 @@
 #ifndef SMART_HARNESS_OPEN_LOOP_HPP
 #define SMART_HARNESS_OPEN_LOOP_HPP
 
-#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -40,6 +39,7 @@
 
 #include "harness/testbed.hpp"
 #include "sim/random.hpp"
+#include "sim/resource.hpp"
 #include "sim/stats.hpp"
 #include "workload/ycsb.hpp"
 
@@ -248,8 +248,7 @@ class OpenLoopDriver
         TenantStats s;
 
         // Burn-rate detector state, advanced once per time-series
-        // window by onWindow(). Own prev-value cursors (never
-        // Counter::delta(), which would perturb other readers).
+        // window by onWindow(), with its own prev-value cursors.
         std::uint64_t prevDone = 0;
         std::uint64_t prevViol = 0;
         /** Trailing per-window {completed, violations} deltas. */
@@ -280,49 +279,6 @@ class OpenLoopDriver
                              std::uint64_t &count, sim::Time start,
                              sim::Time end);
 
-    /** Hand one queued-request ticket to a worker (FIFO wake via
-     *  sim.post, so wake order is deterministic). */
-    void
-    postTicket()
-    {
-        if (!parked_.empty()) {
-            home_.post(parked_.front());
-            parked_.pop_front();
-        } else {
-            ++tickets_;
-        }
-    }
-
-    /** Awaitable: one ticket == one admitted request to dispatch. A
-     *  parked worker gets the ticket handed off directly on wake. */
-    auto
-    acquireTicket()
-    {
-        struct Awaiter
-        {
-            OpenLoopDriver &d;
-
-            bool
-            await_ready() const noexcept
-            {
-                if (d.tickets_ > 0) {
-                    --d.tickets_;
-                    return true;
-                }
-                return false;
-            }
-
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                d.parked_.push_back(h);
-            }
-
-            void await_resume() const noexcept {}
-        };
-        return Awaiter{*this};
-    }
-
     Testbed &tb_;
     /**
      * The Simulator every piece of driver state lives on: compute blade
@@ -338,11 +294,10 @@ class OpenLoopDriver
     std::vector<Tenant> tenants_;
     double globalVtime_ = 0.0; ///< vtime of the last dispatch (catch-up)
 
-    // Counting semaphore over queued requests: arrivals post one ticket
-    // per admitted request, idle workers park on it. FIFO via sim.post,
-    // so wake order is deterministic.
+    // Counting semaphore over queued requests: each admission hands its
+    // ticket to the oldest idle worker, or banks it when none is parked.
     std::uint64_t tickets_ = 0;
-    std::deque<std::coroutine_handle<>> parked_;
+    sim::WaitQueue idleWorkers_;
 
     bool started_ = false;
 };

@@ -56,8 +56,6 @@ struct TestbedConfig
      * tracer entirely (untraced runs pay one pointer load per op).
      */
     std::uint32_t spanSampleEvery = 0;
-    /** Hard cap on span records (bounds memory; excess is dropped). */
-    std::size_t spanMaxRecords = 1u << 20;
 
     /**
      * Windowed time-series sampling cadence (sim/timeline.hpp); 0
@@ -81,8 +79,7 @@ class Testbed
         if (cfg.spanSampleEvery > 0) {
             for (std::uint32_t s = 0; s < shards; ++s)
                 spans_.push_back(std::make_unique<sim::SpanTracer>(
-                    group_.shard(s), cfg.spanSampleEvery,
-                    cfg.spanMaxRecords));
+                    group_.shard(s), cfg.spanSampleEvery));
         }
         std::uint32_t next_shard = 0;
         auto pick = [&]() -> sim::Simulator & {

@@ -1,8 +1,11 @@
 /**
  * @file
- * FIFO-queued capacity-limited resources: the building block for every
- * contended hardware structure in the model (CPUs, doorbell spinlocks,
- * RNIC pipelines, DMA engines, links).
+ * The model's two ways to wait: WaitQueue, a FIFO of parked waiters woken
+ * by whoever owns the condition, and Resource, a FIFO-queued
+ * capacity-limited unit built on it — the building block for every
+ * contended hardware structure (CPUs, doorbell spinlocks, RNIC pipelines,
+ * DMA engines, links) and for the throttles (§4.3 coroutine gate, HOCL
+ * local locks).
  */
 
 #ifndef SMART_SIM_RESOURCE_HPP
@@ -12,6 +15,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "sim/simulator.hpp"
 #include "sim/types.hpp"
@@ -19,31 +23,122 @@
 namespace smart::sim {
 
 /**
+ * A FIFO of waiters parked in pooled event nodes of one Simulator.
+ *
+ * A wake links the oldest parked node into the event queue at the current
+ * time, drawing its FIFO seq at that moment, exactly as Simulator::post
+ * would: a woken coroutine is resumed by the event loop, never
+ * recursively, in the order the wakes (and any other same-time schedules)
+ * were made.
+ *
+ * Destroying a queue drops any waiter still parked (the coroutines are
+ * owned elsewhere); an empty queue's destructor does not touch the
+ * Simulator. A queue with parked waiters must not outlive its Simulator,
+ * and a queue is used only on the thread that advances it.
+ */
+class WaitQueue
+{
+  public:
+    explicit WaitQueue(Simulator &sim) noexcept : sim_(&sim) {}
+
+    ~WaitQueue()
+    {
+        while (!list_.empty())
+            sim_->drop(list_.popFront());
+    }
+
+    /** Movable, so a queue can live in a resized container; parked
+     *  nodes hold coroutine handles, not pointers to the queue. */
+    WaitQueue(WaitQueue &&o) noexcept
+        : sim_(o.sim_), list_(std::exchange(o.list_, {})),
+          size_(std::exchange(o.size_, 0))
+    {
+    }
+    WaitQueue &operator=(WaitQueue &&) = delete;
+    WaitQueue(const WaitQueue &) = delete;
+    WaitQueue &operator=(const WaitQueue &) = delete;
+
+    /** Awaitable: parks the caller until a wakeOne()/wakeAll() reaches
+     *  it. Always suspends; callers re-check their condition. */
+    auto
+    wait()
+    {
+        struct Awaiter
+        {
+            WaitQueue &q;
+            bool await_ready() const noexcept { return false; }
+            void
+            await_suspend(std::coroutine_handle<> h)
+            {
+                q.park(EventFn::resume(h));
+            }
+            void await_resume() const noexcept {}
+        };
+        return Awaiter{*this};
+    }
+
+    /** Park @p fn behind the current waiters; a wake runs it (frameless
+     *  awaiters, Resource::enqueue). */
+    void
+    park(EventFn &&fn)
+    {
+        list_.pushBack(sim_->park(std::move(fn)));
+        ++size_;
+    }
+
+    /** Wake the oldest waiter. @return false if none was parked. */
+    bool
+    wakeOne()
+    {
+        if (list_.empty())
+            return false;
+        --size_;
+        sim_->wake(list_.popFront());
+        return true;
+    }
+
+    /** Wake every parked waiter, oldest first. */
+    void
+    wakeAll()
+    {
+        while (wakeOne()) {
+        }
+    }
+
+    bool empty() const noexcept { return list_.empty(); }
+
+    /** @return number of parked waiters. */
+    std::uint32_t size() const noexcept { return size_; }
+
+  private:
+    Simulator *sim_;
+    EventList list_;
+    std::uint32_t size_ = 0;
+};
+
+/**
  * A capacity-N resource with FIFO admission.
  *
  * Coroutines `co_await res.acquire()` and must call `release()` when done.
  * Grants are delivered through the event queue (never by recursive resume),
- * which keeps wakeup order deterministic and the native stack flat.
+ * which keeps wakeup order deterministic and the native stack flat. A
+ * release hands its unit straight to the oldest waiter.
  *
- * Waiters wait in parked event nodes of the Simulator's pool; a grant
- * links the head node into the queue without moving its callable. A
- * Resource must not outlive its Simulator, and is used only on the thread
- * that advances it.
+ * The capacity can move at run time (setCapacity(), the §4.3 c_max
+ * controller): a raise grants waiters in FIFO order at once; after a cut,
+ * releases drain units without handoff until at most the new capacity
+ * are held.
+ *
+ * A Resource with parked waiters must not outlive its Simulator, and is
+ * used only on the thread that advances it.
  */
 class Resource
 {
   public:
     Resource(Simulator &sim, std::uint32_t capacity, std::string name = "")
-        : sim_(sim), capacity_(capacity), name_(std::move(name))
+        : capacity_(capacity), waiters_(sim), name_(std::move(name))
     {
         assert(capacity_ > 0);
-    }
-
-    /** Destroys the callables of waiters that were never granted. */
-    ~Resource()
-    {
-        while (!waiters_.empty())
-            sim_.drop(waiters_.popFront());
     }
 
     Resource(const Resource &) = delete;
@@ -60,17 +155,13 @@ class Resource
             bool
             await_ready() const noexcept
             {
-                if (res.inUse_ < res.capacity_) {
-                    ++res.inUse_;
-                    return true;
-                }
-                return false;
+                return res.tryAcquire();
             }
 
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                res.park(EventFn::resume(h));
+                res.waiters_.park(EventFn::resume(h));
             }
 
             void await_resume() const noexcept {}
@@ -89,8 +180,8 @@ class Resource
     void
     enqueue(EventFn &&fn)
     {
-        assert(inUse_ == capacity_);
-        park(std::move(fn));
+        assert(inUse_ >= capacity_);
+        waiters_.park(std::move(fn));
     }
 
     /**
@@ -113,17 +204,26 @@ class Resource
     release()
     {
         assert(inUse_ > 0);
-        if (!waiters_.empty()) {
-            // Hand the unit straight to the head waiter: inUse_ unchanged.
-            --waiting_;
-            sim_.wake(waiters_.popFront());
-        } else {
+        // Hand the unit straight to the head waiter (inUse_ unchanged),
+        // unless a capacity cut left more units held than allowed.
+        if (!waiters_.empty() && inUse_ <= capacity_)
+            waiters_.wakeOne();
+        else
             --inUse_;
-        }
     }
 
-    /** @return number of coroutines queued behind the resource. */
-    std::uint32_t waiters() const { return waiting_; }
+    /** Change the capacity; a raise grants waiters in FIFO order. */
+    void
+    setCapacity(std::uint32_t c)
+    {
+        assert(c > 0);
+        capacity_ = c;
+        while (inUse_ < capacity_ && waiters_.wakeOne())
+            ++inUse_;
+    }
+
+    /** @return number of waiters queued behind the resource. */
+    std::uint32_t waiters() const { return waiters_.size(); }
 
     /** @return number of units currently held. */
     std::uint32_t inUse() const { return inUse_; }
@@ -135,20 +235,11 @@ class Resource
     const std::string &name() const { return name_; }
 
   private:
-    void
-    park(EventFn &&fn)
-    {
-        waiters_.pushBack(sim_.park(std::move(fn)));
-        ++waiting_;
-    }
-
-    Simulator &sim_;
     std::uint32_t capacity_;
     std::uint32_t inUse_ = 0;
-    std::uint32_t waiting_ = 0;
     // Mixed queue: coroutine waiters enter as EventFn::resume, frameless
     // awaiters as callbacks; one FIFO keeps the order fair across both.
-    EventList waiters_;
+    WaitQueue waiters_;
     std::string name_;
 };
 

@@ -100,6 +100,13 @@ struct SpanRecord
 };
 
 /**
+ * Span records one tracer keeps before it drops (and counts) the rest:
+ * 24 MiB of records. perfbench/run.py's traced-pass stride is sized to
+ * stay under it on every workload.
+ */
+inline constexpr std::size_t kSpanMaxRecords = std::size_t{1} << 20;
+
+/**
  * Records spans for one Simulator. Construction installs the tracer on
  * the simulator; destruction uninstalls it. Components read
  * sim.spans() and do nothing when it is null.
@@ -113,7 +120,7 @@ class SpanTracer
      *                     are counted) once reached
      */
     SpanTracer(Simulator &sim, std::uint32_t sample_every = 1,
-               std::size_t max_records = 1u << 20);
+               std::size_t max_records = kSpanMaxRecords);
     ~SpanTracer();
 
     SpanTracer(const SpanTracer &) = delete;

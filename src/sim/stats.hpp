@@ -14,37 +14,16 @@
 
 namespace smart::sim {
 
-/** A monotonically growing event counter with snapshot/delta support. */
+/** A monotonically growing event counter. */
 class Counter
 {
   public:
     void add(std::uint64_t v = 1) { value_ += v; }
     std::uint64_t value() const { return value_; }
-
-    /**
-     * Zero the counter *and* the delta snapshot: a delta() sampled across
-     * a reset must report the post-reset growth, not wrap on
-     * 0 - lastSnapshot_.
-     */
-    void
-    reset()
-    {
-        value_ = 0;
-        lastSnapshot_ = 0;
-    }
-
-    /** @return value delta since the last call to delta(). */
-    std::uint64_t
-    delta()
-    {
-        std::uint64_t d = value_ - lastSnapshot_;
-        lastSnapshot_ = value_;
-        return d;
-    }
+    void reset() { value_ = 0; }
 
   private:
     std::uint64_t value_ = 0;
-    std::uint64_t lastSnapshot_ = 0;
 };
 
 /**

@@ -18,7 +18,9 @@ BufferManager::BufferManager(SmartRuntime &rt, std::uint64_t pool_bytes)
     assert(static_cast<std::uint64_t>(n) * kLineBytes < (1ull << 32) &&
            "frame pool must fit a 4 GiB local MR");
     pool_.resize(static_cast<std::size_t>(n) * kLineBytes);
-    frames_.resize(n);
+    frames_.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i)
+        frames_.emplace_back(rt_.sim());
     freeList_.reserve(n);
     for (std::uint32_t i = n; i-- > 0;)
         freeList_.push_back(i); // pop_back hands out frame 0 first
@@ -68,14 +70,6 @@ BufferManager::dirtyLines() const
 }
 
 void
-BufferManager::wakeWaiters(Frame &f)
-{
-    for (std::coroutine_handle<> h : f.waiters)
-        rt_.sim().post(h);
-    f.waiters.clear();
-}
-
-void
 BufferManager::detach(Frame &f)
 {
     if (!f.detached) {
@@ -91,7 +85,7 @@ BufferManager::tryReclaim(std::uint32_t idx)
     if (!f.detached || f.pins != 0 || f.wbInFlight ||
         f.state == FrameState::Loading)
         return;
-    wakeWaiters(f);
+    f.waiters.wakeAll();
     f.key = 0;
     f.patches.clear();
     f.state = FrameState::Free;
@@ -193,7 +187,7 @@ BufferManager::ensureLinePinned(SmartCtx &ctx, const RemotePtr &line_ptr,
             // deadlock the chain.
             hits_.add();
             co_await ctx.postSend();
-            co_await parkOnFrame(f);
+            co_await f.waiters.wait();
             continue;
         }
         std::uint32_t fi = allocFrame(ctx, staged);
@@ -394,7 +388,7 @@ BufferManager::flushLine(SmartCtx &ctx, std::uint32_t blade,
         }
         // Another round's write-back is in flight: wait for its CQE.
         co_await ctx.postSend();
-        co_await parkOnFrame(f);
+        co_await f.waiters.wait();
     }
 }
 
@@ -425,7 +419,7 @@ BufferManager::flushAll(SmartCtx &ctx)
         if (parked == kNoFrame)
             co_return;
         co_await ctx.postSend();
-        co_await parkOnFrame(frames_[parked]);
+        co_await frames_[parked].waiters.wait();
     }
 }
 
@@ -448,13 +442,13 @@ BufferManager::flushBlade(std::uint32_t blade)
         if (f.state == FrameState::Loading) {
             f.staleOnFill = true; // fill bytes may predate the restart
             detach(f);
-            wakeWaiters(f);
+            f.waiters.wakeAll();
             continue;
         }
         f.dirty = false;
         f.wbInFlight = false;
         detach(f);
-        wakeWaiters(f);
+        f.waiters.wakeAll();
         tryReclaim(i);
     }
 }
@@ -484,7 +478,7 @@ BufferManager::handoffRange(std::uint32_t from_blade,
             invalidations_.add();
             f.staleOnFill = true;
             detach(f);
-            wakeWaiters(f);
+            f.waiters.wakeAll();
             continue;
         }
         LineKey nk = makeKey(to_blade, li);
@@ -495,7 +489,7 @@ BufferManager::handoffRange(std::uint32_t from_blade,
             invalidations_.add();
             f.dirty = false;
             detach(f);
-            wakeWaiters(f);
+            f.waiters.wakeAll();
             tryReclaim(idx);
             continue;
         }
@@ -543,13 +537,13 @@ BufferManager::invalidateKey(LineKey key)
         // after this CQE, so it observes the post-atomic bytes.
         f.staleOnFill = true;
         detach(f);
-        wakeWaiters(f);
+        f.waiters.wakeAll();
         return;
     }
     // The atomic superseded any dirty cached bytes on this line.
     f.dirty = false;
     detach(f);
-    wakeWaiters(f);
+    f.waiters.wakeAll();
     tryReclaim(idx);
 }
 
@@ -560,7 +554,7 @@ BufferManager::abortFill(std::uint32_t idx, bool straggler_possible)
     if (f.state != FrameState::Loading || f.abandoned)
         return;
     detach(f);
-    wakeWaiters(f);
+    f.waiters.wakeAll();
     if (straggler_possible) {
         // A timed-out round's WR may still complete later; the frame
         // must stay quarantined until that CQE lands (onCqe reclaims).
@@ -598,7 +592,7 @@ BufferManager::onCqe(const rnic::WorkReq &wr, rnic::WcStatus status)
             f.abandoned = false;
             f.state = FrameState::Ready;
             f.patches.clear();
-            wakeWaiters(f);
+            f.waiters.wakeAll();
             tryReclaim(idx);
             return;
         }
@@ -608,7 +602,7 @@ BufferManager::onCqe(const rnic::WorkReq &wr, rnic::WcStatus status)
             // drop the frame rather than serve possibly-stale bytes.
             invalidations_.add();
             detach(f);
-            wakeWaiters(f);
+            f.waiters.wakeAll();
             tryReclaim(idx);
             return;
         }
@@ -620,7 +614,7 @@ BufferManager::onCqe(const rnic::WorkReq &wr, rnic::WcStatus status)
                 detach(f);
                 f.state = FrameState::Ready;
                 f.patches.clear();
-                wakeWaiters(f);
+                f.waiters.wakeAll();
                 tryReclaim(idx);
             }
             // Under a fault plane the owning sync round re-posts this WR
@@ -631,7 +625,7 @@ BufferManager::onCqe(const rnic::WorkReq &wr, rnic::WcStatus status)
             f.staleOnFill = false;
             f.state = FrameState::Ready; // zombie; pinned readers may
             f.patches.clear();           // still copy the old snapshot
-            wakeWaiters(f);
+            f.waiters.wakeAll();
             tryReclaim(idx);
             return;
         }
@@ -641,7 +635,7 @@ BufferManager::onCqe(const rnic::WorkReq &wr, rnic::WcStatus status)
         f.patches.clear();
         f.state = FrameState::Ready;
         f.refBit = true;
-        wakeWaiters(f);
+        f.waiters.wakeAll();
         return;
     }
 
@@ -650,7 +644,7 @@ BufferManager::onCqe(const rnic::WorkReq &wr, rnic::WcStatus status)
         f.wbInFlight = false;
         if (f.wbGen == f.dirtyGen)
             f.dirty = false; // no cached write raced the write-back
-        wakeWaiters(f);
+        f.waiters.wakeAll();
         tryReclaim(idx);
     }
     // On error the owning round is still retrying the WR: keep

@@ -30,12 +30,12 @@
 #ifndef SMART_CACHE_BUFFER_MANAGER_HPP
 #define SMART_CACHE_BUFFER_MANAGER_HPP
 
-#include <coroutine>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
 #include "rnic/rnic.hpp"
+#include "sim/resource.hpp"
 #include "sim/stats.hpp"
 #include "sim/task.hpp"
 #include "smart/access.hpp"
@@ -212,8 +212,11 @@ class BufferManager
 
     struct Frame
     {
+        explicit Frame(sim::Simulator &sim) : waiters(sim) {}
+
         LineKey key = 0;
-        std::vector<std::coroutine_handle<>> waiters;
+        /** Coroutines waiting for the fill or write-back to settle. */
+        sim::WaitQueue waiters;
         std::vector<Patch> patches;
         std::uint32_t seq = 0;      ///< bumped at free; stale-CQE guard
         std::uint32_t dirtyGen = 0; ///< bumped per cached write
@@ -300,26 +303,6 @@ class BufferManager
 
     /** Our staged fill failed permanently: unwind the Loading frame. */
     void abortFill(std::uint32_t idx, bool straggler_possible);
-
-    void wakeWaiters(Frame &f);
-
-    /** Awaitable: park the caller until @p f wakes its waiters. */
-    auto
-    parkOnFrame(Frame &f)
-    {
-        struct Awaiter
-        {
-            Frame &f;
-            bool await_ready() const noexcept { return false; }
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                f.waiters.push_back(h);
-            }
-            void await_resume() const noexcept {}
-        };
-        return Awaiter{f};
-    }
 
     SmartRuntime &rt_;
     std::vector<std::uint8_t> pool_;

@@ -24,7 +24,8 @@ SmartThread::SmartThread(SmartRuntime &rt, std::uint32_t id)
       coroGate_(rt.sim(), rt.config().corosPerThread),
       ctrl_(kBackoffUnitCycles, kBackoffMaxFactor,
             rt.config().corosPerThread, kGammaHigh, kGammaLow),
-      credit_(rt.config().initialCmax), cmax_(rt.config().initialCmax)
+      credit_(rt.config().initialCmax), cmax_(rt.config().initialCmax),
+      creditWaiters_(rt.sim())
 {
     sim::Labels labels{{"blade", rt.name()},
                        {"thread", std::to_string(id)},
@@ -72,7 +73,7 @@ SmartThread::acquireCredit(std::uint32_t want, std::uint32_t &granted)
 {
     assert(want > 0);
     while (credit_ <= 0)
-        co_await parkForCredit();
+        co_await creditWaiters_.wait();
     granted = static_cast<std::uint32_t>(
         std::min<std::int64_t>(credit_, want));
     credit_ -= granted;
@@ -82,7 +83,8 @@ void
 SmartThread::replenish(std::uint32_t n)
 {
     credit_ += n;
-    wakeCreditWaiters();
+    if (credit_ > 0)
+        creditWaiters_.wakeAll();
 }
 
 void
@@ -90,18 +92,8 @@ SmartThread::updateCmax(std::uint32_t target)
 {
     credit_ += static_cast<std::int64_t>(target) - cmax_;
     cmax_ = target;
-    wakeCreditWaiters();
-}
-
-void
-SmartThread::wakeCreditWaiters()
-{
-    if (credit_ <= 0)
-        return;
-    while (!creditWaiters_.empty()) {
-        rt_.sim().post(creditWaiters_.front());
-        creditWaiters_.pop_front();
-    }
+    if (credit_ > 0)
+        creditWaiters_.wakeAll();
 }
 
 void
@@ -581,11 +573,16 @@ Task
 SmartRuntime::conflictLoop(SmartThread &t)
 {
     // §4.3: sample the retry rate γ every window and move c_max / t_max
-    // across the water marks.
+    // across the water marks. The counters only grow (nothing resets
+    // them), so the window's share is the growth since the last sample.
+    std::uint64_t prev_attempts = 0;
+    std::uint64_t prev_fails = 0;
     for (;;) {
         co_await sim_.delay(kRetryWindowNs);
-        std::uint64_t attempts = t.casAttempts.delta();
-        std::uint64_t fails = t.casFails.delta();
+        std::uint64_t attempts = t.casAttempts.value() - prev_attempts;
+        std::uint64_t fails = t.casFails.value() - prev_fails;
+        prev_attempts += attempts;
+        prev_fails += fails;
         if (attempts == 0)
             continue;
         double gamma =

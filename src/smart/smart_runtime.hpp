@@ -65,84 +65,6 @@ struct SyncState
 };
 
 /**
- * Adjustable-capacity FIFO semaphore: implements §4.3 coroutine
- * concurrency throttling (at most c_max application operations in flight
- * per thread).
- */
-class DynSemaphore
-{
-  public:
-    DynSemaphore(sim::Simulator &sim, std::uint32_t capacity)
-        : sim_(sim), capacity_(capacity)
-    {
-    }
-
-    /** Awaitable: admits the coroutine once active < capacity. */
-    auto
-    acquire()
-    {
-        struct Awaiter
-        {
-            DynSemaphore &s;
-
-            bool
-            await_ready() const noexcept
-            {
-                if (s.active_ < s.capacity_) {
-                    ++s.active_;
-                    return true;
-                }
-                return false;
-            }
-
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                s.waiters_.push_back(h);
-            }
-
-            // Re-acquired by the wakeup path before resuming.
-            void await_resume() const noexcept {}
-        };
-        return Awaiter{*this};
-    }
-
-    void
-    release()
-    {
-        --active_;
-        admit();
-    }
-
-    /** Change capacity on the fly (the c_max controller calls this). */
-    void
-    setCapacity(std::uint32_t c)
-    {
-        capacity_ = c;
-        admit();
-    }
-
-    std::uint32_t capacity() const { return capacity_; }
-    std::uint32_t active() const { return active_; }
-
-  private:
-    void
-    admit()
-    {
-        while (active_ < capacity_ && !waiters_.empty()) {
-            ++active_;
-            sim_.post(waiters_.front());
-            waiters_.pop_front();
-        }
-    }
-
-    sim::Simulator &sim_;
-    std::uint32_t capacity_;
-    std::uint32_t active_ = 0;
-    std::deque<std::coroutine_handle<>> waiters_;
-};
-
-/**
  * Per-hardware-thread SMART state: the thread's QPs (one per connected
  * blade), its CQ, the credit pool of Algorithm 1, and the conflict
  * controller.
@@ -163,8 +85,9 @@ class SmartThread
     /** @return this thread's RNG (backoff randomization). */
     sim::Rng &rng() { return rng_; }
 
-    /** @return coroutine-throttling gate (c_max admissions). */
-    DynSemaphore &coroGate() { return coroGate_; }
+    /** @return §4.3 coroutine-throttling gate: c_max application ops in
+     *  flight per thread (the conflict controller moves its capacity). */
+    sim::Resource &coroGate() { return coroGate_; }
 
     /** @return conflict-avoidance controller. */
     ConflictController &conflictCtrl() { return ctrl_; }
@@ -235,30 +158,11 @@ class SmartThread
   private:
     friend class SmartRuntime;
 
-    auto
-    parkForCredit()
-    {
-        struct Awaiter
-        {
-            SmartThread &t;
-            bool await_ready() const noexcept { return t.credit_ > 0; }
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                t.creditWaiters_.push_back(h);
-            }
-            void await_resume() const noexcept {}
-        };
-        return Awaiter{*this};
-    }
-
-    void wakeCreditWaiters();
-
     SmartRuntime &rt_;
     std::uint32_t id_;
     sim::SimThread simThread_;
     sim::Rng rng_;
-    DynSemaphore coroGate_;
+    sim::Resource coroGate_;
     ConflictController ctrl_;
 
     sim::Task flushLoop(std::uint32_t blade_idx);
@@ -276,7 +180,8 @@ class SmartThread
 
     std::int64_t credit_;
     std::uint32_t cmax_;
-    std::deque<std::coroutine_handle<>> creditWaiters_;
+    /** Posters waiting for credit_ > 0; every replenish wakes them all. */
+    sim::WaitQueue creditWaiters_;
 
     // Resources owned per-thread under the per-thread policies.
     std::unique_ptr<verbs::Context> ownContext_; // PerThreadContext only

@@ -41,7 +41,8 @@ Cq::chargePoll(SimThread &thr, std::uint32_t ncqes)
 
 Qp::Qp(Context &ctx, Cq &cq, Rnic *target, Uar *uar)
     : ctx_(ctx), cq_(&cq), target_(target), uar_(uar),
-      qpLock_(ctx.sim(), 1, "qp"), boundEpoch_(ctx.rnic().epoch())
+      qpLock_(ctx.sim(), 1, "qp"), boundEpoch_(ctx.rnic().epoch()),
+      reconnectWaiters_(ctx.sim())
 {
     uar_->boundQps++;
 }
@@ -59,18 +60,7 @@ Qp::reconnect(SimThread &thr)
         co_return;
     if (reconnecting_) {
         // Another coroutine is already mid-handshake; ride on it.
-        struct Awaiter
-        {
-            Qp &qp;
-            bool await_ready() const noexcept { return false; }
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                qp.reconnectWaiters_.push_back(h);
-            }
-            void await_resume() const noexcept {}
-        };
-        co_await Awaiter{*this};
+        co_await reconnectWaiters_.wait();
         co_return;
     }
     reconnecting_ = true;
@@ -85,7 +75,7 @@ Qp::reconnect(SimThread &thr)
     boundEpoch_ = ctx_.rnic().epoch();
     state_ = QpState::Rts;
     reconnecting_ = false;
-    wakeReconnectWaiters();
+    reconnectWaiters_.wakeAll();
 }
 
 Task

@@ -269,9 +269,6 @@ class Qp
     /** True when the device reset/recovered after this QP last connected. */
     bool stale() const;
 
-    // Defined below Context (it needs the complete type).
-    void wakeReconnectWaiters();
-
     Context &ctx_;
     Cq *cq_;
     Rnic *target_;
@@ -283,7 +280,8 @@ class Qp
     QpState state_ = QpState::Rts;
     std::uint64_t boundEpoch_ = 0;
     bool reconnecting_ = false;
-    std::deque<std::coroutine_handle<>> reconnectWaiters_;
+    /** Coroutines riding on another's in-progress reconnect. */
+    sim::WaitQueue reconnectWaiters_;
 };
 
 /**
@@ -354,15 +352,6 @@ class Context
     std::uint32_t qpsCreated_ = 0;
     std::uint64_t icmBase_ = 0;
 };
-
-inline void
-Qp::wakeReconnectWaiters()
-{
-    while (!reconnectWaiters_.empty()) {
-        ctx_.sim().post(reconnectWaiters_.front());
-        reconnectWaiters_.pop_front();
-    }
-}
 
 /** Spinlock contention penalty: bounce cost grows with active spinners. */
 inline Time

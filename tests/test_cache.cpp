@@ -87,6 +87,30 @@ TEST(Cache, SecondReadOfLineIsAHit)
     EXPECT_TRUE(done);
 }
 
+TEST(Cache, ConcurrentMissesOnOneLineShareOneFill)
+{
+    TestbedConfig cfg = cachedConfig(16 * 256);
+    cfg.threadsPerBlade = 2;
+    Testbed tb(cfg);
+    std::uint64_t off = tb.memBlade(0).alloc(256, 256);
+    patternFill(tb, 0, off, 256, 5);
+    int done = 0;
+    for (std::uint32_t t = 0; t < 2; ++t) {
+        tb.compute(0).spawnWorker(t, [&done, off](SmartCtx &ctx) -> Task {
+            std::uint8_t buf[16] = {};
+            co_await ctx.access(ctx.runtime().ptr(0, off + 32),
+                                AccessOp::read(MemSpan{buf, 16}));
+            EXPECT_EQ(buf[0], static_cast<std::uint8_t>(5 + 32 * 13));
+            ++done;
+        });
+    }
+    tb.sim().runUntil(sim::msec(10));
+    // One fill: the second reader waited on the loading frame and was
+    // woken by the fill's completion.
+    EXPECT_EQ(done, 2);
+    EXPECT_EQ(tb.compute(0).cache()->missCount(), 1u);
+}
+
 TEST(Cache, EvictionUnderCapacityPressure)
 {
     // A 4-frame pool cycled through 12 distinct lines must evict, stay

@@ -183,22 +183,6 @@ TEST(LatencyHistogram, HugeValuesSaturateIntoTopBucket)
     EXPECT_GE(h.percentile(50), H::bucketLo(H::kBuckets - 1));
 }
 
-TEST(Counter, ResetAlsoResetsDeltaSnapshot)
-{
-    // Regression: reset() used to zero value_ but keep lastSnapshot_, so
-    // the next delta() computed 0 - lastSnapshot_ and wrapped to a huge
-    // uint64 — corrupting every windowed rate sampled across a reset.
-    sim::Counter c;
-    c.add(100);
-    EXPECT_EQ(c.delta(), 100u);
-    c.add(50);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(c.delta(), 0u);
-    c.add(7);
-    EXPECT_EQ(c.delta(), 7u);
-}
-
 TEST(LatencyHistogram, PercentileClampedToObservedRange)
 {
     // Regression: percentile() used to return the raw bucket midpoint,
@@ -392,6 +376,30 @@ TEST(BenchCliDeathTest, RejectsACachePoolOnTheRawVerbBenches)
     // A bench that reads through the tier keeps the flag.
     EXPECT_EQ(parseCli({"--cache-mb", "4"}, "fig10_dtx")->spec().cacheMb,
               4u);
+}
+
+TEST(BenchCliDeathTest, RejectsRunFlagsOnKernelStress)
+{
+    // kernel_stress drives bare Simulators and never asks for a RunSpec,
+    // so these flags would be accepted and applied nowhere.
+    const char *bench = "kernel_stress";
+    const char *msg = "builds no testbed";
+    EXPECT_EXIT(parseCli({"--cache-mb", "4"}, bench),
+                testing::ExitedWithCode(2), msg);
+    EXPECT_EXIT(parseCli({"--shards", "2"}, bench),
+                testing::ExitedWithCode(2), msg);
+    EXPECT_EXIT(parseCli({"--trace-spans=8"}, bench),
+                testing::ExitedWithCode(2), msg);
+    EXPECT_EXIT(parseCli({"--flame", "f.txt"}, bench),
+                testing::ExitedWithCode(2), msg);
+    // The regression gate passes --seed and --trace to every baseline
+    // bench; they and the no-op settings stay valid.
+    EXPECT_EQ(parseCli({"--seed", "7", "--trace", "--shards", "1",
+                        "--cache-mb", "0"},
+                       bench)
+                  ->spec()
+                  .seed,
+              7u);
 }
 
 TEST(BenchCli, ParsesNumericFlags)

@@ -195,13 +195,13 @@ TEST(ConflictController, ExpansionGrowsCmaxBeforeShrinkingTmax)
     EXPECT_EQ(c.tmaxCycles(), contracted_tmax / 2);
 }
 
-TEST(DynSemaphore, EnforcesCapacity)
+TEST(CoroGate, EnforcesCapacity)
 {
     sim::Simulator sim;
-    DynSemaphore sem(sim, 2);
+    sim::Resource sem(sim, 2);
     int running = 0;
     int peak = 0;
-    auto worker = [&](DynSemaphore &s) -> Task {
+    auto worker = [&](sim::Resource &s) -> Task {
         co_await s.acquire();
         ++running;
         peak = std::max(peak, running);
@@ -216,13 +216,13 @@ TEST(DynSemaphore, EnforcesCapacity)
     EXPECT_EQ(sim.now(), 30u);
 }
 
-TEST(DynSemaphore, CapacityIncreaseAdmitsWaiters)
+TEST(CoroGate, CapacityIncreaseAdmitsWaiters)
 {
     sim::Simulator sim;
-    DynSemaphore sem(sim, 1);
+    sim::Resource sem(sim, 1);
     int running = 0;
     int peak = 0;
-    auto worker = [&](DynSemaphore &s) -> Task {
+    auto worker = [&](sim::Resource &s) -> Task {
         co_await s.acquire();
         ++running;
         peak = std::max(peak, running);

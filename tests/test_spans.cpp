@@ -313,13 +313,11 @@ TEST(Spans, DisabledTracerLeavesRunIdentical)
 
 TEST(Spans, RecordPoolCapStopsCleanly)
 {
-    TestbedConfig cfg = spanConfig(1);
-    cfg.spanMaxRecords = 64;
-    Testbed tb(cfg);
+    Testbed tb(spanConfig(0));
+    SpanTracer sp(tb.sim(), 1, 64);
     std::uint64_t ops = runWorkers(tb, sim::usec(500));
     ASSERT_GT(ops, 64u);
 
-    SpanTracer &sp = *tb.spanTracer();
     EXPECT_LE(sp.size(), 64u);
     EXPECT_GT(sp.dropped(), 0u);
     // Exports still work on the truncated pool.

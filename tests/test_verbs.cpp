@@ -173,7 +173,34 @@ postAndWait(Simulator &sim, SimThread &thr, Qp &qp, Cq &cq,
     (void)sim;
 }
 
+Task
+reconnectAndStamp(Simulator &sim, SimThread &thr, Qp &qp, sim::Time &at)
+{
+    co_await qp.reconnect(thr);
+    at = sim.now();
+}
+
 } // namespace
+
+TEST_F(VerbsFixture, ConcurrentReconnectsRideOneHandshake)
+{
+    SimThread t0(sim, 0);
+    SimThread t1(sim, 1);
+    auto cq = ctx->createCq();
+    auto qp = ctx->createQp(*cq, &blade->rnic());
+    qp->moveToError();
+    ASSERT_TRUE(qp->needsReconnect());
+    sim::Time at[3] = {sim::kTimeNever, sim::kTimeNever, sim::kTimeNever};
+    sim.spawn(reconnectAndStamp(sim, t0, *qp, at[0]));
+    sim.spawn(reconnectAndStamp(sim, t1, *qp, at[1]));
+    sim.spawn(reconnectAndStamp(sim, t1, *qp, at[2]));
+    sim.run();
+    // The first caller walks Reset -> Init -> RTR -> RTS; the other two
+    // wait on it and resume the moment it is done.
+    EXPECT_FALSE(qp->needsReconnect());
+    for (sim::Time t : at)
+        EXPECT_EQ(t, 3 * rnic::kQpModifyNs);
+}
 
 TEST_F(VerbsFixture, PostSendDeliversCompletions)
 {

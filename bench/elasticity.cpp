@@ -120,9 +120,6 @@ main(int argc, char **argv)
     // +1 slot on thread 0 for the membership plane's migration worker.
     cfg.smart.corosPerThread = coros + 1;
     RunSpec spec = cli.spec("elasticity");
-    // The membership and fault planes hold cross-blade state on one
-    // shard (both abort on a sharded simulation): --shards is pinned.
-    spec.shards = 1;
     observe(cfg, spec);
     Testbed tb(cfg);
     SmartRuntime &rt = tb.compute(0);

@@ -182,9 +182,6 @@ main(int argc, char **argv)
     cfg.smart.withBenchTimescale();
     cfg.smart.corosPerThread = coros;
     RunSpec spec = cli.spec("storm");
-    // The fault plane holds cross-blade state on one shard (it aborts on
-    // a sharded simulation): --shards is pinned.
-    spec.shards = 1;
     observe(cfg, spec);
     Testbed tb(cfg);
 
@@ -252,8 +249,6 @@ main(int argc, char **argv)
         ccfg.smart.withBenchTimescale();
         ccfg.smart.corosPerThread = ccoros + 1; // +1 for migration worker
         RunSpec cspec = cli.spec();
-        // Membership and fault planes: single-shard only, as above.
-        cspec.shards = 1;
         observe(ccfg, cspec);
         Testbed ctb(ccfg);
         SmartRuntime &crt = ctb.compute(0);

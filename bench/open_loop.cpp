@@ -327,7 +327,7 @@ churnService(MembershipPlane &plane, std::uint64_t *failed_ops)
 
 /** The churn shape's cluster, with @p spec applied. */
 TestbedConfig
-churnConfig(const Shape &sh, RunSpec spec)
+churnConfig(const Shape &sh, const RunSpec &spec)
 {
     TestbedConfig cfg;
     cfg.computeBlades = 1;
@@ -339,9 +339,6 @@ churnConfig(const Shape &sh, RunSpec spec)
     cfg.smart.withOverloadWatermarks(48, 96);
     // +1 slot on thread 0 for the plane's migration worker.
     cfg.smart.corosPerThread = sh.coros + 1;
-    // Membership + fault planes keep the churn arm single-shard (both
-    // abort on a sharded simulation), so --shards is pinned.
-    spec.shards = 1;
     observe(cfg, spec);
     return cfg;
 }
@@ -435,6 +432,11 @@ main(int argc, char **argv)
         std::cout << "== open_loop " << app << ": closed-loop capacity "
                   << capacity << " mops, service p99 " << closed_p99
                   << " ns ==\n";
+        if (!(capacity > 0)) {
+            std::cerr << "open_loop " << app << ": closed-loop capacity "
+                      << capacity << " mops: the model completed no ops\n";
+            return 1;
+        }
 
         std::vector<PointResult> pts;
         for (double f : fracs)
@@ -503,6 +505,12 @@ main(int argc, char **argv)
         double est_capacity = measureChurnCapacity(sh, cli.spec());
         std::cout << "== open_loop churn: raw closed-loop capacity "
                   << est_capacity << " mops ==\n";
+        if (!(est_capacity > 0)) {
+            std::cerr << "open_loop churn: raw closed-loop capacity "
+                      << est_capacity << " mops: the model completed no "
+                      << "ops\n";
+            return 1;
+        }
 
         OpenLoopConfig ocfg;
         workload::YcsbMix churn_mix{0.75, 0.25, 0.0};

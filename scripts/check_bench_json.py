@@ -23,10 +23,10 @@ same thing: every table cell (host wall-clock columns aside), the run
 labels and at_ns, a sha256 digest of each run's metrics, timeseries and
 spans, and perf.events_processed. Either side may be a full report or a
 baseline (the slim form --baseline prints, committed in bench/baselines).
-This is the regression gate and the byte-identity gate: e.g. a
---shards 4 run must simulate, sample and attribute exactly what the
---shards 1 run did. Each difference is named: a table cell, a metric or
-a series point, and, per mismatching run, app.ops and p99 old -> new.
+This is the regression gate and the byte-identity gate: e.g. a change
+that claims no model change must simulate, sample and attribute exactly
+what its parent did. Each difference is named: a table cell, a metric
+or a series point, and, per mismatching run, app.ops and p99 old -> new.
 
 With --shard-scaling, gates the 4-shard wall-clock speedup of a
 kernel_stress report, only on hosts with enough cores to show it.
@@ -316,30 +316,6 @@ def validate_perf(report):
           f"perf.peak_queue_depth {perf['peak_queue_depth']} must be >= 1")
     check(perf["host_cores"] >= 1,
           f"perf.host_cores {perf['host_cores']} must be >= 1")
-
-    # Per-shard breakdown: events/inserts sum to the process totals,
-    # peak depth is the max over shard peaks (never a sum).
-    shards = perf.get("shards")
-    check(isinstance(shards, list) and shards,
-          "perf.shards must be a non-empty list")
-    ev_sum = 0
-    peak_max = 0
-    seen = set()
-    for row in shards:
-        check(isinstance(row, dict), f"perf.shards entry malformed: {row!r}")
-        for key in ("shard", "events_processed", "peak_queue_depth"):
-            check(key in row, f"perf.shards entry missing {key!r}: {row!r}")
-        check(row["shard"] not in seen,
-              f"perf.shards has duplicate shard index {row['shard']}")
-        seen.add(row["shard"])
-        ev_sum += row["events_processed"]
-        peak_max = max(peak_max, row["peak_queue_depth"])
-    check(ev_sum == perf["events_processed"],
-          f"perf.shards events sum {ev_sum} != "
-          f"perf.events_processed {perf['events_processed']}")
-    check(peak_max == perf["peak_queue_depth"],
-          f"max perf.shards peak {peak_max} != "
-          f"perf.peak_queue_depth {perf['peak_queue_depth']}")
 
 
 # kernel_stress workloads whose steady-state window must not allocate.
@@ -868,13 +844,7 @@ def first_difference(ra, rb):
         return "timeseries differs"
     for key in sorted(set(ra) | set(rb)):
         if key not in ("label", "at_ns") and ra.get(key) != rb.get(key):
-            hint = ""
-            if key == "spans" and any(
-                    (r.get("spans") or {}).get("dropped", 0) for r in (ra, rb)):
-                hint = (" (a span tracer hit its per-shard record cap, and "
-                        "which records it drops depends on the shard "
-                        "count: sample fewer ops with --trace-spans=N)")
-            return f"{key} differs{hint}"
+            return f"{key} differs"
     return "digest differs"
 
 

@@ -38,8 +38,6 @@ class Tatp
         }
     }
 
-    std::uint64_t numSubscribers() const { return numSubs_; }
-
     /** GET_SUBSCRIBER_DATA: read one subscriber row (35%). */
     sim::Task
     txGetSubscriberData(SmartCtx &ctx, std::uint64_t s, DtxResult &res)

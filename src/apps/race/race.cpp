@@ -375,7 +375,6 @@ RaceClient::parseGroup(const std::uint8_t *bytes)
 Task
 RaceClient::refreshDirectory(SmartCtx &ctx, OpResult &res)
 {
-    ++dirRefreshes_;
     // Directory metadata must be fresh: always bypass the cache tier.
     std::uint64_t gd_word = 0;
     co_await ctx.access(bladePtr(0, table_.gdOffset()),

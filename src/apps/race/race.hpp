@@ -164,23 +164,6 @@ class RaceClient
     /** Remove @p key (CAS its slot to empty). */
     sim::Task remove(SmartCtx &ctx, std::uint64_t key, OpResult &res);
 
-    /**
-     * Drop the cached directory image. Call after a membership event
-     * (blade failover/migration) so the next op re-reads the directory
-     * instead of trusting entries that may point at a dead blade.
-     */
-    void
-    invalidateDirectory()
-    {
-        // Keep the directory's shape (ops index it unconditionally) but
-        // mark every entry invalid so the next use re-reads remote state.
-        for (DirEntry &e : dir_.entries)
-            e = DirEntry{};
-    }
-
-    /** Number of directory refreshes this client performed. */
-    std::uint64_t dirRefreshes() const { return dirRefreshes_; }
-
     /** Number of client-side (RDMA) splits this client performed. */
     std::uint64_t clientSplits() const { return clientSplits_; }
 
@@ -240,7 +223,6 @@ class RaceClient
     };
     std::vector<ThreadArena> arenas_; // per thread
 
-    std::uint64_t dirRefreshes_ = 0;
     std::uint64_t clientSplits_ = 0;
 };
 

@@ -57,7 +57,7 @@ usage(const std::string &bench, int exit_code)
     os << "usage: " << bench
        << " [--quick] [--json PATH] [--out-dir DIR] [--seed N] "
           "[--trace] [--trace-spans[=N]] [--flame PATH] [--perf]\n"
-          "  [--cache-mb N] [--shards N]\n"
+          "  [--cache-mb N] [--ts-window W]\n"
           "  --quick        reduced sweep for CI / smoke runs\n"
           "  --json PATH    write a smart-bench-report/v1 JSON report\n"
           "  --out-dir DIR  directory for CSV/JSON outputs (default .)\n"
@@ -75,8 +75,6 @@ usage(const std::string &bench, int exit_code)
           "  --cache-mb N   run every testbed with an N MiB compute-side "
           "cache frame pool (0 turns the cache tier off; N > 0 is an "
           "error where the bench's verbs bypass the tier)\n"
-          "  --shards N     run the simulation on N parallel shards "
-          "(clamped to the blade count; byte-identical output at any N)\n"
           "  --ts-window W  windowed time-series sampling every W of "
           "virtual time (suffix us/ms, plain = ns; implies a JSON report; "
           "scripts/plot_timeseries.py --csv exports a run as CSV)\n";
@@ -84,7 +82,7 @@ usage(const std::string &bench, int exit_code)
     if (limit != nullptr && limit->noTestbed)
         os << "  " << bench << " builds no testbed: --seed and --trace "
            << "are recorded but change nothing; --cache-mb N > 0, "
-              "--shards N > 1, --trace-spans and --flame are errors\n";
+              "--trace-spans and --flame are errors\n";
     std::exit(exit_code);
 }
 
@@ -192,13 +190,6 @@ BenchCli::BenchCli(int argc, char **argv, std::string bench_name)
             flags_.cacheMb = static_cast<std::uint32_t>(parseUint(
                 benchName_, "--cache-mb", value(i, "--cache-mb"),
                 UINT32_MAX));
-        } else if (arg == "--shards") {
-            flags_.shards = static_cast<std::uint32_t>(parseUint(
-                benchName_, "--shards", value(i, "--shards"), UINT32_MAX));
-            if (flags_.shards == 0) {
-                std::cerr << benchName_ << ": --shards N needs N >= 1\n";
-                usage(benchName_, 2);
-            }
         } else if (arg == "--ts-window") {
             flags_.tsWindowNs = parseTimeNs(benchName_, "--ts-window",
                                             value(i, "--ts-window"));
@@ -221,8 +212,6 @@ BenchCli::BenchCli(int argc, char **argv, std::string bench_name)
         };
         if (flags_.cacheMb.value_or(0) > 0)
             reject("--cache-mb N > 0");
-        if (limit->noTestbed && flags_.shards > 1)
-            reject("--shards N > 1");
         if (limit->noTestbed && flags_.spanSampleEvery > 0)
             reject("--trace-spans");
         if (limit->noTestbed && !flamePath_.empty())
@@ -299,9 +288,6 @@ BenchCli::measurePerf() const
     p.ringInserts = kp.ringInserts;
     p.heapInserts = kp.heapInserts;
     p.hostCores = std::thread::hardware_concurrency();
-    p.shards.reserve(kp.shards.size());
-    for (const sim::KernelPerf::Shard &s : kp.shards)
-        p.shards.push_back({s.shard, s.eventsProcessed, s.peakQueueDepth});
     double wall_s = std::max(p.wallMs, 1e-3) / 1000.0;
     p.eventsPerSec = static_cast<double>(p.eventsProcessed) / wall_s;
     return p;
@@ -313,15 +299,13 @@ BenchCli::finish()
     PerfBlock perf = measurePerf();
     if (perf_) {
         std::printf("perf: %.1f ms wall, %llu events, %.3g events/s, "
-                    "peak queue depth %llu, inserts %llu ring / %llu heap, "
-                    "%zu shard(s)\n",
+                    "peak queue depth %llu, inserts %llu ring / %llu heap\n",
                     perf.wallMs,
                     static_cast<unsigned long long>(perf.eventsProcessed),
                     perf.eventsPerSec,
                     static_cast<unsigned long long>(perf.peakQueueDepth),
                     static_cast<unsigned long long>(perf.ringInserts),
-                    static_cast<unsigned long long>(perf.heapInserts),
-                    perf.shards.size());
+                    static_cast<unsigned long long>(perf.heapInserts));
     }
     if (!capturing())
         return 0;

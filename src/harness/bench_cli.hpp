@@ -23,23 +23,20 @@
  *                  usage error on the benches whose verbs bypass the
  *                  tier (fig03, fig04, fig13, ablation_model,
  *                  table1_dynamic) and on kernel_stress
- *   --shards N     run the simulation on N parallel shards (blades are
- *                  round-robined over shards; clamped to the blade
- *                  count; output is byte-identical at any N)
  *   --ts-window W  sample every registered metric into windowed time
  *                  series every W of virtual time (suffix us/ms; plain
  *                  number = ns; implies a JSON report, whose runs
  *                  scripts/plot_timeseries.py --csv exports as CSV)
  *
- * Numeric values (--seed, --shards, --cache-mb, --trace-spans=N, the
+ * Numeric values (--seed, --cache-mb, --trace-spans=N, the
  * number of --ts-window) are unsigned integers — decimal, 0x hex or 0
  * octal; a value with trailing garbage is a usage error (exit 2).
  *
- * --seed, --shards, --cache-mb and the observers reach a run only through
- * the RunSpec that spec() hands out for it (see harness/testbed.hpp).
- * kernel_stress never asks for one: there --cache-mb N > 0, --shards
- * N > 1, --trace-spans and --flame are usage errors, and --seed and
- * --trace are recorded but change nothing.
+ * --seed, --cache-mb and the observers reach a run only through the
+ * RunSpec that spec() hands out for it (see harness/testbed.hpp).
+ * kernel_stress never asks for one: there --cache-mb N > 0, --trace-spans
+ * and --flame are usage errors, and --seed and --trace are recorded but
+ * change nothing.
  */
 
 #ifndef SMART_HARNESS_BENCH_CLI_HPP
@@ -68,10 +65,6 @@ class BenchCli
     BenchCli(int argc, char **argv, std::string bench_name);
 
     bool quick() const { return quick_; }
-    const std::string &outDir() const { return outDir_; }
-
-    /** @return true when --perf asked for a wall-clock summary line. */
-    bool perfRequested() const { return perf_; }
 
     /**
      * Wall-clock perf of this process so far (ctor to now), paired with
@@ -84,7 +77,7 @@ class BenchCli
     bool capturing() const { return !jsonPath_.empty(); }
 
     /**
-     * The spec of the next run: seed, shards and cache override from the
+     * The spec of the next run: seed and cache override from the
      * flags. A non-empty @p label also reserves a capture slot, carrying
      * the observers --trace-spans / --ts-window ask for, when a report
      * was requested and the per-report capture cap is not reached.

@@ -36,7 +36,16 @@ arrivalKindName(ArrivalKind k)
 ArrivalProcess::ArrivalProcess(const ArrivalConfig &cfg, std::uint64_t seed)
     : cfg_(cfg), rng_(seed)
 {
-    assert(cfg_.ratePerUs > 0.0);
+    if (!(std::isfinite(cfg_.ratePerUs) && cfg_.ratePerUs > 0.0)) {
+        // Always-on (not assert): a zero or non-finite rate makes every
+        // inter-arrival gap infinite or NaN, and casting that to Time is
+        // undefined behaviour. A stalled model must fail the run.
+        std::fprintf(stderr,
+                     "ArrivalProcess: rate %g per us must be finite "
+                     "and > 0\n",
+                     cfg_.ratePerUs);
+        std::abort();
+    }
 }
 
 double
@@ -116,20 +125,15 @@ OpenLoopDriver::Tenant::Tenant(const TenantConfig &c,
 
 OpenLoopDriver::OpenLoopDriver(Testbed &tb, OpenLoopConfig cfg,
                                ServiceFn service)
-    : tb_(tb),
-      home_(tb.numComputeBlades() > 0 ? tb.compute(0).sim() : tb.sim()),
-      cfg_(std::move(cfg)), service_(std::move(service)),
-      idleWorkers_(home_)
+    : tb_(tb), cfg_(std::move(cfg)), service_(std::move(service)),
+      idleWorkers_(tb.sim())
 {
-    if (tb.shards() > 1 && tb.numComputeBlades() > 1) {
-        // Always-on (not assert): with several compute blades the
-        // arrival loops (on compute blade 0's shard) would park and
-        // resume worker coroutines living on other blades' shards.
-        // One compute blade shards fine: the driver is homed on its
-        // shard, so every queue/ticket touch is shard-local.
-        std::fprintf(stderr,
-                     "OpenLoopDriver: multiple compute blades require a "
-                     "single-shard simulation (shards=1)\n");
+    if (tb.shards() > 1) {
+        // Always-on (not assert): arrival loops, tickets and admission
+        // queues live on shard 0 and would park and resume workers
+        // living on other shards.
+        std::fprintf(stderr, "OpenLoopDriver: open-loop load requires a "
+                             "single-shard simulation (shards=1)\n");
         std::abort();
     }
     assert(!cfg_.tenants.empty());
@@ -144,7 +148,7 @@ OpenLoopDriver::OpenLoopDriver(Testbed &tb, OpenLoopConfig cfg,
 
     // Register after the vector is fully built: the registry stores
     // references into the (now stable) tenant slots.
-    sim::MetricsRegistry &reg = home_.metrics();
+    sim::MetricsRegistry &reg = tb_.sim().metrics();
     for (std::size_t i = 0; i < tenants_.size(); ++i) {
         Tenant &t = tenants_[i];
         sim::Labels l{{"tenant", t.cfg.name}};
@@ -181,7 +185,7 @@ OpenLoopDriver::OpenLoopDriver(Testbed &tb, OpenLoopConfig cfg,
 
 OpenLoopDriver::~OpenLoopDriver()
 {
-    home_.metrics().unregisterOwner(this);
+    tb_.sim().metrics().unregisterOwner(this);
 }
 
 void
@@ -190,7 +194,7 @@ OpenLoopDriver::start(std::uint32_t workers_per_thread)
     assert(!started_);
     started_ = true;
     for (std::size_t i = 0; i < tenants_.size(); ++i)
-        home_.spawn(arrivalLoop(i));
+        tb_.sim().spawn(arrivalLoop(i));
     for (std::uint32_t c = 0; c < tb_.numComputeBlades(); ++c) {
         SmartRuntime &rt = tb_.compute(c);
         for (std::uint32_t t = 0; t < rt.numThreads(); ++t) {
@@ -220,7 +224,7 @@ Task
 OpenLoopDriver::arrivalLoop(std::size_t ti)
 {
     Tenant &t = tenants_[ti];
-    sim::Simulator &sim = home_;
+    sim::Simulator &sim = tb_.sim();
     for (;;) {
         Time at = t.proc.next();
         co_await sim.delay(at - sim.now());

@@ -204,10 +204,6 @@ class OpenLoopDriver
     void resetWindow();
 
     std::size_t numTenants() const { return tenants_.size(); }
-    const TenantConfig &tenantConfig(std::size_t i) const
-    {
-        return tenants_[i].cfg;
-    }
     const TenantStats &stats(std::size_t i) const { return tenants_[i].s; }
 
     /** Current depth of tenant @p i's admission queue. */
@@ -280,15 +276,6 @@ class OpenLoopDriver
                              sim::Time end);
 
     Testbed &tb_;
-    /**
-     * The Simulator every piece of driver state lives on: compute blade
-     * 0's shard. Arrival loops, the ticket semaphore and the admission
-     * queues all run there, which keeps a single-compute-blade testbed
-     * shardable (the driver and all its workers share one shard; the
-     * memory blades stay on theirs). Multiple compute blades still
-     * require shards=1 — their workers would park cross-shard.
-     */
-    sim::Simulator &home_;
     OpenLoopConfig cfg_;
     ServiceFn service_;
     std::vector<Tenant> tenants_;

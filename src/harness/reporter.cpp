@@ -75,15 +75,6 @@ Reporter::toJson() const
     perf.set("ring_inserts", Json(perf_.ringInserts));
     perf.set("heap_inserts", Json(perf_.heapInserts));
     perf.set("host_cores", Json(static_cast<std::uint64_t>(perf_.hostCores)));
-    Json shards = Json::array();
-    for (const PerfBlock::Shard &s : perf_.shards) {
-        Json row = Json::object();
-        row.set("shard", Json(static_cast<std::uint64_t>(s.shard)));
-        row.set("events_processed", Json(s.eventsProcessed));
-        row.set("peak_queue_depth", Json(s.peakQueueDepth));
-        shards.push(std::move(row));
-    }
-    perf.set("shards", std::move(shards));
     root.set("perf", std::move(perf));
     return root;
 }

@@ -23,31 +23,22 @@ namespace smart::harness {
 /**
  * Wall-clock performance of one bench process: how hard the DES kernel
  * worked and how fast. Sourced from sim::collectKernelPerf(), so multi-
- * simulator (and multi-shard) benches aggregate correctly: events and
- * inserts sum across shards, peak depth is the max over per-shard peaks,
- * and the per-shard breakdown is kept. Embedded in every JSON report as
- * the "perf" block — the repo's perf trajectory is the history of these
- * blocks across PRs (see EXPERIMENTS.md).
+ * simulator benches aggregate correctly: events and inserts sum over
+ * every Simulator, peak depth is the max over their peaks. Embedded in
+ * every JSON report as the "perf" block — the repo's perf trajectory is
+ * the history of these blocks across PRs (see EXPERIMENTS.md).
  */
 struct PerfBlock
 {
     double wallMs = 0.0;
-    std::uint64_t eventsProcessed = 0; ///< summed across shards
+    std::uint64_t eventsProcessed = 0; ///< summed over Simulators
     double eventsPerSec = 0.0;
-    std::uint64_t peakQueueDepth = 0; ///< max over per-shard peaks
+    std::uint64_t peakQueueDepth = 0; ///< max over per-queue peaks
     std::uint64_t ringInserts = 0;
     std::uint64_t heapInserts = 0;
     /** Host hardware threads (shard-scaling gates are conditional on
      *  this: a 1-core runner cannot demonstrate speedup). */
     std::uint32_t hostCores = 0;
-
-    struct Shard
-    {
-        std::uint32_t shard = 0;
-        std::uint64_t eventsProcessed = 0;
-        std::uint64_t peakQueueDepth = 0;
-    };
-    std::vector<Shard> shards; ///< per-shard breakdown (>= 1 row)
 };
 
 /** Builds the JSON report of one bench process. */
@@ -77,8 +68,6 @@ class Reporter
 
     /** Record a free-form note (the benches' "Paper shape" blurbs). */
     void addNote(const std::string &text) { notes_.push_back(text); }
-
-    std::size_t numRuns() const { return runs_.size(); }
 
     /** @return the whole report as a Json tree. */
     sim::Json toJson() const;

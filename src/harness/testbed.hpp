@@ -46,7 +46,8 @@ struct TestbedConfig
      * Clamped to the blade count; 1 (the default) is the classic
      * single-threaded engine. Seeded results are byte-identical at any
      * value. Incompatible with the fault plane and the membership plane
-     * (those hold cross-blade state on one shard).
+     * (those hold cross-blade state on one shard). No bench flag sets
+     * it: the bench binaries run on one shard.
      */
     std::uint32_t shards = 1;
 
@@ -62,7 +63,7 @@ struct TestbedConfig
      * disables the plane entirely. Works at any shard count: sampling
      * happens at runUntil() barrier points (no simulation events), so
      * the simulated run — and the exported block — is byte-identical at
-     * any --shards N.
+     * any shard count.
      */
     sim::Time tsWindowNs = 0;
 };
@@ -273,8 +274,6 @@ struct RunSpec
     RunCapture *capture = nullptr;
     /** Perturbs every workload RNG stream (same seed => same run). */
     std::uint64_t seed = 0;
-    /** Simulation shards (TestbedConfig::shards). */
-    std::uint32_t shards = 1;
     /** Cache-tier frame pool in MiB, replacing the bench's own setting
      *  (0 turns the tier off); empty keeps the bench's setting. */
     std::optional<std::uint32_t> cacheMb;
@@ -287,7 +286,6 @@ struct RunSpec
 inline void
 observe(TestbedConfig &cfg, const RunSpec &spec)
 {
-    cfg.shards = spec.shards;
     if (spec.cacheMb)
         cfg.smart.withCacheMb(*spec.cacheMb);
     if (spec.spanSampleEvery > 0)

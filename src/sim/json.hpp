@@ -1,6 +1,6 @@
 /**
  * @file
- * Minimal JSON document model: build, serialize, parse. No external
+ * Minimal JSON document model: build and serialize. No external
  * dependencies; used by the metrics/trace/report layer so bench results
  * are machine-readable without pulling in a JSON library.
  *
@@ -52,14 +52,6 @@ class Json
     bool isString() const { return std::holds_alternative<std::string>(v_); }
     bool isArray() const { return std::holds_alternative<Array>(v_); }
     bool isObject() const { return std::holds_alternative<Object>(v_); }
-
-    bool
-    isNumber() const
-    {
-        return std::holds_alternative<double>(v_) ||
-               std::holds_alternative<std::uint64_t>(v_) ||
-               std::holds_alternative<std::int64_t>(v_);
-    }
 
     bool asBool() const { return std::get<bool>(v_); }
     const std::string &asString() const { return std::get<std::string>(v_); }
@@ -134,14 +126,6 @@ class Json
 
     /** @return the serialized document as a string. */
     std::string dump(int indent = 0) const;
-
-    /**
-     * Parse @p text into @p out.
-     * @return true on success; on failure @p error (if non-null) holds a
-     *         message with the byte offset.
-     */
-    static bool parse(const std::string &text, Json &out,
-                      std::string *error = nullptr);
 
   private:
     void dumpImpl(std::ostream &os, int indent, int depth) const;

@@ -119,59 +119,6 @@ MetricsSnapshot::toJson() const
     return arr;
 }
 
-bool
-MetricsSnapshot::fromJson(const Json &j, MetricsSnapshot &out)
-{
-    if (!j.isArray())
-        return false;
-    out.entries.clear();
-    for (const Json &m : j.asArray()) {
-        const Json *name = m.find("name");
-        const Json *labels = m.find("labels");
-        const Json *kind = m.find("kind");
-        const Json *value = m.find("value");
-        if (!name || !name->isString() || !labels || !labels->isObject() ||
-            !kind || !kind->isString() || !value)
-            return false;
-        SnapshotEntry e;
-        e.id.name = name->asString();
-        for (const auto &[k, v] : labels->asObject()) {
-            if (!v.isString())
-                return false;
-            e.id.labels.emplace_back(k, v.asString());
-        }
-        const std::string &ks = kind->asString();
-        if (ks == "counter") {
-            e.kind = MetricKind::Counter;
-            e.counter = value->asUint();
-        } else if (ks == "gauge") {
-            e.kind = MetricKind::Gauge;
-            e.gauge = value->asDouble();
-        } else if (ks == "histogram") {
-            e.kind = MetricKind::Histogram;
-            if (!value->isObject())
-                return false;
-            auto num = [&](const char *key) -> std::uint64_t {
-                const Json *f = value->find(key);
-                return f ? f->asUint() : 0;
-            };
-            e.hist.count = num("count");
-            const Json *mean = value->find("mean");
-            e.hist.mean = mean ? mean->asDouble() : 0.0;
-            e.hist.min = num("min");
-            e.hist.max = num("max");
-            e.hist.p50 = num("p50");
-            e.hist.p90 = num("p90");
-            e.hist.p99 = num("p99");
-            e.hist.p999 = num("p999");
-        } else {
-            return false;
-        }
-        out.entries.push_back(std::move(e));
-    }
-    return true;
-}
-
 // ------------------------------------------------------------- registry
 
 void

@@ -100,9 +100,6 @@ struct MetricsSnapshot
 
     /** Serialize to the report JSON form (array of metric objects). */
     Json toJson() const;
-
-    /** Rebuild from toJson() output. @return false on malformed input. */
-    static bool fromJson(const Json &j, MetricsSnapshot &out);
 };
 
 /** Central registry of component metrics. One per Simulator. */

@@ -234,7 +234,6 @@ class Simulator
     {
         group_ = group;
         shardIndex_ = shard_index;
-        events_.setShardIndex(shard_index);
     }
 
   private:

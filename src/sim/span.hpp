@@ -176,11 +176,6 @@ class SpanTracer
     std::size_t size() const { return records_.size(); }
     std::uint64_t dropped() const { return dropped_; }
     const SpanRecord &at(SpanId id) const { return records_[id - 1]; }
-    std::size_t numTracks() const { return tracks_.size(); }
-    const std::string &trackName(TrackId t) const
-    {
-        return tracks_[t - 1].name;
-    }
     bool trackIsDevice(TrackId t) const { return tracks_[t - 1].device; }
 
     // ---- exports ----

@@ -15,7 +15,7 @@
  * count. Per-metric points merge across shard registries in registration-
  * stamp order (like MetricsRegistry::mergedSnapshot), and annotations are
  * buffered per shard then merged under a deterministic full-tuple sort,
- * so exported output is byte-identical at any --shards N.
+ * so exported output is byte-identical at any shard count.
  */
 
 #ifndef SMART_SIM_TIMELINE_HPP
@@ -80,9 +80,6 @@ class Timeline
      */
     void attach(Simulator &sim);
 
-    /** Sampling cadence. */
-    Time windowNs() const { return window_; }
-
     /** Number of windows sampled so far. */
     std::size_t windows() const { return t_.size(); }
 
@@ -132,7 +129,7 @@ class Timeline
      * histogram points are {count, mean, min, max, p50, p99, p999}.
      * Series are ordered by registration stamp, annotations by
      * (t_ns, kind, target, detail) — both orders are shard-count
-     * independent, so the block is byte-identical at any --shards N.
+     * independent, so the block is byte-identical at any shard count.
      */
     Json toJson() const;
 

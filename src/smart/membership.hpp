@@ -159,7 +159,6 @@ class MembershipPlane
     std::uint64_t joinCount() const { return joins_.value(); }
     std::uint64_t drainCount() const { return drains_.value(); }
     std::uint64_t failoverCount() const { return failovers_.value(); }
-    std::uint64_t abortCount() const { return aborts_.value(); }
     /** @return true while membership work is queued or running. */
     bool busy() const { return !queue_.empty() || running_; }
 

@@ -176,9 +176,6 @@ class SmartCtx
     /** @return scratch bytes private to this coroutine (ring-allocated). */
     std::uint8_t *scratch(std::uint32_t bytes);
 
-    /** Consecutive failed-CAS streak (drives the backoff exponent). */
-    std::uint32_t casFailStreak() const { return casFailStreak_; }
-
     /** @return connected-blade index addressed by @p p. */
     std::uint32_t bladeIndex(const RemotePtr &p) const;
 
@@ -203,9 +200,6 @@ class SmartCtx
     /** Capacity growths of the retry-tracking vectors (allocation
      *  audit; stops moving once the buffers are warm). */
     std::uint64_t trackBufGrowths() const { return trackBufGrowths_; }
-
-    /** Open span of the current sampled op (0 = untraced; tests). */
-    sim::SpanId opSpan() const { return opSpan_; }
 
   private:
     friend class SmartRuntime;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the observability layer: MetricsRegistry registration /
- * snapshot / delta / unregistration, snapshot JSON round-trip, histogram
- * bucket boundary behaviour, the Timeline capturing the adaptive-
+ * snapshot / unregistration, JSON serialization and the snapshot
+ * JSON document, histogram bucket boundary behaviour, the Timeline capturing the adaptive-
  * controller timelines (C_max, t_max) through a Testbed run,
  * BenchCli's strict numeric flag parsing, and the run spec carrying the
  * flags into every runner's testbed.
@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <set>
 #include <string>
@@ -21,7 +22,6 @@
 #include "harness/ht_bench.hpp"
 #include "harness/rdma_bench.hpp"
 #include "harness/testbed.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/json.hpp"
 #include "sim/metrics.hpp"
 #include "sim/timeline.hpp"
@@ -100,9 +100,43 @@ TEST(MetricsRegistry, UnregisterOwnerDropsOnlyThatOwner)
     EXPECT_NE(s.find("b"), nullptr);
 }
 
-// ----------------------------------------------------- JSON round-tripping
+// ------------------------------------------------------- JSON documents
 
-TEST(MetricsSnapshot, JsonRoundTrip)
+TEST(Json, DumpEscapesStringsAndNestsAtEachIndent)
+{
+    EXPECT_EQ(sim::Json("q\"b\\n\nr\rt\t\x01\x1f").dump(),
+              R"("q\"b\\n\nr\rt\t\u0001\u001f")");
+
+    sim::Json doc = sim::Json::object();
+    doc.set("a", sim::Json::array().push(1).push(sim::Json::object()));
+    doc.set("b", "x");
+    doc.set("c", sim::Json::array());
+    doc.set("d", sim::Json::array()
+                     .push(true)
+                     .push(nullptr)
+                     .push(-3)
+                     .push(0.5)
+                     .push(std::nan("")));
+    EXPECT_EQ(doc.dump(0),
+              R"({"a":[1,{}],"b":"x","c":[],"d":[true,null,-3,0.5,null]})");
+    EXPECT_EQ(doc.dump(1), "{\n"
+                           " \"a\": [\n"
+                           "  1,\n"
+                           "  {}\n"
+                           " ],\n"
+                           " \"b\": \"x\",\n"
+                           " \"c\": [],\n"
+                           " \"d\": [\n"
+                           "  true,\n"
+                           "  null,\n"
+                           "  -3,\n"
+                           "  0.5,\n"
+                           "  null\n"
+                           " ]\n"
+                           "}");
+}
+
+TEST(MetricsSnapshot, ToJsonDocument)
 {
     sim::MetricsRegistry reg;
     sim::Counter ops;
@@ -118,33 +152,42 @@ TEST(MetricsSnapshot, JsonRoundTrip)
     for (std::uint64_t v : {100, 200, 400, 800, 1600})
         lat.record(v);
 
-    sim::MetricsSnapshot before = reg.snapshot(777);
-    std::string text = before.toJson().dump(1);
+    sim::MetricsSnapshot snap = reg.snapshot(777);
+    sim::Json doc = snap.toJson();
+    ASSERT_TRUE(doc.isArray());
+    ASSERT_EQ(doc.asArray().size(), snap.entries.size());
+    auto metric = [&doc](const std::string &name) -> const sim::Json * {
+        for (const sim::Json &m : doc.asArray())
+            if (m.find("name")->asString() == name)
+                return &m;
+        return nullptr;
+    };
 
-    sim::Json parsed;
-    std::string err;
-    ASSERT_TRUE(sim::Json::parse(text, parsed, &err)) << err;
-    sim::MetricsSnapshot after;
-    ASSERT_TRUE(sim::MetricsSnapshot::fromJson(parsed, after));
-
-    ASSERT_EQ(after.entries.size(), before.entries.size());
-    const sim::SnapshotEntry *c = after.find(
-        "app.ops", {{"blade", "cb0"}, {"policy", "per-thread-db"}});
+    const sim::Json *c = metric("app.ops");
     ASSERT_NE(c, nullptr);
-    EXPECT_EQ(c->counter, 9u);
-    const sim::SnapshotEntry *g = after.find("gamma");
-    ASSERT_NE(g, nullptr);
-    EXPECT_DOUBLE_EQ(g->gauge, 0.125);
-    const sim::SnapshotEntry *h = after.find("app.lat");
-    ASSERT_NE(h, nullptr);
-    EXPECT_EQ(h->hist, before.find("app.lat")->hist);
-}
+    EXPECT_EQ(c->find("kind")->asString(), "counter");
+    EXPECT_EQ(c->find("value")->asUint(), 9u);
+    EXPECT_EQ(c->find("labels")->dump(),
+              R"({"blade":"cb0","policy":"per-thread-db"})");
 
-TEST(MetricsSnapshot, FromJsonRejectsMalformed)
-{
-    sim::Json notArray = sim::Json::object();
-    sim::MetricsSnapshot out;
-    EXPECT_FALSE(sim::MetricsSnapshot::fromJson(notArray, out));
+    const sim::Json *g = metric("gamma");
+    ASSERT_NE(g, nullptr);
+    EXPECT_EQ(g->find("kind")->asString(), "gauge");
+    EXPECT_DOUBLE_EQ(g->find("value")->asDouble(), 0.125);
+
+    const sim::Json *h = metric("app.lat");
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->find("kind")->asString(), "histogram");
+    const sim::Json &v = *h->find("value");
+    const sim::HistogramSummary &want = snap.find("app.lat")->hist;
+    EXPECT_EQ(v.find("count")->asUint(), 5u);
+    EXPECT_DOUBLE_EQ(v.find("mean")->asDouble(), want.mean);
+    EXPECT_EQ(v.find("min")->asUint(), want.min);
+    EXPECT_EQ(v.find("max")->asUint(), want.max);
+    EXPECT_EQ(v.find("p50")->asUint(), want.p50);
+    EXPECT_EQ(v.find("p90")->asUint(), want.p90);
+    EXPECT_EQ(v.find("p99")->asUint(), want.p99);
+    EXPECT_EQ(v.find("p999")->asUint(), want.p999);
 }
 
 // ------------------------------------------------ histogram bucket bounds
@@ -343,8 +386,6 @@ TEST(BenchCliDeathTest, RejectsMalformedNumericFlags)
     EXPECT_EXIT(parseCli({"--seed", "-1"}), testing::ExitedWithCode(2), msg);
     EXPECT_EXIT(parseCli({"--seed", "99999999999999999999"}),
                 testing::ExitedWithCode(2), msg);
-    EXPECT_EXIT(parseCli({"--shards", "2x"}), testing::ExitedWithCode(2),
-                msg);
     EXPECT_EXIT(parseCli({"--cache-mb", "1.5"}), testing::ExitedWithCode(2),
                 msg);
     EXPECT_EXIT(parseCli({"--trace-spans=4x"}), testing::ExitedWithCode(2),
@@ -358,6 +399,13 @@ TEST(BenchCliDeathTest, RejectsTheRemovedNoCacheFlag)
     // --cache-mb 0 is the way to turn the cache tier off.
     EXPECT_EXIT(parseCli({"--no-cache"}), testing::ExitedWithCode(2),
                 "unknown flag '--no-cache'");
+}
+
+TEST(BenchCliDeathTest, RejectsTheRemovedShardsFlag)
+{
+    // Bench binaries run on one engine; only a TestbedConfig shards.
+    EXPECT_EXIT(parseCli({"--shards", "2"}), testing::ExitedWithCode(2),
+                "unknown flag '--shards'");
 }
 
 TEST(BenchCliDeathTest, RejectsACachePoolOnTheRawVerbBenches)
@@ -386,17 +434,13 @@ TEST(BenchCliDeathTest, RejectsRunFlagsOnKernelStress)
     const char *msg = "builds no testbed";
     EXPECT_EXIT(parseCli({"--cache-mb", "4"}, bench),
                 testing::ExitedWithCode(2), msg);
-    EXPECT_EXIT(parseCli({"--shards", "2"}, bench),
-                testing::ExitedWithCode(2), msg);
     EXPECT_EXIT(parseCli({"--trace-spans=8"}, bench),
                 testing::ExitedWithCode(2), msg);
     EXPECT_EXIT(parseCli({"--flame", "f.txt"}, bench),
                 testing::ExitedWithCode(2), msg);
     // The regression gate passes --seed and --trace to every baseline
     // bench; they and the no-op settings stay valid.
-    EXPECT_EQ(parseCli({"--seed", "7", "--trace", "--shards", "1",
-                        "--cache-mb", "0"},
-                       bench)
+    EXPECT_EQ(parseCli({"--seed", "7", "--trace", "--cache-mb", "0"}, bench)
                   ->spec()
                   .seed,
               7u);
@@ -406,7 +450,6 @@ TEST(BenchCli, ParsesNumericFlags)
 {
     EXPECT_EQ(parseCli({"--seed", "7"})->spec().seed, 7u);
     EXPECT_EQ(parseCli({"--seed", "0x10"})->spec().seed, 16u);
-    EXPECT_EQ(parseCli({"--shards", "3"})->spec().shards, 3u);
     EXPECT_EQ(parseCli({"--cache-mb", "8"})->spec().cacheMb, 8u);
     EXPECT_FALSE(parseCli({})->spec().cacheMb.has_value());
     EXPECT_FALSE(parseCli({})->capturing());
@@ -439,93 +482,96 @@ tinyDtx()
     return p;
 }
 
-/** Events shard 1 has processed so far, process-wide. */
-std::uint64_t
-shard1Events()
-{
-    for (const sim::KernelPerf::Shard &s : sim::collectKernelPerf().shards)
-        if (s.shard == 1)
-            return s.eventsProcessed;
-    return 0;
-}
-
 /**
- * Run @p run with a 1 MiB cache at 1 and at 2 shards: the cache tier
- * must export its metrics, the second run must really use shard 1, and
- * both snapshots must be identical.
+ * Run @p run with a 1 MiB cache: the spec must reach the runner, so the
+ * cache tier exports its metrics. @return the run's snapshot as JSON.
  */
 template <typename Run>
-void
-expectSpecReachesRunner(Run run)
+std::string
+specSnapshot(Run run)
 {
-    std::string one_shard;
-    for (std::uint32_t shards : {1u, 2u}) {
-        RunCapture cap;
-        RunSpec spec;
-        spec.label = "spec";
-        spec.capture = &cap;
-        spec.seed = 3;
-        spec.shards = shards;
-        spec.cacheMb = 1;
-        std::uint64_t shard1_before = shard1Events();
-        run(spec);
-        EXPECT_GT(cap.metrics.sumCounters("app.ops"), 0u) << shards;
-        EXPECT_NE(cap.metrics.find("smart.cache.hits"), nullptr) << shards;
-        std::string json = cap.metrics.toJson().dump();
-        if (shards == 1) {
-            one_shard = json;
-        } else {
-            EXPECT_GT(shard1Events(), shard1_before);
-            EXPECT_EQ(json, one_shard);
-        }
-    }
+    RunCapture cap;
+    RunSpec spec;
+    spec.label = "spec";
+    spec.capture = &cap;
+    spec.seed = 3;
+    spec.cacheMb = 1;
+    run(spec);
+    EXPECT_GT(cap.metrics.sumCounters("app.ops"), 0u);
+    EXPECT_NE(cap.metrics.find("smart.cache.hits"), nullptr);
+    return cap.metrics.toJson().dump();
+}
+
+} // namespace
+
+// The rdma and ht runners take a TestbedConfig, so they also run on two
+// shards (one blade each): the snapshot must not change.
+namespace {
+
+TestbedConfig
+twoBladeConfig(std::uint32_t shards)
+{
+    TestbedConfig cfg;
+    cfg.memoryBlades = 1;
+    cfg.threadsPerBlade = 2;
+    cfg.shards = shards;
+    return cfg;
 }
 
 } // namespace
 
 TEST(RunSpec, ReachesRdmaBench)
 {
-    expectSpecReachesRunner([](const RunSpec &spec) {
-        TestbedConfig cfg;
-        cfg.memoryBlades = 1;
-        cfg.threadsPerBlade = 2;
+    auto config = [](std::uint32_t shards) {
+        TestbedConfig cfg = twoBladeConfig(shards);
         cfg.smart = presets::full().withCoros(1);
-        RdmaBenchParams p;
-        p.depth = 4;
-        p.regionBytes = 1ull << 20;
-        p.warmupNs = sim::usec(50);
-        p.measureNs = sim::usec(100);
-        runRdmaBench(cfg, p, spec);
-    });
+        return cfg;
+    };
+    auto snapshot = [&config](std::uint32_t shards) {
+        return specSnapshot([&](const RunSpec &spec) {
+            RdmaBenchParams p;
+            p.depth = 4;
+            p.regionBytes = 1ull << 20;
+            p.warmupNs = sim::usec(50);
+            p.measureNs = sim::usec(100);
+            runRdmaBench(config(shards), p, spec);
+        });
+    };
+    ASSERT_EQ(Testbed(config(2)).shards(), 2u);
+    EXPECT_EQ(snapshot(2), snapshot(1));
 }
 
 TEST(RunSpec, ReachesHtBench)
 {
-    expectSpecReachesRunner([](const RunSpec &spec) {
-        TestbedConfig cfg;
-        cfg.memoryBlades = 1;
-        cfg.threadsPerBlade = 2;
+    auto config = [](std::uint32_t shards) {
+        TestbedConfig cfg = twoBladeConfig(shards);
         cfg.bladeBytes = 64ull << 20;
         cfg.smart = presets::full();
-        HtBenchParams p;
-        p.numKeys = 1000;
-        p.mix = workload::YcsbMix::readHeavy();
-        p.corosPerThread = 2;
-        p.warmupNs = sim::usec(100);
-        p.measureNs = sim::usec(200);
-        runHtBench(cfg, p, spec);
-    });
+        return cfg;
+    };
+    auto snapshot = [&config](std::uint32_t shards) {
+        return specSnapshot([&](const RunSpec &spec) {
+            HtBenchParams p;
+            p.numKeys = 1000;
+            p.mix = workload::YcsbMix::readHeavy();
+            p.corosPerThread = 2;
+            p.warmupNs = sim::usec(100);
+            p.measureNs = sim::usec(200);
+            runHtBench(config(shards), p, spec);
+        });
+    };
+    ASSERT_EQ(Testbed(config(2)).shards(), 2u);
+    EXPECT_EQ(snapshot(2), snapshot(1));
 }
 
 TEST(RunSpec, ReachesDtxBench)
 {
-    expectSpecReachesRunner(
-        [](const RunSpec &spec) { runDtxBench(tinyDtx(), spec); });
+    specSnapshot([](const RunSpec &spec) { runDtxBench(tinyDtx(), spec); });
 }
 
 TEST(RunSpec, ReachesBtBench)
 {
-    expectSpecReachesRunner([](const RunSpec &spec) {
+    specSnapshot([](const RunSpec &spec) {
         BtBenchParams p;
         p.numKeys = 2000;
         p.threadsPerServer = 2;

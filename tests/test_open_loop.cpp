@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -142,6 +143,42 @@ TEST(ArrivalProcess, SpikeWindowsAreDenser)
                    static_cast<double>(a.size());
     EXPECT_GT(share, 0.35);
     EXPECT_LT(share, 0.60);
+}
+
+// A stalled model measures zero capacity, and a bench derives its rate
+// from that: the run must end, not spin on an infinite gap, in every
+// build type.
+TEST(ArrivalProcessDeathTest, RejectsZeroAndNanRates)
+{
+    for (double rate : {0.0, std::nan("")}) {
+        ArrivalConfig cfg = kindConfig(ArrivalKind::Poisson);
+        cfg.ratePerUs = rate;
+        EXPECT_DEATH({ ArrivalProcess p(cfg, 1); },
+                     "must be finite and > 0")
+            << rate;
+    }
+}
+
+// Arrival loops and admission queues live on shard 0; workers on other
+// shards would be parked and resumed across threads.
+TEST(OpenLoopDriverDeathTest, RejectsShardedTestbed)
+{
+    OpenLoopConfig ocfg;
+    ocfg.tenants = {poissonTenant("t", 1.0)};
+    ocfg.numKeys = 100;
+    EXPECT_DEATH(
+        {
+            TestbedConfig cfg;
+            cfg.computeBlades = 1;
+            cfg.memoryBlades = 1;
+            cfg.bladeBytes = 1ull << 20;
+            cfg.shards = 2;
+            Testbed tb(cfg);
+            ServiceFn svc = [](SmartCtx &, const workload::YcsbRequest &,
+                               std::uint32_t &) -> Task { co_return; };
+            OpenLoopDriver d(tb, ocfg, svc);
+        },
+        "requires a single-shard simulation");
 }
 
 // -------------------------------------------------------------- admission

@@ -870,7 +870,6 @@ TEST(PerfIntrospection, CountsEventsAndDepth)
     EXPECT_GE(after.eventsProcessed - before.eventsProcessed, 32u);
     EXPECT_GE(after.ringInserts - before.ringInserts, 32u);
     EXPECT_GE(after.peakQueueDepth, sim.peakQueueDepth());
-    EXPECT_GE(after.shards.size(), 1u);
 }
 
 // ------------------------------------------------------ allocation audit

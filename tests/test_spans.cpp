@@ -264,15 +264,12 @@ TEST(Spans, AttributionCoversMeasuredOpTime)
     EXPECT_TRUE(saw_verb_self);
 }
 
-TEST(Spans, ChromeTraceIsWellFormedJson)
+TEST(Spans, ChromeTraceHasTraceEvents)
 {
     Testbed tb(spanConfig(1));
     runWorkers(tb, sim::usec(100));
-    std::string text = tb.spanTracer()->chromeTraceString();
-    sim::Json parsed;
-    std::string err;
-    ASSERT_TRUE(sim::Json::parse(text, parsed, &err)) << err;
-    const sim::Json *events = parsed.find("traceEvents");
+    sim::Json trace = tb.spanTracer()->chromeTrace();
+    const sim::Json *events = trace.find("traceEvents");
     ASSERT_NE(events, nullptr);
     ASSERT_TRUE(events->isArray());
     ASSERT_FALSE(events->asArray().empty());

@@ -191,6 +191,7 @@ shardedRunTimeseries(std::uint32_t shards, std::uint64_t seed)
     cfg.memoryBlades = 2;
     cfg.threadsPerBlade = 2;
     cfg.bladeBytes = 64ull << 20;
+    cfg.shards = shards;
     cfg.smart = presets::full();
     cfg.smart.withBenchTimescale();
     // Tiny watermarks: 2 threads x 2 coros cross them immediately, so
@@ -214,7 +215,6 @@ shardedRunTimeseries(std::uint32_t shards, std::uint64_t seed)
     spec.label = "shards" + std::to_string(shards);
     spec.capture = &cap;
     spec.seed = seed;
-    spec.shards = shards;
     spec.tsWindowNs = sim::usec(100);
     runHtBench(cfg, p, spec);
     // Exclude the label-bearing capture bits: compare the block itself.

@@ -116,7 +116,7 @@ main(int argc, char **argv)
     cfg.bladeBytes = 8ull << 20;
     cfg.smart = presets::full();
     cfg.smart.withBenchTimescale();
-    cfg.smart.withOverloadWatermarks(48, 96);
+    cfg.smart.withOverloadLadder();
     // +1 slot on thread 0 for the membership plane's migration worker.
     cfg.smart.corosPerThread = coros + 1;
     RunSpec spec = cli.spec("elasticity");
@@ -132,8 +132,6 @@ main(int argc, char **argv)
     MembershipPlane::Config pc;
     pc.partitions = partitions;
     pc.partBytes = part_bytes;
-    pc.settleNs = sim::usec(100);
-    pc.healthCheckNs = sim::usec(200);
     MembershipPlane plane(tb.sim(), pc, "elastic0");
     plane.addRuntime(rt);
     for (std::uint32_t m = 0; m < tb.numMemBlades(); ++m)

@@ -256,8 +256,6 @@ main(int argc, char **argv)
         MembershipPlane::Config pc;
         pc.partitions = 16;
         pc.partBytes = 64ull << 10;
-        pc.settleNs = sim::usec(100);
-        pc.healthCheckNs = sim::usec(200);
         MembershipPlane plane(ctb.sim(), pc, "churn0");
         plane.addRuntime(crt);
         for (std::uint32_t m = 0; m < ctb.numMemBlades(); ++m)

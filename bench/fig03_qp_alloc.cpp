@@ -51,7 +51,6 @@ main(int argc, char **argv)
 
                 RdmaBenchParams params;
                 params.op = op;
-                params.blockSize = 8;
                 params.depth = 8;
                 if (cli.quick())
                     params.measureNs = sim::msec(2);

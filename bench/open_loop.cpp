@@ -79,7 +79,7 @@ makeRig(const std::string &app, const Shape &sh, const RunSpec &spec)
     cfg.bladeBytes = app == "bt" ? (2ull << 30) : (1ull << 30);
     cfg.smart = presets::full();
     cfg.smart.withBenchTimescale();
-    cfg.smart.withOverloadWatermarks(48, 96);
+    cfg.smart.withOverloadLadder();
     cfg.smart.corosPerThread = sh.coros;
     observe(cfg, spec);
     rig.tb = std::make_unique<Testbed>(cfg);
@@ -146,8 +146,6 @@ makeTenants(double total_rate_per_us, Time slo_base_ns)
     batch.weight = 1.0;
     batch.mix = workload::YcsbMix::writeHeavy();
     batch.arrival.kind = ArrivalKind::Diurnal;
-    batch.arrival.diurnalAmp = 0.6;
-    batch.arrival.diurnalPeriodNs = sim::msec(2);
     batch.arrival.ratePerUs = 0.3 * total_rate_per_us;
     batch.sloP99Ns = 8 * slo_base_ns;
     batch.sessions = 4;
@@ -157,10 +155,8 @@ makeTenants(double total_rate_per_us, Time slo_base_ns)
     burst.weight = 1.0;
     burst.mix = workload::YcsbMix::insertHeavy();
     burst.arrival.kind = ArrivalKind::Spike;
-    burst.arrival.spikeFactor = 6.0;
-    burst.arrival.spikePeriodNs = sim::usec(500);
-    burst.arrival.spikeLenNs = sim::usec(50);
-    // Duty cycle 0.1 -> mean = 1.5x base; budget the *mean* to the share.
+    // kSpikeFactor 6 at duty cycle kSpikeLenNs / kSpikePeriodNs = 0.1
+    // -> mean = 1.5x base; budget the *mean* to the share.
     burst.arrival.ratePerUs = 0.2 * total_rate_per_us / 1.5;
     burst.sloP99Ns = 8 * slo_base_ns;
     burst.sessions = 4;
@@ -336,7 +332,7 @@ churnConfig(const Shape &sh, const RunSpec &spec)
     cfg.bladeBytes = 8ull << 20;
     cfg.smart = presets::full();
     cfg.smart.withBenchTimescale();
-    cfg.smart.withOverloadWatermarks(48, 96);
+    cfg.smart.withOverloadLadder();
     // +1 slot on thread 0 for the plane's migration worker.
     cfg.smart.corosPerThread = sh.coros + 1;
     observe(cfg, spec);
@@ -350,8 +346,6 @@ churnPlane(Testbed &tb, const char *name)
     MembershipPlane::Config pc;
     pc.partitions = 24;
     pc.partBytes = 128ull << 10;
-    pc.settleNs = sim::usec(100);
-    pc.healthCheckNs = sim::usec(200);
     auto plane = std::make_unique<MembershipPlane>(tb.sim(), pc, name);
     plane->addRuntime(tb.compute(0));
     for (memblade::MemoryBlade *mb : tb.memBlades())

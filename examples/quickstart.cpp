@@ -23,7 +23,7 @@ using namespace smart::harness;
 namespace {
 
 sim::Task
-helloRemoteMemory(SmartCtx &ctx, Testbed &tb)
+helloRemoteMemory(SmartCtx &ctx, Testbed &tb, bool &passed)
 {
     SmartRuntime &rt = ctx.runtime();
 
@@ -65,6 +65,7 @@ helloRemoteMemory(SmartCtx &ctx, Testbed &tb)
                 static_cast<unsigned long long>(
                     rt.rnic().perf().wrsCompleted.value()),
                 ctx.sim().now() / 1000.0);
+    passed = ok; // reached the end, and the CAS won
 }
 
 } // namespace
@@ -80,9 +81,10 @@ main()
     cfg.smart = presets::full(); // all SMART techniques enabled
 
     Testbed tb(cfg);
+    bool passed = false;
     tb.compute(0).spawnWorker(0, [&](SmartCtx &ctx) {
-        return helloRemoteMemory(ctx, tb);
+        return helloRemoteMemory(ctx, tb, passed);
     });
     tb.sim().runUntil(sim::msec(10));
-    return 0;
+    return passed ? 0 : 1;
 }

@@ -141,18 +141,6 @@ class BtreeClient
                    std::uint32_t max_count,
                    std::vector<Entry> &out, BtOpResult &res);
 
-    /**
-     * Drop the cached root and internal-node images. Call after a
-     * membership event (subtree re-rooted on another blade) so traversals
-     * re-read the root pointer instead of descending via stale addresses.
-     */
-    void
-    invalidateRootCache()
-    {
-        cachedRoot_ = 0;
-        nodeCache_.clear();
-    }
-
     /** Cached-internal-node count (introspection). */
     std::size_t cacheSize() const { return nodeCache_.size(); }
 

@@ -125,8 +125,6 @@ runHtBench(const TestbedConfig &cfg, const HtBenchParams &params,
     res.p99Ns = static_cast<double>(m.latency.p99());
     res.avgRetries = Measured::ratio(m.retries, m.appOps);
     res.retryHist = m.retryHist;
-    res.cacheHits = m.cacheHits;
-    res.cacheMisses = m.cacheMisses;
     res.cacheEvictions = m.cacheEvictions;
     res.hitRatio = Measured::ratio(m.cacheHits, m.cacheHits + m.cacheMisses);
     captureRun(tb, spec);

@@ -46,9 +46,7 @@ struct HtBenchResult
     /** retryHist[n] = ops that needed n retries (63 = "63 or more"). */
     std::vector<std::uint64_t> retryHist = std::vector<std::uint64_t>(64, 0);
     double rdmaMops = 0;      ///< underlying one-sided verbs per us
-    // Cache-tier counters over the measure window (0 when disabled).
-    std::uint64_t cacheHits = 0;
-    std::uint64_t cacheMisses = 0;
+    /** Cache-tier evictions over the measure window (0 when disabled). */
     std::uint64_t cacheEvictions = 0;
     /** hits / (hits + misses) over the measure window; 0 when disabled. */
     double hitRatio = 0;

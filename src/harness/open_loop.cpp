@@ -56,16 +56,14 @@ ArrivalProcess::rateAtNs(Time t) const
       case ArrivalKind::Poisson:
         return base;
       case ArrivalKind::Diurnal: {
-        double phase = static_cast<double>(t % cfg_.diurnalPeriodNs) /
-                       static_cast<double>(cfg_.diurnalPeriodNs);
+        double phase = static_cast<double>(t % kDiurnalPeriodNs) /
+                       static_cast<double>(kDiurnalPeriodNs);
         return base *
-               (1.0 + cfg_.diurnalAmp *
-                          std::sin(2.0 * std::numbers::pi * phase));
+               (1.0 + kDiurnalAmp * std::sin(2.0 * std::numbers::pi * phase));
       }
       case ArrivalKind::Spike:
-        return (t % cfg_.spikePeriodNs) < cfg_.spikeLenNs
-                   ? base * cfg_.spikeFactor
-                   : base;
+        return (t % kSpikePeriodNs) < kSpikeLenNs ? base * kSpikeFactor
+                                                  : base;
     }
     return base;
 }
@@ -76,8 +74,8 @@ ArrivalProcess::peakRateNs() const
     double base = cfg_.ratePerUs / 1000.0;
     switch (cfg_.kind) {
       case ArrivalKind::Poisson: return base;
-      case ArrivalKind::Diurnal: return base * (1.0 + cfg_.diurnalAmp);
-      case ArrivalKind::Spike: return base * cfg_.spikeFactor;
+      case ArrivalKind::Diurnal: return base * (1.0 + kDiurnalAmp);
+      case ArrivalKind::Spike: return base * kSpikeFactor;
     }
     return base;
 }
@@ -141,10 +139,6 @@ OpenLoopDriver::OpenLoopDriver(Testbed &tb, OpenLoopConfig cfg,
     tenants_.reserve(cfg_.tenants.size());
     for (std::size_t i = 0; i < cfg_.tenants.size(); ++i)
         tenants_.emplace_back(cfg_.tenants[i], cfg_, i);
-    std::uint32_t horizon =
-        cfg_.burn.slowWindows == 0 ? 1 : cfg_.burn.slowWindows;
-    for (Tenant &t : tenants_)
-        t.ring.assign(horizon, {0, 0});
 
     // Register after the vector is fully built: the registry stores
     // references into the (now stable) tenant slots.
@@ -347,13 +341,13 @@ OpenLoopDriver::onWindow(Time now)
         char frac[64];
         std::snprintf(frac, sizeof frac, "fast=%.4f slow=%.4f", t.fastFrac,
                       t.slowFrac);
-        if (!t.burning && t.fastFrac >= cfg_.burn.fastEnter &&
-            t.slowFrac >= cfg_.burn.slowEnter) {
+        if (!t.burning && t.fastFrac >= kBurnFastEnter &&
+            t.slowFrac >= kBurnSlowEnter) {
             t.burning = true;
             if (tl != nullptr)
                 tl->annotateAt(now, "slo", t.cfg.name,
                                std::string("burn-enter ") + frac);
-        } else if (t.burning && t.fastFrac < cfg_.burn.fastExit) {
+        } else if (t.burning && t.fastFrac < kBurnFastExit) {
             t.burning = false;
             if (tl != nullptr)
                 tl->annotateAt(now, "slo", t.cfg.name,

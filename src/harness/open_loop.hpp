@@ -31,6 +31,7 @@
 #ifndef SMART_HARNESS_OPEN_LOOP_HPP
 #define SMART_HARNESS_OPEN_LOOP_HPP
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -56,25 +57,26 @@ enum class ArrivalKind : std::uint8_t
 /** @return stable lower-case name of @p k ("poisson", ...). */
 const char *arrivalKindName(ArrivalKind k);
 
+// -- Diurnal: rate(t) = base * (1 + amp * sin(2 pi t / period)) --
+/** Relative swing amplitude in [0, 1). */
+inline constexpr double kDiurnalAmp = 0.6;
+/** Diurnal period: 2 ms of virtual time. */
+inline constexpr sim::Time kDiurnalPeriodNs = sim::msec(2);
+
+// -- Spike: rate = base * factor inside bursts, base outside --
+/** Rate multiplier inside a burst (>= 1). */
+inline constexpr double kSpikeFactor = 6.0;
+/** Burst every this many ns. */
+inline constexpr sim::Time kSpikePeriodNs = sim::usec(500);
+/** Burst length (< kSpikePeriodNs). */
+inline constexpr sim::Time kSpikeLenNs = sim::usec(50);
+
 /** Parameters of one arrival process. */
 struct ArrivalConfig
 {
     ArrivalKind kind = ArrivalKind::Poisson;
     /** Base arrival rate, requests per microsecond (> 0). */
     double ratePerUs = 1.0;
-
-    // -- Diurnal: rate(t) = base * (1 + amp * sin(2 pi t / period)) --
-    /** Relative swing amplitude in [0, 1). */
-    double diurnalAmp = 0.5;
-    sim::Time diurnalPeriodNs = 2'000'000; // 2 ms of virtual time
-
-    // -- Spike: rate = base * factor inside bursts, base outside --
-    /** Rate multiplier inside a burst (>= 1). */
-    double spikeFactor = 4.0;
-    /** Burst every this many ns. */
-    sim::Time spikePeriodNs = 1'000'000;
-    /** Burst length (< spikePeriodNs). */
-    sim::Time spikeLenNs = 100'000;
 };
 
 /**
@@ -120,26 +122,22 @@ struct TenantConfig
     std::uint32_t sessions = 4;
 };
 
-/**
- * Multi-window SLO burn-rate detector thresholds (SRE-style): a tenant
- * "enters burn" when its violation fraction exceeds the fast threshold
- * over the most recent sampling window AND the slow threshold over the
- * trailing slowWindows windows; it exits only when the fast fraction
- * drops below the (lower) exit threshold — hysteresis against flapping.
- * Evaluated once per time-series window (Testbed tsWindowNs), so the
- * plane must be on for the detector to run.
- */
-struct BurnConfig
-{
-    /** Trailing windows averaged for the slow signal. */
-    std::uint32_t slowWindows = 8;
-    /** Enter: violation fraction over the last window (1%). */
-    double fastEnter = 0.01;
-    /** Enter: violation fraction over the slow horizon (0.1%). */
-    double slowEnter = 0.001;
-    /** Exit: fast fraction must fall below this (hysteresis). */
-    double fastExit = 0.005;
-};
+// Multi-window SLO burn-rate detector thresholds (SRE-style): a tenant
+// "enters burn" when its violation fraction reaches kBurnFastEnter over
+// the most recent sampling window AND kBurnSlowEnter over the trailing
+// kBurnSlowWindows windows; it exits only when the fast fraction drops
+// below the (lower) kBurnFastExit — hysteresis against flapping.
+// Evaluated once per time-series window (Testbed tsWindowNs), so the
+// plane must be on for the detector to run.
+
+/** Trailing windows averaged for the slow signal. */
+inline constexpr std::uint32_t kBurnSlowWindows = 8;
+/** Enter: violation fraction over the last window (1%). */
+inline constexpr double kBurnFastEnter = 0.01;
+/** Enter: violation fraction over the slow horizon (0.1%). */
+inline constexpr double kBurnSlowEnter = 0.001;
+/** Exit: fast fraction must fall below this (0.5%). */
+inline constexpr double kBurnFastExit = 0.005;
 
 /** Driver-wide configuration. */
 struct OpenLoopConfig
@@ -152,8 +150,6 @@ struct OpenLoopConfig
     std::uint32_t queueCap = 1024;
     /** Perturbs every arrival/workload RNG stream. */
     std::uint64_t seed = 0;
-    /** SLO burn-rate detector thresholds. */
-    BurnConfig burn;
 };
 
 /**
@@ -248,7 +244,8 @@ class OpenLoopDriver
         std::uint64_t prevDone = 0;
         std::uint64_t prevViol = 0;
         /** Trailing per-window {completed, violations} deltas. */
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> ring;
+        std::array<std::pair<std::uint64_t, std::uint64_t>, kBurnSlowWindows>
+            ring{};
         std::uint64_t ringPos = 0;
         bool burning = false;
         double fastFrac = 0.0; ///< last-window violation fraction

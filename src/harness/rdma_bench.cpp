@@ -15,15 +15,16 @@ using sim::Time;
 
 namespace {
 
-/** One bench thread: batch-post `depth` ops, wait, repeat forever. */
+/** One bench thread: batch-post `depth` ops to random 64 B slots among
+ *  @p slots, wait, repeat forever. */
 Task
-benchWorker(SmartCtx &ctx, RdmaBenchParams params, std::uint64_t seed)
+benchWorker(SmartCtx &ctx, RdmaBenchParams params, std::uint64_t slots,
+            std::uint64_t seed)
 {
     SmartRuntime &rt = ctx.runtime();
     sim::Rng rng(0xbe7c0000ull + ctx.thread().id() * 131 + ctx.coroIndex() +
                  seed * 0x9e3779b97f4a7c15ull);
-    const std::uint64_t slots = params.regionBytes / 64;
-    std::uint8_t *buf = ctx.scratch(params.depth * params.blockSize);
+    std::uint8_t *buf = ctx.scratch(params.depth * kRdmaBlockBytes);
     std::uint64_t cas_result = 0;
 
     for (;;) {
@@ -33,12 +34,12 @@ benchWorker(SmartCtx &ctx, RdmaBenchParams params, std::uint64_t seed)
             RemotePtr p = rt.ptr(0, off);
             switch (params.op) {
               case rnic::Op::Read:
-                ctx.read(p, MemSpan{buf + i * params.blockSize,
-                                    params.blockSize});
+                ctx.read(p, MemSpan{buf + i * kRdmaBlockBytes,
+                                    kRdmaBlockBytes});
                 break;
               case rnic::Op::Write:
-                ctx.write(p, ConstMemSpan{buf + i * params.blockSize,
-                                          params.blockSize});
+                ctx.write(p, ConstMemSpan{buf + i * kRdmaBlockBytes,
+                                          kRdmaBlockBytes});
                 break;
               case rnic::Op::Cas:
                 ctx.cas(p, 0, 1, &cas_result);
@@ -61,41 +62,33 @@ runRdmaBench(const TestbedConfig &cfg, const RdmaBenchParams &params,
              const RunSpec &spec)
 {
     TestbedConfig tb_cfg = cfg;
-    tb_cfg.bladeBytes = params.regionBytes;
     observe(tb_cfg, spec);
     Testbed tb(tb_cfg);
 
     for (std::uint32_t c = 0; c < tb.numComputeBlades(); ++c) {
         SmartRuntime &rt = tb.compute(c);
         for (std::uint32_t t = 0; t < rt.numThreads(); ++t) {
-            rt.spawnWorker(t, [params, seed = spec.seed](SmartCtx &ctx) {
-                return benchWorker(ctx, params, seed);
+            rt.spawnWorker(t, [params, slots = tb_cfg.bladeBytes / 64,
+                                seed = spec.seed](SmartCtx &ctx) {
+                return benchWorker(ctx, params, slots, seed);
             });
         }
     }
 
     tb.runUntil(params.warmupNs);
     MeasureWindow window(tb);
-    for (std::uint32_t c = 0; c < tb.numComputeBlades(); ++c) {
+    for (std::uint32_t c = 0; c < tb.numComputeBlades(); ++c)
         tb.compute(c).rnic().resetWqeStats();
-        tb.compute(c).rnic().mttCache().resetStats();
-    }
     tb.runUntil(params.warmupNs + params.measureNs);
     Measured m = window.close();
 
     double wqe_hits = 0;
-    double mtt_hits = 0;
-    for (std::uint32_t c = 0; c < tb.numComputeBlades(); ++c) {
+    for (std::uint32_t c = 0; c < tb.numComputeBlades(); ++c)
         wqe_hits += tb.compute(c).rnic().wqeHitRatio();
-        mtt_hits += tb.compute(c).rnic().mttCache().hitRatio();
-    }
     RdmaBenchResult res;
     res.mops = m.perUs(m.wrs);
     res.dramBytesPerWr = Measured::ratio(m.dramBytes, m.wrs);
-    res.medianBatchNs = static_cast<double>(m.latency.p50());
-    res.p99BatchNs = static_cast<double>(m.latency.p99());
     res.wqeHitRatio = wqe_hits / tb.numComputeBlades();
-    res.mttHitRatio = mtt_hits / tb.numComputeBlades();
     res.avgDoorbellWaitNs =
         Measured::ratio(m.doorbellWaitNs, m.doorbellRings);
     captureRun(tb, spec);

@@ -163,9 +163,6 @@ class Rnic : public sim::FaultTarget
     /** @return performance counters, read-only. */
     const PerfCounters &perf() const { return perf_; }
 
-    /** @return the MTT/MPT translation cache (for test introspection). */
-    LruCache &mttCache() { return mttCache_; }
-
     /**
      * Device-side span track of this adapter, interned in @p sp on first
      * use. Only called from instrumentation sites already gated on a

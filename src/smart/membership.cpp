@@ -46,7 +46,6 @@ MembershipPlane::MembershipPlane(sim::Simulator &sim, Config cfg,
         std::abort();
     }
     assert(cfg_.partitions > 0);
-    assert(cfg_.copyChunkBytes > 0);
     partBlade_.assign(cfg_.partitions, kNoBlade);
     partMigrating_.assign(cfg_.partitions, 0);
 
@@ -252,7 +251,7 @@ void
 MembershipPlane::scheduleRejoinPoll(std::uint32_t idx)
 {
     std::uint32_t i = idx;
-    sim_.schedule(cfg_.settleNs * 4, [this, i] { rejoin(i); });
+    sim_.schedule(kSettleNs * 4, [this, i] { rejoin(i); });
 }
 
 // ---- serialized migration worker ---------------------------------------
@@ -264,8 +263,9 @@ MembershipPlane::ensureRunner()
         return;
     assert(!runtimes_.empty());
     runnerStarted_ = true;
+    // The migration worker runs on the first runtime's thread 0.
     runtimes_.front()->spawnWorker(
-        cfg_.migrateTid, [this](SmartCtx &ctx) { return runnerLoop(ctx); });
+        0, [this](SmartCtx &ctx) { return runnerLoop(ctx); });
 }
 
 void
@@ -434,7 +434,7 @@ MembershipPlane::migratePartition(SmartCtx &ctx, std::uint32_t part,
     // Quiesce window: workers that consult migrating(part) stop issuing
     // new writes to the partition; in-flight ones complete well within
     // the settle delay (bounded by the verb timeout).
-    co_await sim_.delay(cfg_.settleNs);
+    co_await sim_.delay(kSettleNs);
 
     ok = false;
     if (!blades_[src]->crashed() && !blades_[dst]->crashed()) {
@@ -464,11 +464,10 @@ MembershipPlane::copyPartition(SmartCtx &ctx, std::uint32_t part,
 {
     SmartRuntime &rt = *runtimes_.front();
     std::uint64_t off = partitionOffset(part);
-    const std::uint32_t chunk = cfg_.copyChunkBytes;
     ok = true;
-    for (std::uint64_t o = 0; o < cfg_.partBytes; o += chunk) {
-        std::uint32_t n =
-            std::uint32_t(std::min<std::uint64_t>(chunk, cfg_.partBytes - o));
+    for (std::uint64_t o = 0; o < cfg_.partBytes; o += kCopyChunkBytes) {
+        std::uint32_t n = std::uint32_t(
+            std::min<std::uint64_t>(kCopyChunkBytes, cfg_.partBytes - o));
         bool done = false;
         for (std::uint32_t attempt = 0; attempt < 4 && !done; ++attempt) {
             std::uint8_t *buf = ctx.scratch(n);
@@ -477,7 +476,7 @@ MembershipPlane::copyPartition(SmartCtx &ctx, std::uint32_t part,
             co_await ctx.sync();
             if (ctx.failed()) {
                 ctx.clearError();
-                co_await sim_.delay(cfg_.settleNs);
+                co_await sim_.delay(kSettleNs);
                 continue;
             }
             ctx.write(rt.ptr(dst, off + o), ConstMemSpan{buf, n});
@@ -485,7 +484,7 @@ MembershipPlane::copyPartition(SmartCtx &ctx, std::uint32_t part,
             co_await ctx.sync();
             if (ctx.failed()) {
                 ctx.clearError();
-                co_await sim_.delay(cfg_.settleNs);
+                co_await sim_.delay(kSettleNs);
                 continue;
             }
             done = true;
@@ -506,11 +505,10 @@ MembershipPlane::defaultRecover(SmartCtx &ctx, std::uint32_t part,
     // application a defined (all-zero) state to rebuild from.
     SmartRuntime &rt = *runtimes_.front();
     std::uint64_t off = partitionOffset(part);
-    const std::uint32_t chunk = cfg_.copyChunkBytes;
-    std::vector<std::uint8_t> zeros(chunk, 0);
-    for (std::uint64_t o = 0; o < cfg_.partBytes; o += chunk) {
-        std::uint32_t n =
-            std::uint32_t(std::min<std::uint64_t>(chunk, cfg_.partBytes - o));
+    std::vector<std::uint8_t> zeros(kCopyChunkBytes, 0);
+    for (std::uint64_t o = 0; o < cfg_.partBytes; o += kCopyChunkBytes) {
+        std::uint32_t n = std::uint32_t(
+            std::min<std::uint64_t>(kCopyChunkBytes, cfg_.partBytes - o));
         ctx.write(rt.ptr(dst, off + o), ConstMemSpan{zeros.data(), n});
         co_await ctx.postSend();
         co_await ctx.sync();
@@ -527,7 +525,7 @@ sim::Task
 MembershipPlane::healthLoop()
 {
     while (!healthStop_) {
-        co_await sim_.delay(cfg_.healthCheckNs);
+        co_await sim_.delay(kHealthCheckNs);
         for (std::uint32_t i = 0; i < blades_.size(); ++i) {
             BladeState s = view_.state(i);
             bool member = s == BladeState::Active ||

@@ -59,15 +59,17 @@ class MembershipPlane
         std::uint32_t partitions = 16;
         /** Bytes per partition (region size = partitions * partBytes). */
         std::uint64_t partBytes = 64 * 1024;
-        /** Chunk size for migration copies (<= half the coro scratch). */
-        std::uint32_t copyChunkBytes = 2048;
-        /** Quiesce window before a partition's bytes are copied. */
-        sim::Time settleNs = sim::usec(50);
-        /** Poll period of the crash health monitor. */
-        sim::Time healthCheckNs = sim::usec(200);
-        /** Compute thread the migration worker runs on. */
-        std::uint32_t migrateTid = 0;
     };
+
+    /** Chunk size for migration copies and recovery zero-fills. */
+    static constexpr std::uint32_t kCopyChunkBytes = 2048;
+    // A chunk is read into, then written from, one coroutine's scratch.
+    static_assert(kCopyChunkBytes * 2 <= kScratchBytesPerCoro);
+    /** Quiesce window before a partition's bytes are copied; also the
+     *  pause between failed copy attempts (a rejoin poll waits 4x). */
+    static constexpr sim::Time kSettleNs = sim::usec(100);
+    /** Poll period of the crash health monitor. */
+    static constexpr sim::Time kHealthCheckNs = sim::usec(200);
 
     /** App hook re-creating @p part on @p dst_blade after a crash. */
     using RecoverFn = std::function<sim::Task(SmartCtx &, std::uint32_t part,

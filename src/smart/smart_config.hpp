@@ -8,8 +8,8 @@
 #ifndef SMART_SMART_CONFIG_HPP
 #define SMART_SMART_CONFIG_HPP
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "sim/types.hpp"
 
@@ -39,8 +39,9 @@ qpPolicyName(QpPolicy p)
     return "?";
 }
 
-// ---- Fixed constants: the paper's values (section cited) and the
-//      membership fence's. No bench or test varies them. ----
+// ---- Fixed constants: the paper's values (section cited), the verb
+//      failure policy, the overload ladder's and the membership
+//      fence's. No bench varies them. ----
 
 /** §3.1: threads sharing one QP under QpPolicy::MultiplexedQp. */
 inline constexpr std::uint32_t kMultiplexFactor = 4;
@@ -62,6 +63,42 @@ inline constexpr sim::Time kRetryWindowNs = sim::msec(1);
 
 /** §5.1: per-coroutine local scratch buffer bytes. */
 inline constexpr std::uint32_t kScratchBytesPerCoro = 8192;
+
+/** §4.2 Algorithm 1: initial per-thread credit limit C_max. */
+inline constexpr std::uint32_t kInitialCmax = 8;
+
+/** §4.2 Algorithm 1: candidate C_max values probed each epoch. */
+inline constexpr std::array<std::uint32_t, 5> kCmaxCandidates = {4, 6, 8,
+                                                                 10, 12};
+
+/**
+ * Verb-level failure policy (active only under a FaultPlane): how many
+ * times a sync round re-posts failed work requests (with
+ * truncated-exponential spacing and transparent QP reconnects) before
+ * SmartCtx surfaces a typed VerbError to the application.
+ */
+inline constexpr std::uint32_t kMaxVerbRetries = 8;
+
+/**
+ * Per-sync verb timeout: a round whose completions never arrive is
+ * abandoned and its WRs treated as failed. Armed only when a FaultPlane
+ * is installed, so healthy runs schedule no extra events.
+ */
+inline constexpr sim::Time kVerbTimeoutNs = sim::msec(1);
+
+/**
+ * Overload degradation ladder (DESIGN.md §12), armed by
+ * SmartConfig::overloadLadder: per-blade outstanding-WR watermarks.
+ * Level 1 (>= low) only marks the approach to overload (a Timeline
+ * annotation); level 2 (>= high) posts doorbell batches to the blade in
+ * kOverloadChunkWrs-sized chunks; level 3 (>= 2 * high) delays user-op
+ * admission.
+ */
+inline constexpr std::uint32_t kOverloadLowWm = 48;
+inline constexpr std::uint32_t kOverloadHighWm = 96;
+
+/** Doorbell-batch chunk size while ladder level 2 is active. */
+inline constexpr std::uint32_t kOverloadChunkWrs = 4;
 
 /**
  * Membership-plane epoch fence (DESIGN.md §12): how many
@@ -86,10 +123,6 @@ struct SmartConfig
 
     // ---- §4.2 adaptive work request throttling (Algorithm 1) ----
     bool workReqThrottle = true;
-    /** Initial / fallback per-thread credit limit C_max. */
-    std::uint32_t initialCmax = 8;
-    /** Candidate C_max values probed each epoch. */
-    std::vector<std::uint32_t> cmaxCandidates = {4, 6, 8, 10, 12};
     /** Probe duration per candidate (paper: Δ = 8 ms). */
     sim::Time probeIntervalNs = sim::msec(8);
     /** Stable-phase duration (paper: T = 60·Δ = 480 ms). */
@@ -103,37 +136,12 @@ struct SmartConfig
     /** Coroutines spawned per thread (concurrency depth upper bound). */
     std::uint32_t corosPerThread = 8;
 
-    // ---- Verb-level failure policy (active only under a FaultPlane) ----
     /**
-     * How many times a sync round re-posts failed work requests (with
-     * truncated-exponential spacing and transparent QP reconnects)
-     * before SmartCtx surfaces a typed VerbError to the application.
+     * Overload-side graceful degradation: arm the per-blade ladder at
+     * kOverloadLowWm / kOverloadHighWm (off by default; healthy benches
+     * are untouched).
      */
-    std::uint32_t maxVerbRetries = 8;
-    /**
-     * Per-sync timeout: a round whose completions never arrive is
-     * abandoned and its WRs treated as failed. Only armed when a
-     * FaultPlane is installed, so healthy runs schedule no extra
-     * events. 0 disables timeouts even under faults.
-     */
-    sim::Time verbTimeoutNs = sim::msec(1);
-
-    // ---- Overload-side graceful degradation (off unless set) ----
-    /**
-     * Per-blade outstanding-WR watermark at which the first degradation
-     * level engages. Level 1 only marks the approach to overload (a
-     * Timeline annotation); 0 disables the whole ladder (the default;
-     * healthy benches are untouched).
-     */
-    std::uint32_t overloadLowWm = 0;
-    /**
-     * Second level: doorbell batches to an overloaded blade are posted
-     * in overloadChunkWrs-sized chunks instead of one coalesced ring,
-     * pacing the blade at the cost of extra doorbells.
-     */
-    std::uint32_t overloadHighWm = 0;
-    /** Chunk size used while the second level is active. */
-    std::uint32_t overloadChunkWrs = 4;
+    bool overloadLadder = false;
 
     /**
      * Compute-side cache tier (ScaleStore-style, smart/cache/) frame
@@ -170,24 +178,13 @@ struct SmartConfig
         return *this;
     }
 
-    /** Set the verb retry budget and per-sync timeout (fault runs). */
+    /** Arm the overload degradation ladder (kOverloadLowWm marks the
+     *  approach, kOverloadHighWm chunks doorbell batches, twice it
+     *  delays user ops). */
     SmartConfig &
-    withVerbRetryPolicy(std::uint32_t max_retries, sim::Time timeout_ns)
+    withOverloadLadder()
     {
-        maxVerbRetries = max_retries;
-        verbTimeoutNs = timeout_ns;
-        return *this;
-    }
-
-    /** Arm the overload degradation ladder (@p low marks the approach,
-     *  @p high chunks doorbell batches, 2 * @p high delays user ops). */
-    SmartConfig &
-    withOverloadWatermarks(std::uint32_t low, std::uint32_t high,
-                           std::uint32_t chunk_wrs = 4)
-    {
-        overloadLowWm = low;
-        overloadHighWm = high;
-        overloadChunkWrs = chunk_wrs;
+        overloadLadder = true;
         return *this;
     }
 

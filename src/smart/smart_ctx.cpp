@@ -193,12 +193,11 @@ Task
 SmartCtx::awaitRound()
 {
     if (syncState_.pending > 0) {
-        const SmartConfig &cfg = rt_.config();
-        if (rt_.sim().faultPlane() != nullptr && cfg.verbTimeoutNs > 0) {
+        if (rt_.sim().faultPlane() != nullptr) {
             // Arm the verb timeout for this round. armId_ is bumped on
             // normal completion, so a late firing is a no-op.
             std::uint64_t arm = ++armId_;
-            rt_.sim().schedule(cfg.verbTimeoutNs,
+            rt_.sim().schedule(kVerbTimeoutNs,
                                [this, arm] { onSyncTimeout(arm); });
         }
         // Park until the dispatch path counts this coroutine's last CQE.
@@ -318,7 +317,6 @@ SmartCtx::sync()
     // spacing (reusing the §4.3 backoff machinery), transparently
     // reconnecting QPs the device reset under. Only after the retry
     // budget is spent does the application see a typed VerbError.
-    const SmartConfig &cfg = rt_.config();
     if (failedUntracked_ > 0) {
         failedUntracked_ = 0;
         failed_.clear();
@@ -353,7 +351,7 @@ SmartCtx::sync()
                 co_return;
             }
         }
-        if (attempt >= cfg.maxVerbRetries) {
+        if (attempt >= kMaxVerbRetries) {
             failed_.clear();
             thr_.verbExhausted.add();
             error_ = {timed_out ? VerbError::Kind::Timeout
@@ -434,10 +432,9 @@ SmartCtx::casAccess(RemotePtr dst, std::uint64_t expect,
 Task
 SmartCtx::admitAccess(std::uint32_t blade_idx)
 {
-    const SmartConfig &cfg = rt_.config();
     // Degradation level 3: shed user ops last — one jittered admission
     // delay per access while the blade is saturated.
-    if (cfg.overloadLowWm != 0 && rt_.overloadLevel(blade_idx) >= 3) {
+    if (rt_.overloadLevel(blade_idx) >= 3) {
         rt_.noteOpDelay();
         std::uint64_t cycles = decorrelatedJitterCycles(
             kViewJitterUnitCycles, kViewJitterMaxCycles,
@@ -480,9 +477,9 @@ Task
 SmartCtx::access(RemotePtr p, AccessOp op, CachePolicy pol)
 {
     // Membership fence + overload admission (zero-cost when neither a
-    // ClusterView nor overload watermarks are installed).
+    // ClusterView nor the overload ladder is installed).
     if (rt_.clusterView() != nullptr ||
-        rt_.config().overloadLowWm != 0) [[unlikely]] {
+        rt_.config().overloadLadder) [[unlikely]] {
         co_await admitAccess(bladeIndex(p));
         if (failed())
             co_return;
@@ -539,8 +536,7 @@ SmartCtx::access(RemotePtr p, AccessOp op, CachePolicy pol)
 Task
 SmartCtx::accessMany(const ReadPart *parts, std::uint32_t nparts, CachePolicy pol)
 {
-    if ((rt_.clusterView() != nullptr ||
-         rt_.config().overloadLowWm != 0) &&
+    if ((rt_.clusterView() != nullptr || rt_.config().overloadLadder) &&
         nparts > 0) [[unlikely]] {
         for (std::uint32_t i = 0; i < nparts; ++i) {
             co_await admitAccess(bladeIndex(parts[i].src));

@@ -50,7 +50,7 @@ struct VerbError
     enum class Kind : std::uint8_t
     {
         None,
-        /** maxVerbRetries re-posts all failed. */
+        /** kMaxVerbRetries re-posts all failed. */
         RetriesExhausted,
         /** A sync round was abandoned by the verb timeout and its
          *  retries then failed too. */
@@ -74,7 +74,7 @@ struct VerbError
  *
  * Failure semantics: with a FaultPlane installed, every staged WR is
  * tracked; error completions are transparently retried (bounded by
- * SmartConfig::maxVerbRetries, spaced by backoff.hpp's truncated
+ * kMaxVerbRetries, spaced by backoff.hpp's truncated
  * exponential, with QP reconnects and rkey refreshes in between) and a
  * typed VerbError is surfaced through failed()/lastError() only when
  * the budget is exhausted. Without a plane, none of this bookkeeping
@@ -241,9 +241,10 @@ class SmartCtx
 
     /**
      * Epoch fence + overload admission for one access to @p blade_idx
-     * (no-op without a ClusterView / without watermarks). A fenced blade
-     * is polled kMaxViewWaits times with decorrelated-jitter delays;
-     * still fenced -> error_ = StaleView and the caller must not issue.
+     * (no-op without a ClusterView / without the overload ladder). A
+     * fenced blade is polled kMaxViewWaits times with decorrelated-jitter
+     * delays; still fenced -> error_ = StaleView and the caller must not
+     * issue.
      */
     sim::Task admitAccess(std::uint32_t blade_idx);
 

@@ -24,7 +24,7 @@ SmartThread::SmartThread(SmartRuntime &rt, std::uint32_t id)
       coroGate_(rt.sim(), rt.config().corosPerThread),
       ctrl_(kBackoffUnitCycles, kBackoffMaxFactor,
             rt.config().corosPerThread, kGammaHigh, kGammaLow),
-      credit_(rt.config().initialCmax), cmax_(rt.config().initialCmax),
+      credit_(kInitialCmax), cmax_(kInitialCmax),
       creditWaiters_(rt.sim())
 {
     sim::Labels labels{{"blade", rt.name()},
@@ -367,7 +367,7 @@ SmartRuntime::noteOverloadTransition(std::uint32_t blade_idx)
     // Two loads + a compare on the accounting fast path; the string work
     // only happens on an actual level crossing with a timeline installed.
     sim::Timeline *tl = sim_.timeline();
-    if (tl == nullptr || cfg_.overloadLowWm == 0 ||
+    if (tl == nullptr || !cfg_.overloadLadder ||
         blade_idx >= lastOverloadLevel_.size())
         return;
     std::uint32_t lv = overloadLevel(blade_idx);
@@ -551,17 +551,15 @@ SmartRuntime::creditEpochLoop(SmartThread &t)
     // best, hold it for the stable phase, repeat.
     for (;;) {
         std::uint64_t best = 0;
-        std::uint32_t best_target = cfg_.initialCmax;
-        bool any = false;
-        for (std::uint32_t target : cfg_.cmaxCandidates) {
+        std::uint32_t best_target = kCmaxCandidates.front();
+        for (std::uint32_t target : kCmaxCandidates) {
             t.updateCmax(target);
             std::uint64_t before = t.completedWrs.value();
             co_await sim_.delay(cfg_.probeIntervalNs);
             std::uint64_t completed = t.completedWrs.value() - before;
-            if (!any || completed > best) {
+            if (completed > best) {
                 best = completed;
                 best_target = target;
-                any = true;
             }
         }
         t.updateCmax(best_target);

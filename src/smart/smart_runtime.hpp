@@ -265,10 +265,10 @@ class SmartRuntime
     /** @return the installed membership view, or nullptr. */
     ClusterView *clusterView() const { return clusterView_; }
 
-    // ---- overload-side graceful degradation (§SmartConfig watermarks).
-    //      Levels: 1 marks the approach (annotation only), 2 chunks
-    //      doorbell batches, 3 delays user-op admission. All 0 unless
-    //      watermarks are set.
+    // ---- overload-side graceful degradation (kOverloadLowWm /
+    //      kOverloadHighWm). Levels: 1 marks the approach (annotation
+    //      only), 2 chunks doorbell batches, 3 delays user-op admission.
+    //      All 0 unless SmartConfig::overloadLadder is set.
 
     /** @return this runtime's WRs currently outstanding to @p blade. */
     std::int64_t
@@ -283,14 +283,14 @@ class SmartRuntime
     std::uint32_t
     overloadLevel(std::uint32_t blade_idx) const
     {
-        if (cfg_.overloadLowWm == 0)
+        if (!cfg_.overloadLadder)
             return 0;
         std::int64_t out = bladeOutstanding(blade_idx);
-        if (out >= 2 * static_cast<std::int64_t>(cfg_.overloadHighWm))
+        if (out >= 2 * std::int64_t{kOverloadHighWm})
             return 3;
-        if (out >= static_cast<std::int64_t>(cfg_.overloadHighWm))
+        if (out >= std::int64_t{kOverloadHighWm})
             return 2;
-        if (out >= static_cast<std::int64_t>(cfg_.overloadLowWm))
+        if (out >= std::int64_t{kOverloadLowWm})
             return 1;
         return 0;
     }
@@ -299,7 +299,7 @@ class SmartRuntime
     std::uint32_t
     overloadPostCap(std::uint32_t blade_idx) const
     {
-        return overloadLevel(blade_idx) >= 2 ? cfg_.overloadChunkWrs : 0;
+        return overloadLevel(blade_idx) >= 2 ? kOverloadChunkWrs : 0;
     }
 
     /** Degradation bookkeeping (called from the shedding sites). */

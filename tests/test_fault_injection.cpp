@@ -76,9 +76,7 @@ TEST(FaultInjection, ErrorCompletionIsRetriedToSuccess)
 
 TEST(FaultInjection, ExhaustedRetriesSurfaceTypedError)
 {
-    TestbedConfig cfg = smallConfig();
-    cfg.smart.withVerbRetryPolicy(3, sim::msec(10));
-    Testbed tb(cfg);
+    Testbed tb(smallConfig());
     sim::FaultPlane &fp = tb.faultPlane(2);
 
     VerbError seen;
@@ -97,6 +95,8 @@ TEST(FaultInjection, ExhaustedRetriesSurfaceTypedError)
     ASSERT_TRUE(done);
     EXPECT_EQ(seen.kind, VerbError::Kind::RetriesExhausted);
     EXPECT_EQ(seen.status, rnic::WcStatus::RetryExceeded);
+    // The whole budget was spent before the error surfaced.
+    EXPECT_EQ(tb.compute(0).thread(0).verbRetries.value(), kMaxVerbRetries);
     EXPECT_EQ(tb.compute(0).thread(0).verbExhausted.value(), 1u);
 }
 

@@ -46,8 +46,6 @@ smallPlane(std::uint32_t partitions = 8, std::uint64_t part_bytes = 8192)
     MembershipPlane::Config pc;
     pc.partitions = partitions;
     pc.partBytes = part_bytes;
-    pc.settleNs = sim::usec(20);
-    pc.healthCheckNs = sim::usec(100);
     return pc;
 }
 
@@ -370,30 +368,39 @@ TEST(Membership, ScenarioIsDeterministicPerSeed)
 
 TEST(Overload, LadderChunksPostsAndDelaysOps)
 {
-    // Tiny watermarks so a single coroutine's doorbell batch trips the
-    // ladder: level >= 2 chunks posts, level 3 delays op admission.
+    // Enough load to trip the ladder's fixed watermarks: 8 threads each
+    // stage 32-WR doorbell batches to blade 0, 256 outstanding WRs at
+    // once, past 2 * kOverloadHighWm. Level >= 2 chunks posts, level 3
+    // delays op admission.
+    constexpr std::uint32_t kThreads = 8;
+    constexpr std::uint32_t kBatch = 32;
+    static_assert(kThreads * kBatch >= 2 * kOverloadHighWm);
     TestbedConfig cfg = planeConfig(1);
-    cfg.smart.withOverloadWatermarks(1, 2, 2);
+    cfg.threadsPerBlade = kThreads;
+    cfg.smart.withOverloadLadder();
     Testbed tb(cfg);
     SmartRuntime &rt = tb.compute(0);
 
-    std::uint64_t off = tb.memBlade(0).alloc(64 * 64, 64);
-    bool batch_done = false, access_done = false;
-    // Worker A: 8-WR doorbell batches keep blade 0's outstanding count
-    // above 2x highWm, so level >= 2 forces chunked posts.
-    rt.spawnWorker(0, [&](SmartCtx &ctx) -> Task {
-        std::uint8_t *buf = ctx.scratch(8 * 64);
-        for (int round = 0; round < 32; ++round) {
-            for (int i = 0; i < 8; ++i)
-                ctx.read(rt.ptr(0, off + i * 64),
-                         MemSpan{buf + i * 64, 64});
-            co_await ctx.postSend();
-            co_await ctx.sync();
-            EXPECT_FALSE(ctx.failed());
-        }
-        batch_done = true;
-    });
-    // Worker B: plain accesses admitted through admitAccess — while A's
+    std::uint64_t off = tb.memBlade(0).alloc(kBatch * 64, 64);
+    std::uint32_t batches_done = 0;
+    bool access_done = false;
+    // Workers A: deep doorbell batches keep blade 0's outstanding count
+    // above the high watermark, so level >= 2 forces chunked posts.
+    for (std::uint32_t t = 0; t < kThreads; ++t) {
+        rt.spawnWorker(t, [&](SmartCtx &ctx) -> Task {
+            std::uint8_t *buf = ctx.scratch(kBatch * 64);
+            for (int round = 0; round < 32; ++round) {
+                for (std::uint32_t i = 0; i < kBatch; ++i)
+                    ctx.read(rt.ptr(0, off + i * 64),
+                             MemSpan{buf + i * 64, 64});
+                co_await ctx.postSend();
+                co_await ctx.sync();
+                EXPECT_FALSE(ctx.failed());
+            }
+            ++batches_done;
+        });
+    }
+    // Worker B: plain accesses admitted through admitAccess — while the
     // batches are in flight the ladder sits at level 3, so each access
     // pays one jittered admission delay.
     rt.spawnWorker(0, [&](SmartCtx &ctx) -> Task {
@@ -406,7 +413,7 @@ TEST(Overload, LadderChunksPostsAndDelaysOps)
         access_done = true;
     });
     tb.sim().runUntil(sim::msec(20));
-    EXPECT_TRUE(batch_done);
+    EXPECT_EQ(batches_done, kThreads);
     EXPECT_TRUE(access_done);
     EXPECT_GT(rt.chunkedPostCount(), 0u);
     EXPECT_GT(rt.opDelayCount(), 0u);

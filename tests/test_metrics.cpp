@@ -524,6 +524,7 @@ TEST(RunSpec, ReachesRdmaBench)
 {
     auto config = [](std::uint32_t shards) {
         TestbedConfig cfg = twoBladeConfig(shards);
+        cfg.bladeBytes = 1ull << 20;
         cfg.smart = presets::full().withCoros(1);
         return cfg;
     };
@@ -531,7 +532,6 @@ TEST(RunSpec, ReachesRdmaBench)
         return specSnapshot([&](const RunSpec &spec) {
             RdmaBenchParams p;
             p.depth = 4;
-            p.regionBytes = 1ull << 20;
             p.warmupNs = sim::usec(50);
             p.measureNs = sim::usec(100);
             runRdmaBench(config(shards), p, spec);

@@ -294,19 +294,6 @@ TEST(LruCache, EvictsLeastRecentlyUsed)
     EXPECT_FALSE(cache.access(2)); // was evicted
 }
 
-TEST(LruCache, HitRatioTracksAccesses)
-{
-    LruCache cache(100);
-    for (std::uint64_t k = 0; k < 100; ++k)
-        cache.access(k);
-    for (std::uint64_t k = 0; k < 100; ++k)
-        cache.access(k);
-    EXPECT_DOUBLE_EQ(cache.hitRatio(), 0.5);
-    cache.resetStats();
-    cache.access(0);
-    EXPECT_DOUBLE_EQ(cache.hitRatio(), 1.0);
-}
-
 // ------------------------------------------------------- platform limits
 
 namespace {

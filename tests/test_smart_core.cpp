@@ -457,11 +457,10 @@ TEST(SmartCtxOps, OpGateLimitsConcurrentOperations)
 TEST(Throttle, CreditsBoundOutstandingWrs)
 {
     SmartConfig cfg = presets::workReqThrot();
-    cfg.initialCmax = 4;
-    cfg.cmaxCandidates = {4}; // freeze the epoch search at 4
     Testbed tb(smallTestbed(cfg, 1));
 
     std::uint64_t peak_owr = 0;
+    std::uint64_t samples = 0;
     bool running = true;
     tb.compute(0).spawnWorker(0, [&](SmartCtx &ctx) -> Task {
         std::uint8_t buf[32 * 8];
@@ -474,22 +473,30 @@ TEST(Throttle, CreditsBoundOutstandingWrs)
         running = false;
     });
     // Posting is asynchronous (the thread flusher drains the buffer), so
-    // sample the in-flight count continuously.
+    // sample the in-flight count continuously. Credits cap in-flight WRs
+    // at the current C_max even though batches are 32 deep; C_max only
+    // grows over the first probe phase (4, 6, ...), so no sample sees
+    // WRs posted under a larger, older limit.
     struct Sampler
     {
         static Task
-        run(Testbed &tb, std::uint64_t &peak, const bool &running)
+        run(Testbed &tb, std::uint64_t &peak, std::uint64_t &samples,
+            const bool &running)
         {
             while (running) {
-                peak = std::max(peak, tb.compute(0).rnic().owrNow());
+                std::uint64_t owr = tb.compute(0).rnic().owrNow();
+                EXPECT_LE(owr, tb.compute(0).thread(0).cmax())
+                    << "at " << tb.sim().now() << " ns";
+                peak = std::max(peak, owr);
+                ++samples;
                 co_await tb.sim().delay(200);
             }
         }
     };
-    tb.sim().spawn(Sampler::run(tb, peak_owr, running));
+    tb.sim().spawn(Sampler::run(tb, peak_owr, samples, running));
     tb.sim().runUntil(sim::msec(20));
-    // Credits cap in-flight WRs at C_max even though batches are 32 deep.
-    EXPECT_LE(peak_owr, 4u);
+    EXPECT_FALSE(running);
+    EXPECT_GT(samples, 10u);
     EXPECT_GT(peak_owr, 0u);
 }
 
@@ -530,7 +537,6 @@ TEST(Throttle, UpdateCmaxAdjustsCredits)
 TEST(Throttle, EpochLoopSettlesOnCandidate)
 {
     SmartConfig cfg = presets::workReqThrot();
-    cfg.cmaxCandidates = {4, 6, 8, 10, 12};
     TestbedConfig tcfg = smallTestbed(cfg, 4);
     Testbed tb(tcfg);
     for (std::uint32_t t = 0; t < 4; ++t) {
@@ -548,7 +554,7 @@ TEST(Throttle, EpochLoopSettlesOnCandidate)
     tb.sim().runUntil(sim::msec(60));
     std::uint32_t cmax = tb.compute(0).thread(0).cmax();
     bool is_candidate = false;
-    for (std::uint32_t c : cfg.cmaxCandidates)
+    for (std::uint32_t c : kCmaxCandidates)
         is_candidate |= (cmax == c);
     EXPECT_TRUE(is_candidate);
 }

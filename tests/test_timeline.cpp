@@ -189,22 +189,22 @@ shardedRunTimeseries(std::uint32_t shards, std::uint64_t seed)
     TestbedConfig cfg;
     cfg.computeBlades = 1;
     cfg.memoryBlades = 2;
-    cfg.threadsPerBlade = 2;
+    cfg.threadsPerBlade = 8;
     cfg.bladeBytes = 64ull << 20;
     cfg.shards = shards;
     cfg.smart = presets::full();
     cfg.smart.withBenchTimescale();
-    // Tiny watermarks: 2 threads x 2 coros cross them immediately, so
-    // the degradation ladder emits annotations from *inside* shard event
+    // 8 threads x 8 coros cross the ladder's low watermark, so the
+    // degradation ladder emits annotations from *inside* shard event
     // loops — the identity check below then covers the per-shard
     // annotation buffers, not just barrier-point sampling.
-    cfg.smart.withOverloadWatermarks(1, 2);
+    cfg.smart.withOverloadLadder();
 
     HtBenchParams p;
     p.numKeys = 2000;
     p.zipfTheta = 0.99;
     p.mix = workload::YcsbMix::readHeavy();
-    p.corosPerThread = 2;
+    p.corosPerThread = 8;
     p.warmupNs = sim::usec(200);
     p.measureNs = sim::usec(600);
     p.shiftAtNs = sim::usec(500);
@@ -249,7 +249,7 @@ struct BurnFixture
     std::uint64_t violateEvery = 1;
     std::uint64_t served = 0;
 
-    explicit BurnFixture(const BurnConfig &burn)
+    BurnFixture()
     {
         TestbedConfig cfg;
         cfg.computeBlades = 1;
@@ -262,7 +262,9 @@ struct BurnFixture
         cfg.smart = presets::full();
         cfg.smart.withBenchTimescale();
         cfg.smart.corosPerThread = 4;
-        cfg.tsWindowNs = sim::usec(200);
+        // ~2000 completions per window resolve the 0.5% exit threshold
+        // to ~10 violations.
+        cfg.tsWindowNs = sim::msec(1);
         tb = std::make_unique<Testbed>(cfg);
 
         TenantConfig t;
@@ -275,7 +277,6 @@ struct BurnFixture
         OpenLoopConfig ocfg;
         ocfg.tenants = {t};
         ocfg.queueCap = 4096;
-        ocfg.burn = burn;
         // "Slow" sits just above the 5 us SLO: it always violates on
         // service time alone but never builds a queue backlog.
         ServiceFn svc = [this](SmartCtx &ctx, const workload::YcsbRequest &,
@@ -303,30 +304,27 @@ struct BurnFixture
 
 TEST(BurnRate, EnterHoldExitWithHysteresis)
 {
-    BurnConfig burn;
-    burn.slowWindows = 4;
-    burn.fastEnter = 0.5;
-    burn.slowEnter = 0.1;
-    burn.fastExit = 0.2;
-    BurnFixture fx(burn);
+    BurnFixture fx;
 
-    // Phase 1: every request violates -> fast fraction 1.0 -> enter.
-    fx.violateEvery = 1;
-    fx.tb->runUntil(sim::usec(1000));
+    // Phase 1: every 80th request violates (~1.25%) -> fast fraction
+    // at or above kBurnFastEnter (1%) -> enter.
+    fx.violateEvery = 80;
+    fx.tb->runUntil(sim::msec(3));
     EXPECT_TRUE(fx.driver->burning(0));
     EXPECT_GE(fx.annotations("burn-enter"), 1u);
     EXPECT_EQ(fx.annotations("burn-exit"), 0u);
 
-    // Phase 2: every 3rd violates (~0.33) — between exit (0.2) and
-    // enter (0.5): hysteresis keeps the tenant in burn.
-    fx.violateEvery = 3;
-    fx.tb->runUntil(sim::usec(2000));
+    // Phase 2: every 133rd violates (~0.75%) — between exit (0.5%) and
+    // enter (1%): hysteresis keeps the tenant in burn.
+    fx.violateEvery = 133;
+    fx.tb->runUntil(sim::msec(7));
     EXPECT_TRUE(fx.driver->burning(0));
     EXPECT_EQ(fx.annotations("burn-exit"), 0u);
 
-    // Phase 3: no violations -> fraction 0 -> exit, exactly once.
-    fx.violateEvery = 0;
-    fx.tb->runUntil(sim::usec(3200));
+    // Phase 3: every 1000th violates (~0.1%) -> below kBurnFastExit ->
+    // exit, exactly once.
+    fx.violateEvery = 1000;
+    fx.tb->runUntil(sim::msec(10));
     EXPECT_FALSE(fx.driver->burning(0));
     EXPECT_EQ(fx.annotations("burn-exit"), 1u);
     EXPECT_EQ(fx.annotations("burn-enter"), 1u);
@@ -334,14 +332,9 @@ TEST(BurnRate, EnterHoldExitWithHysteresis)
 
 TEST(BurnRate, BelowThresholdNeverEnters)
 {
-    BurnConfig burn;
-    burn.slowWindows = 4;
-    burn.fastEnter = 0.5;
-    burn.slowEnter = 0.1;
-    burn.fastExit = 0.2;
-    BurnFixture fx(burn);
-    fx.violateEvery = 10; // ~0.1 < fastEnter
-    fx.tb->runUntil(sim::usec(3000));
+    BurnFixture fx;
+    fx.violateEvery = 200; // ~0.5% < kBurnFastEnter
+    fx.tb->runUntil(sim::msec(10));
     EXPECT_FALSE(fx.driver->burning(0));
     EXPECT_EQ(fx.annotations("burn-enter"), 0u);
 }

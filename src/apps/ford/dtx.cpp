@@ -229,25 +229,16 @@ Dtx::Dtx(DtxSystem &sys, SmartCtx &ctx)
 RemotePtr
 Dtx::primaryPtr(const Item &it) const
 {
-    // slotOffset is relative to the table base; recompute the blade
-    // offset through the table's host pointers.
-    std::uint64_t base = reinterpret_cast<const std::uint8_t *>(
-                             const_cast<DtxTable *>(it.table)
-                                 ->hostRecord(it.key)) -
-                         sys_.blades()[it.table->primaryBlade()]->bytesAt(0);
+    // it.offset is the slot offset addRead/addWrite looked up once.
     return const_cast<SmartCtx &>(ctx_).runtime().ptr(
-        it.table->primaryBlade(), base);
+        it.table->primaryBlade(), it.table->primaryOffset(it.offset));
 }
 
 RemotePtr
 Dtx::backupPtr(const Item &it) const
 {
-    std::uint64_t base = reinterpret_cast<const std::uint8_t *>(
-                             const_cast<DtxTable *>(it.table)
-                                 ->hostBackupRecord(it.key)) -
-                         sys_.blades()[it.table->backupBlade()]->bytesAt(0);
     return const_cast<SmartCtx &>(ctx_).runtime().ptr(
-        it.table->backupBlade(), base);
+        it.table->backupBlade(), it.table->backupOffset(it.offset));
 }
 
 void

@@ -72,6 +72,16 @@ class DtxTable
      */
     std::uint64_t slotOffset(std::uint64_t key) const;
 
+    /** Blade offsets of slot offset @p slot_off on each replica. */
+    std::uint64_t primaryOffset(std::uint64_t slot_off) const
+    {
+        return basePrimary_ + slot_off;
+    }
+    std::uint64_t backupOffset(std::uint64_t slot_off) const
+    {
+        return baseBackup_ + slot_off;
+    }
+
     /** @return true if @p key was loaded into this table. */
     bool isLoaded(std::uint64_t key) const;
 

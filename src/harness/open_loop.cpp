@@ -20,17 +20,6 @@ using sim::Json;
 using sim::Task;
 using sim::Time;
 
-const char *
-arrivalKindName(ArrivalKind k)
-{
-    switch (k) {
-      case ArrivalKind::Poisson: return "poisson";
-      case ArrivalKind::Diurnal: return "diurnal";
-      case ArrivalKind::Spike: return "spike";
-    }
-    return "?";
-}
-
 // ------------------------------------------------------- arrival process
 
 ArrivalProcess::ArrivalProcess(const ArrivalConfig &cfg, std::uint64_t seed)

@@ -54,9 +54,6 @@ enum class ArrivalKind : std::uint8_t
     Spike,   ///< Poisson base with periodic multiplicative bursts
 };
 
-/** @return stable lower-case name of @p k ("poisson", ...). */
-const char *arrivalKindName(ArrivalKind k);
-
 // -- Diurnal: rate(t) = base * (1 + amp * sin(2 pi t / period)) --
 /** Relative swing amplitude in [0, 1). */
 inline constexpr double kDiurnalAmp = 0.6;

@@ -5,7 +5,6 @@
 
 #include "rnic/rnic.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <memory>
 
@@ -16,12 +15,11 @@ using sim::Time;
 
 Rnic::Rnic(sim::Simulator &sim, const RnicConfig &cfg, std::string name)
     : sim_(sim), cfg_(cfg), name_(std::move(name)),
-      faultName_(name_ + ".rnic"), wire_(sim),
+      faultName_(name_ + ".rnic"), retryWire_(sim), wire_(sim),
       pipeline_(sim, 1, name_ + ".pipe"),
       atomicUnits_(sim, kAtomicUnits, name_ + ".atomic"),
       dmaEngines_(sim, kDmaEngines, name_ + ".dma"),
       pcie_(sim, 1, name_ + ".pcie"),
-      egress_(sim, 1, name_ + ".egress"),
       mttCache_(kMttCacheCapacity)
 {
     sim::Labels labels{{"blade", name_}};
@@ -79,20 +77,13 @@ const MrRecord &
 Rnic::registerMemory(std::uint8_t *base, std::uint64_t length)
 {
     MrRecord rec;
-    rec.id = nextMrId_++;
-    rec.rkey = rec.id * 0x1000u + 0xabcu; // arbitrary but deterministic
+    rec.id = static_cast<std::uint32_t>(mrs_.size()) + 1;
+    assert(rec.id < (1u << 20) && "rkey space exhausted");
+    rec.rkey = (rec.id << 12) | kRkeyTag; // arbitrary but deterministic
     rec.base = base;
     rec.length = length;
-    auto [it, inserted] = mrs_.emplace(rec.rkey, rec);
-    assert(inserted);
-    return it->second;
-}
-
-const MrRecord *
-Rnic::findMr(std::uint32_t rkey) const
-{
-    auto it = mrs_.find(rkey);
-    return it == mrs_.end() ? nullptr : &it->second;
+    mrs_.push_back(rec);
+    return mrs_.back();
 }
 
 double
@@ -110,116 +101,70 @@ Rnic::postBatch(Rnic *target, std::vector<WorkReq> batch)
         wr.initEpoch = epoch_;
     }
     owrNow_ += batch.size();
+    BatchFetch *f;
+    if (idleFetches_.empty()) {
+        fetches_.push_back(std::make_unique<BatchFetch>());
+        f = fetches_.back().get();
+        f->nic = this;
+    } else {
+        f = idleFetches_.back();
+        idleFetches_.pop_back();
+    }
+    f->target = target;
+    f->wrs = std::move(batch);
     if (stallUntil_ > sim_.now()) {
         // Stalled NIC: the doorbell write posts, but the device fetches
-        // nothing until the stall lifts. The batch is boxed because a
-        // vector would blow the event's inline-capture budget; this path
-        // only runs under an injected stall, never in the hot loop.
-        auto boxed =
-            std::make_unique<std::vector<WorkReq>>(std::move(batch));
-        sim_.scheduleAt(stallUntil_,
-                        [this, target, b = std::move(boxed)]() mutable {
-                            sim_.spawnDetached(
-                                processBatch(target, std::move(*b)));
-                        });
+        // nothing until the stall lifts.
+        sim_.scheduleAt(stallUntil_, [this, f] { launchFetch(f); });
         return;
     }
-    sim_.spawnDetached(processBatch(target, std::move(batch)));
+    launchFetch(f);
 }
 
-Task
-Rnic::processBatch(Rnic *target, std::vector<WorkReq> batch)
+void
+Rnic::launchFetch(BatchFetch *f)
+{
+    sim_.schedule(0, [this, f] { fetchWqes(f); });
+}
+
+void
+Rnic::fetchWqes(BatchFetch *f)
 {
     // The doorbell ring triggers a DMA fetch of the new WQEs, in
     // chunk-sized PCIe reads (the hardware prefetches whole chunks).
     std::uint32_t wqe_bytes =
-        static_cast<std::uint32_t>(batch.size()) * kWqeBytes;
+        static_cast<std::uint32_t>(f->wrs.size()) * kWqeBytes;
     std::uint32_t lines = (wqe_bytes + 63) / 64;
     std::uint32_t fetch_bytes = lines * 64;
     perf_.dramBytes.add(fetch_bytes);
     // The fetch serves the whole batch; attribute it to the first traced
     // WR (sampling makes at most a few per batch traced anyway).
-    sim::SpanId traced = 0;
-    sim::SpanTracer *sp = sim_.spans();
-    if (sp != nullptr) {
-        for (const WorkReq &wr : batch) {
+    f->traced = 0;
+    if (sim_.spans() != nullptr) {
+        for (const WorkReq &wr : f->wrs) {
             if (wr.traceSpan != 0) {
-                traced = wr.traceSpan;
+                f->traced = wr.traceSpan;
                 break;
             }
         }
     }
-    Time fetch_t0 = sim_.now();
-    co_await pcieDma(fetch_bytes);
-    if (traced != 0)
-        sp->record(spanTrack(*sp), sim::Stage::WqeFetch, traced, fetch_t0,
+    f->t0 = sim_.now();
+    dmaStart(fetch_bytes, [f] { f->nic->issueBatch(f); });
+}
+
+void
+Rnic::issueBatch(BatchFetch *f)
+{
+    if (f->traced != 0) {
+        sim::SpanTracer *sp = sim_.spans();
+        sp->record(spanTrack(*sp), sim::Stage::WqeFetch, f->traced, f->t0,
                    sim_.now());
-
-    for (WorkReq &wr : batch)
-        sim_.spawnDetached(executeWr(target, std::move(wr)));
-    recycleBatchBuffer(std::move(batch));
-}
-
-/*
- * Frameless leaf stages (see the header note): each pair of functions is
- * the old coroutine body unrolled into EventFn continuations. The grant /
- * delay / release / delay sequence schedules exactly the same events at
- * the same times as the coroutine version did.
- */
-
-void
-Rnic::dmaStart(std::uint32_t bytes, std::coroutine_handle<> h)
-{
-    if (pcie_.tryAcquire())
-        dmaOccupy(bytes, h);
-    else
-        pcie_.enqueue([this, bytes, h] { dmaOccupy(bytes, h); });
-}
-
-void
-Rnic::dmaOccupy(std::uint32_t bytes, std::coroutine_handle<> h)
-{
-    // The zero-occupancy check mirrors delay()'s await_ready elision in
-    // the coroutine formulation: a 0 ns stage runs inline, no event.
-    Time occupancy =
-        static_cast<Time>(static_cast<double>(bytes) / kPcieBytesPerNs);
-    auto landed = [this, h] {
-        pcie_.release();
-        sim_.scheduleResume(kPcieLatencyNs, h);
-    };
-    if (occupancy == 0)
-        landed();
-    else
-        sim_.schedule(occupancy, landed);
-}
-
-void
-Rnic::sendStart(std::uint32_t bytes, std::coroutine_handle<> h)
-{
-    if (egress_.tryAcquire())
-        sendOccupy(bytes, h);
-    else
-        egress_.enqueue([this, bytes, h] { sendOccupy(bytes, h); });
-}
-
-void
-Rnic::sendOccupy(std::uint32_t bytes, std::coroutine_handle<> h)
-{
-    // Resumes at serialization end; propagation is carried by the wire
-    // crossing's delivery timestamp (see cross()), not modelled here.
-    Time occupancy =
-        static_cast<Time>(static_cast<double>(bytes) / kLinkBytesPerNs);
-    if (occupancy == 0) {
-        // May run inside await_suspend, where the frame is not suspended
-        // yet: bounce through the event queue instead of resuming inline.
-        egress_.release();
-        sim_.post(h);
-        return;
     }
-    sim_.schedule(occupancy, [this, h] {
-        egress_.release();
-        h.resume();
-    });
+    for (WorkReq &wr : f->wrs)
+        sim_.spawnDetached(executeWr(f->target, std::move(wr)));
+    recycleBatchBuffer(std::move(f->wrs));
+    f->wrs = {};
+    idleFetches_.push_back(f);
 }
 
 void
@@ -264,9 +209,7 @@ Rnic::executeWr(Rnic *target, WorkReq wr)
     };
 
     // ---- Initiator issue ----
-    co_await pipeline_.acquire();
-    co_await sim_.delay(kPipeIssueNs);
-    pipeline_.release();
+    co_await pipeline_.hold(kPipeIssueNs);
 
     // Device-context ICM lookup (QPC root / MPT segment). With one
     // shared context this always hits; with per-thread contexts the
@@ -277,9 +220,7 @@ Rnic::executeWr(Rnic *target, WorkReq wr)
         Time t0 = sim_.now();
         perf_.mttRefetches.add();
         perf_.dramBytes.add(kMttMissBytes);
-        co_await pipeline_.acquire();
-        co_await sim_.delay(kIcmMissExtraPipeNs);
-        pipeline_.release();
+        co_await pipeline_.hold(kIcmMissExtraPipeNs);
         co_await sim_.delay(kMttMissLatencyNs);
         devSpan(*this, sim::Stage::MttFetch, t0, sim_.now());
     }
@@ -300,6 +241,8 @@ Rnic::executeWr(Rnic *target, WorkReq wr)
     }
 
     // ---- Request over the wire ----
+    // The request leaves once the egress link has serialized it and
+    // arrives a propagation delay later: one crossing, no egress event.
     std::uint32_t req_bytes = kHeaderBytes;
     if (wr.op == Op::Write)
         req_bytes += wr.length;
@@ -308,32 +251,31 @@ Rnic::executeWr(Rnic *target, WorkReq wr)
     else if (wr.op == Op::Faa)
         req_bytes += 8;
     Time wire_t0 = sim_.now();
-    co_await sendTo(*target, req_bytes); // resumes at serialization end
-    Time arrival = sim_.now() + kPropagationNs;
+    Time arrival = egressEnd(req_bytes) + kPropagationNs;
     devSpan(*this, sim::Stage::Link, wire_t0, arrival);
     // The READ payload is borrowed from (and later returned to) this
     // initiator's pool, so the pool is touched only on this shard.
     std::vector<std::uint8_t> payload;
     if (wr.op == Op::Read)
         payload = takeByteBuffer();
-    co_await cross(*this, *target, arrival);
+    co_await cross(wire_, *target, arrival);
 
     // ---- Responder, on the target's shard ----
     Rnic &r = *target;
     WcStatus status = WcStatus::Success;
     std::uint64_t old_value = 0; // prior memory value (CAS/FAA)
     Time back_at = 0;
+    sim::WireEndpoint *back_wire = &r.wire_;
     if (r.down_) {
         // Crashed while the request was in flight: no ACK ever comes; the
         // initiator transport retries for its budget, then gives up. The
         // crossing back lands when that budget expires.
         status = WcStatus::RetryExceeded;
         back_at = r.sim_.now() + kTransportRetryNs;
+        back_wire = &r.retryWire_;
     } else {
         r.perf_.wrsServed.add();
-        co_await r.pipeline_.acquire();
-        co_await r.sim_.delay(kPipeResponderNs);
-        r.pipeline_.release();
+        co_await r.pipeline_.hold(kPipeResponderNs);
 
         std::uint32_t resp_bytes = kHeaderBytes;
         const MrRecord *mr = r.findMr(wr.rkey);
@@ -369,10 +311,9 @@ Rnic::executeWr(Rnic *target, WorkReq wr)
                 }
             } else {
                 assert(wr.length == 8);
-                co_await r.atomicUnits_.acquire();
-                co_await r.sim_.delay(kAtomicServiceNs);
-                // Atomic read-modify-write executes in one event: no
-                // interleaving.
+                co_await r.atomicUnits_.hold(kAtomicServiceNs);
+                // Atomic read-modify-write executes in one event (the
+                // one that frees the unit): no interleaving.
                 std::memcpy(&old_value, remote, 8);
                 if (wr.op == Op::Faa) {
                     std::uint64_t updated = old_value + wr.compare;
@@ -380,7 +321,6 @@ Rnic::executeWr(Rnic *target, WorkReq wr)
                 } else if (old_value == wr.compare) {
                     std::memcpy(remote, &wr.swap, 8);
                 }
-                r.atomicUnits_.release();
                 devSpan(r, sim::Stage::Atomic, t0, r.sim_.now());
                 r.perf_.dramBytes.add(16);
                 resp_bytes += 8;
@@ -389,12 +329,11 @@ Rnic::executeWr(Rnic *target, WorkReq wr)
 
         // ---- Response (or NAK) over the wire ----
         wire_t0 = r.sim_.now();
-        co_await r.sendTo(*this, resp_bytes);
-        back_at = r.sim_.now() + kPropagationNs;
+        back_at = r.egressEnd(resp_bytes) + kPropagationNs;
         if (status == WcStatus::Success)
             devSpan(r, sim::Stage::Link, wire_t0, back_at);
     }
-    co_await cross(r, *this, back_at);
+    co_await cross(*back_wire, *this, back_at);
 
     // ---- Initiator completion, back on this shard ----
     if (status == WcStatus::Success) {
@@ -428,14 +367,10 @@ Rnic::executeWr(Rnic *target, WorkReq wr)
             wr.wqeMissCounter->add();
         perf_.dramBytes.add(kWqeMissBytes);
         Time t0 = sim_.now();
-        co_await dmaEngines_.acquire();
-        co_await sim_.delay(kDmaMissServiceNs);
-        dmaEngines_.release();
+        co_await dmaEngines_.hold(kDmaMissServiceNs);
         devSpan(*this, sim::Stage::WqeFetch, t0, sim_.now());
     }
-    co_await pipeline_.acquire();
-    co_await sim_.delay(kPipeCompletionNs);
-    pipeline_.release();
+    co_await pipeline_.hold(kPipeCompletionNs);
 
     // Land payload and the (compressed) CQE in host memory.
     std::uint32_t land_bytes = kCqeBytes;

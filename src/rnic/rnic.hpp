@@ -15,10 +15,12 @@
 #define SMART_RNIC_RNIC_HPP
 
 #include <cstdint>
+#include <algorithm>
+#include <cassert>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "rnic/cache_model.hpp"
@@ -77,14 +79,15 @@ struct MrRecord
     std::uint64_t length = 0;
 };
 
-/** One work request as seen by the hardware. */
+/**
+ * One work request as seen by the hardware. Every staged WR is copied a
+ * few times on its way to the wire, so the fields are ordered largest
+ * first: 128 bytes, no padding holes.
+ */
 struct WorkReq
 {
     std::uint64_t uid = 0;   ///< globally unique (WQE cache key)
     std::uint64_t wrId = 0;  ///< application wr_id (carried to the CQE)
-    Op op = Op::Read;
-    std::uint32_t length = 0;
-    std::uint32_t rkey = 0;        ///< remote MR
     std::uint64_t remoteOffset = 0; ///< byte offset within the remote MR
     std::uint8_t *localBuf = nullptr; ///< payload source/landing (may be null)
     std::uint64_t localTransKey = 0;  ///< initiator-side MTT key
@@ -93,7 +96,6 @@ struct WorkReq
     /** ICM base of the issuing device context (context footprint model). */
     std::uint64_t icmBase = 0;
     CompletionSink *sink = nullptr;
-    bool signaled = true;
     /**
      * Optional initiator-side attribution: bumped when this WR's WQE
      * state must be refetched (cache miss). Lets the SMART layer keep
@@ -105,11 +107,6 @@ struct WorkReq
      * SmartCtx sync round so failed WRs can be re-staged individually.
      */
     std::uint64_t appTag = 0;
-    /** Sync-round epoch; CQEs from abandoned rounds are ignored. */
-    std::uint32_t syncEpoch = 0;
-    /** Connected-blade index this WR targets (set at stage time; the
-     *  completion path uses it for per-blade outstanding accounting). */
-    std::uint32_t bladeIdx = 0;
     /**
      * Compute-side cache-tier routing cookie (0 for ordinary WRs).
      * Encodes a fill / write-back / invalidation action plus a frame
@@ -117,16 +114,26 @@ struct WorkReq
      * owning BufferManager even for abandoned sync rounds.
      */
     std::uint64_t cacheCookie = 0;
+    /** Initiator device epoch at post time (set by postBatch); a
+     *  mismatch at completion means the RNIC reset under the WR. */
+    std::uint64_t initEpoch = 0;
+    std::uint32_t length = 0;
+    std::uint32_t rkey = 0;        ///< remote MR
+    /** Sync-round epoch; CQEs from abandoned rounds are ignored. */
+    std::uint32_t syncEpoch = 0;
+    /** Connected-blade index this WR targets (set at stage time; the
+     *  completion path uses it for per-blade outstanding accounting). */
+    std::uint32_t bladeIdx = 0;
     /**
      * Parent span (the issuing coroutine's verb/retry span) when this
      * WR belongs to a sampled operation of an installed SpanTracer;
      * 0 (the common case) disables all device-side span recording.
      */
     sim::SpanId traceSpan = 0;
-    /** Initiator device epoch at post time (set by postBatch); a
-     *  mismatch at completion means the RNIC reset under the WR. */
-    std::uint64_t initEpoch = 0;
+    Op op = Op::Read;
+    bool signaled = true;
 };
+static_assert(sizeof(WorkReq) == 128);
 
 /**
  * The RNIC model. Latencies and capacities are the constants of
@@ -216,13 +223,26 @@ class Rnic : public sim::FaultTarget
     const MrRecord &registerMemory(std::uint8_t *base, std::uint64_t length);
 
     /** Look up a registered MR by rkey (nullptr if unknown). */
-    const MrRecord *findMr(std::uint32_t rkey) const;
+    const MrRecord *
+    findMr(std::uint32_t rkey) const
+    {
+        std::uint32_t id = rkey >> 12;
+        if ((rkey & 0xfffu) != kRkeyTag || id == 0 || id > mrs_.size())
+            return nullptr;
+        const MrRecord &mr = mrs_[id - 1];
+        return mr.rkey == rkey ? &mr : nullptr;
+    }
 
     /**
      * Drop the MPT entry for @p rkey. Accesses with the stale rkey then
      * complete with RemoteAccessError (blade restart semantics).
      */
-    void invalidateMr(std::uint32_t rkey) { mrs_.erase(rkey); }
+    void
+    invalidateMr(std::uint32_t rkey)
+    {
+        if (const MrRecord *mr = findMr(rkey))
+            mrs_[mr->id - 1].rkey = 0; // no live MR has rkey 0
+    }
 
     /** ---- Fault-target interface (see sim/fault.hpp) ---- */
     const std::string &faultTargetName() const override
@@ -230,10 +250,11 @@ class Rnic : public sim::FaultTarget
         return faultName_;
     }
     void applyFault(sim::FaultKind kind, sim::Time duration) override;
-    void setInjectedErrorRate(double per_op_prob, sim::Rng *rng) override
+    bool setInjectedErrorRate(double per_op_prob, sim::Rng *rng) override
     {
         completionErrorProb_ = per_op_prob;
         faultRng_ = rng;
+        return true;
     }
     bool faultedNow() const override
     {
@@ -316,8 +337,26 @@ class Rnic : public sim::FaultTarget
     }
 
   private:
-    /** Fetch the batch's WQEs via PCIe, then issue each WR. */
-    sim::Task processBatch(Rnic *target, std::vector<WorkReq> batch);
+    /**
+     * A rung batch from the doorbell to the end of its WQE fetch. Pooled:
+     * the fetch is a frameless chain of events, and this is the state it
+     * carries.
+     */
+    struct BatchFetch
+    {
+        Rnic *nic = nullptr;
+        Rnic *target = nullptr;
+        std::vector<WorkReq> wrs;
+        sim::SpanId traced = 0;
+        sim::Time t0 = 0;
+    };
+
+    /** Start @p f's WQE fetch in a new event at the current time. */
+    void launchFetch(BatchFetch *f);
+    /** Fetch the batch's WQEs via PCIe (the doorbell-triggered DMA). */
+    void fetchWqes(BatchFetch *f);
+    /** The fetch landed: issue each WR, return @p f to the pool. */
+    void issueBatch(BatchFetch *f);
 
     /**
      * One work request, start to CQE, as one detached coroutine (this ==
@@ -335,13 +374,13 @@ class Rnic : public sim::FaultTarget
 
     /**
      * Awaitable: carry the suspended WR across the wire. EventFn::resume
-     * of the frame goes out through @p from's endpoint, for delivery on
+     * of the frame goes out through endpoint @p from, for delivery on
      * @p to's shard at absolute @p dtime; the coroutine resumes there as
      * that delivery event.
      */
     struct CrossAwaiter
     {
-        Rnic &from;
+        sim::WireEndpoint &from;
         Rnic &to;
         sim::Time dtime;
 
@@ -349,25 +388,44 @@ class Rnic : public sim::FaultTarget
         void
         await_suspend(std::coroutine_handle<> h) const
         {
-            from.wire_.send(to.sim_, dtime, sim::EventFn::resume(h));
+            from.send(to.sim_, dtime, sim::EventFn::resume(h));
         }
         void await_resume() const noexcept {}
     };
 
     static CrossAwaiter
-    cross(Rnic &from, Rnic &to, sim::Time dtime)
+    cross(sim::WireEndpoint &from, Rnic &to, sim::Time dtime)
     {
         return {from, to, dtime};
     }
 
+    /**
+     * Serialize @p bytes on this adapter's egress link behind every
+     * earlier send and @return when the last byte leaves. The link is a
+     * FIFO of capacity 1, so this is the time a queued acquire / delay /
+     * release of it would reach; nothing waits on it but the crossing,
+     * which carries serialization end + propagation as its dtime.
+     */
+    sim::Time
+    egressEnd(std::uint32_t bytes)
+    {
+        sim::Time occupancy = static_cast<sim::Time>(
+            static_cast<double>(bytes) / kLinkBytesPerNs);
+        // Every frame carries a header, so each send holds the link for
+        // at least 1 ns: one source's dtimes strictly increase.
+        assert(occupancy > 0);
+        egressFreeAt_ = std::max(sim_.now(), egressFreeAt_) + occupancy;
+        return egressFreeAt_;
+    }
+
     /*
-     * The per-WR leaf stages below are frameless awaitables, not child
-     * coroutines: each runs 2-4 times per WR, and a Task would cost a
-     * frame-pool round-trip plus actor dispatch per call. They chain
-     * EventFn callbacks through the same resources and delays the old
-     * coroutine bodies awaited, so the event sequence (count, timestamps,
-     * FIFO seq) is bit-identical to the coroutine formulation — metric
-     * output does not change.
+     * The per-WR leaf stages below (and Resource::hold) are frameless
+     * awaitables, not child coroutines: each runs 2-4 times per WR, and a
+     * Task would cost a frame-pool round-trip plus actor dispatch per
+     * call. They chain EventFn callbacks through the same resources and
+     * delays the old coroutine bodies awaited, so the event sequence
+     * (count, timestamps, FIFO seq) is bit-identical to the coroutine
+     * formulation — metric output does not change.
      */
 
     /** Awaitable: occupy host PCIe for @p bytes, add the DMA latency. */
@@ -386,39 +444,36 @@ class Rnic : public sim::FaultTarget
     };
 
     DmaAwaiter pcieDma(std::uint32_t bytes) { return {*this, bytes}; }
-    void dmaStart(std::uint32_t bytes, std::coroutine_handle<> h);
-    void dmaOccupy(std::uint32_t bytes, std::coroutine_handle<> h);
 
-    /**
-     * Awaitable: occupy the egress link for the serialization time of
-     * @p bytes. Resumes when the last byte leaves the sender; wire
-     * propagation is *not* included — it is carried by cross()'s
-     * delivery timestamp (sender now + propagationNs), so the crossing
-     * itself is an explicit mailbox message, never a direct peer event.
-     */
-    struct SendAwaiter
+    /** Occupy host PCIe for @p bytes, then run @p k (a coroutine handle
+     *  or an 8-byte callable) after the DMA latency. */
+    template <typename K>
+    void
+    dmaStart(std::uint32_t bytes, K k)
     {
-        Rnic &nic; // the sending side: its egress link is occupied
-        std::uint32_t bytes;
-
-        bool await_ready() const noexcept { return false; }
-        void
-        await_suspend(std::coroutine_handle<> h) const
-        {
-            nic.sendStart(bytes, h);
-        }
-        void await_resume() const noexcept {}
-    };
-
-    SendAwaiter
-    sendTo(Rnic &dst, std::uint32_t bytes)
-    {
-        (void)dst; // latency model is symmetric; dst kept for readability
-        return {*this, bytes};
+        if (pcie_.tryAcquire())
+            dmaOccupy(bytes, k);
+        else
+            pcie_.enqueue([this, bytes, k] { dmaOccupy(bytes, k); });
     }
 
-    void sendStart(std::uint32_t bytes, std::coroutine_handle<> h);
-    void sendOccupy(std::uint32_t bytes, std::coroutine_handle<> h);
+    template <typename K>
+    void
+    dmaOccupy(std::uint32_t bytes, K k)
+    {
+        // The zero-occupancy check mirrors delay()'s await_ready elision
+        // in the coroutine formulation: a 0 ns stage runs inline.
+        sim::Time occupancy = static_cast<sim::Time>(
+            static_cast<double>(bytes) / kPcieBytesPerNs);
+        auto landed = [this, k] {
+            pcie_.release();
+            sim_.schedule(kPcieLatencyNs, k);
+        };
+        if (occupancy == 0)
+            landed();
+        else
+            sim_.schedule(occupancy, landed);
+    }
 
     /**
      * Awaitable: touch the MTT/MPT cache. A hit completes synchronously
@@ -454,6 +509,15 @@ class Rnic : public sim::FaultTarget
     RnicConfig cfg_;
     std::string name_;
     std::string faultName_;
+    /**
+     * Crossings that bypass the egress link: the responder-crashed
+     * return leg. Constructed just before wire_, so its srcId sorts
+     * right below it and, at an equal dtime, such a crossing is
+     * delivered before any egress crossing of this adapter: it left
+     * first (an egress crossing due at the same time finishes
+     * serializing 19.75 us after the crash leg is sent).
+     */
+    sim::WireEndpoint retryWire_;
     /** This adapter's wire identity: fixes cross-blade delivery
      *  tie-breaks independently of shard assignment (see wire.hpp). */
     sim::WireEndpoint wire_;
@@ -462,7 +526,8 @@ class Rnic : public sim::FaultTarget
     sim::Resource atomicUnits_;
     sim::Resource dmaEngines_;
     sim::Resource pcie_;
-    sim::Resource egress_;
+    /** When the egress link finishes serializing its last send. */
+    sim::Time egressFreeAt_ = 0;
 
     LruCache mttCache_;
 
@@ -483,8 +548,10 @@ class Rnic : public sim::FaultTarget
 
     PerfCounters perf_;
 
-    std::unordered_map<std::uint32_t, MrRecord> mrs_;
-    std::uint32_t nextMrId_ = 1;
+    /** MPT, indexed by MR id - 1 (a deque: records never move). */
+    std::deque<MrRecord> mrs_;
+    /** Low 12 bits of every rkey this adapter hands out. */
+    static constexpr std::uint32_t kRkeyTag = 0xabcu;
     std::uint64_t nextUid_ = 1;
 
     /** Key-space tag separating ICM entries from MTT page entries. */
@@ -516,6 +583,9 @@ class Rnic : public sim::FaultTarget
     static constexpr std::size_t kBytePoolCap = 256;
     std::vector<std::vector<WorkReq>> batchPool_;
     std::vector<std::vector<std::uint8_t>> bytePool_;
+    /** Every BatchFetch ever made, and the idle ones. */
+    std::vector<std::unique_ptr<BatchFetch>> fetches_;
+    std::vector<BatchFetch *> idleFetches_;
 };
 
 } // namespace smart::rnic

@@ -103,6 +103,21 @@ class EventFn
                  std::is_invocable_r_v<void, std::remove_cvref_t<F> &>)
     EventFn(F &&f) // NOLINT(bugprone-forwarding-reference-overload)
     {
+        emplace(std::forward<F>(f));
+    }
+
+    /**
+     * Build @p f's callable in this (empty) EventFn's own storage: a
+     * pooled node takes its callable this way, with no temporary EventFn
+     * to relocate from.
+     */
+    template <typename F>
+        requires(!std::is_same_v<std::remove_cvref_t<F>, EventFn> &&
+                 std::is_invocable_r_v<void, std::remove_cvref_t<F> &>)
+    void
+    emplace(F &&f)
+    {
+        assert(ops_ == nullptr);
         using Fn = std::remove_cvref_t<F>;
         static_assert(sizeof(Fn) <= kInlineBytes,
                       "event callback capture exceeds the 24-byte inline "
@@ -321,8 +336,6 @@ struct EventList
 class EventQueue
 {
   public:
-    using Callback = EventFn;
-
     EventQueue();
     ~EventQueue();
     /* Pinned: the process-wide perf registry holds this queue's address
@@ -331,13 +344,14 @@ class EventQueue
     EventQueue &operator=(const EventQueue &) = delete;
 
     /**
-     * Schedule @p cb to run at absolute virtual time @p when. The callable
-     * built at the call site is moved exactly once, into its node.
+     * Schedule @p cb to run at absolute virtual time @p when. A callable
+     * other than an EventFn is built directly in its node.
      */
+    template <typename F>
     void
-    scheduleAt(Time when, EventFn &&cb)
+    scheduleAt(Time when, F &&cb)
     {
-        link(when, park(std::move(cb)));
+        link(when, park(std::forward<F>(cb)));
     }
 
     /** Fast path: resume @p h at absolute virtual time @p when. */
@@ -348,14 +362,21 @@ class EventQueue
     }
 
     /** Take a node holding @p cb that is linked into neither tier. */
+    template <typename F>
     EventNode *
-    park(EventFn &&cb)
+    park(F &&cb)
     {
         if (free_ == nullptr)
             grow();
         EventNode *n = free_;
         free_ = n->next;
-        n->fn = std::move(cb);
+        if constexpr (std::is_same_v<std::remove_cvref_t<F>, EventFn>) {
+            static_assert(!std::is_lvalue_reference_v<F>,
+                          "pass an EventFn by rvalue");
+            n->fn = std::move(cb);
+        }
+        else
+            n->fn.emplace(std::forward<F>(cb));
         return n;
     }
 

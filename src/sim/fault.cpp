@@ -137,8 +137,16 @@ FaultPlane::probabilistic(const std::string &target, double per_op_prob)
     assert(t != nullptr && "probabilistic fault names an unknown target");
     if (t == nullptr)
         return;
-    t->setInjectedErrorRate(per_op_prob,
-                            per_op_prob > 0 ? &rng_ : nullptr);
+    if (!t->setInjectedErrorRate(per_op_prob,
+                                 per_op_prob > 0 ? &rng_ : nullptr)) {
+        // Always-on (not assert): the schedule would never fire.
+        std::fprintf(stderr,
+                     "FaultPlane: %s has no injected-error path; aim "
+                     "probabilistic completion errors at an initiator "
+                     "RNIC\n",
+                     target.c_str());
+        std::abort();
+    }
 }
 
 } // namespace smart::sim

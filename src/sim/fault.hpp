@@ -67,16 +67,19 @@ class FaultTarget
      * Install a per-completion error probability (probabilistic
      * schedules). @p rng stays owned by the plane; draws happen only
      * while the rate is non-zero, preserving determinism elsewhere.
+     * @return false if the target completes no work requests of its own
+     *         (no injected-error path): the rate would never apply.
      */
-    virtual void
+    virtual bool
     setInjectedErrorRate(double per_op_prob, Rng *rng)
     {
         (void)per_op_prob;
         (void)rng;
+        return false;
     }
 
     /** @return true while the target is down/stalled by a fault. */
-    virtual bool faultedNow() const { return false; }
+    virtual bool faultedNow() const = 0;
 };
 
 /** Record of one fired fault (assertions, reports). */
@@ -112,7 +115,10 @@ class FaultPlane
 
     /**
      * Make each completing work request on @p target fail with
-     * probability @p per_op_prob (0 restores the healthy path).
+     * probability @p per_op_prob (0 restores the healthy path). Aborts
+     * if @p target has no injected-error path (a memory blade: its
+     * adapter only responds), where the schedule would be a silent
+     * no-op.
      */
     void probabilistic(const std::string &target, double per_op_prob);
 

@@ -39,11 +39,15 @@ class Rng
         return (xorshifted >> rot) | (xorshifted << ((-rot) & 31u));
     }
 
-    /** @return next 64 random bits. */
+    /** @return next 64 random bits: the high word is drawn first. */
     std::uint64_t
     next64()
     {
-        return (static_cast<std::uint64_t>(next32()) << 32) | next32();
+        // Two statements: the operands of one `|` expression are
+        // unsequenced, so the draw order would be the compiler's choice.
+        std::uint64_t hi = next32();
+        std::uint64_t lo = next32();
+        return (hi << 32) | lo;
     }
 
     /** @return uniform integer in [0, bound). @pre bound > 0 */

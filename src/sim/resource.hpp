@@ -79,10 +79,11 @@ class WaitQueue
 
     /** Park @p fn behind the current waiters; a wake runs it (frameless
      *  awaiters, Resource::enqueue). */
+    template <typename F>
     void
-    park(EventFn &&fn)
+    park(F &&fn)
     {
-        list_.pushBack(sim_->park(std::move(fn)));
+        list_.pushBack(sim_->park(std::forward<F>(fn)));
         ++size_;
     }
 
@@ -136,7 +137,8 @@ class Resource
 {
   public:
     Resource(Simulator &sim, std::uint32_t capacity, std::string name = "")
-        : capacity_(capacity), waiters_(sim), name_(std::move(name))
+        : sim_(sim), capacity_(capacity), waiters_(sim),
+          name_(std::move(name))
     {
         assert(capacity_ > 0);
     }
@@ -170,18 +172,61 @@ class Resource
     }
 
     /**
+     * Awaitable: hold one unit for @p d ns (> 0), then release it and
+     * resume. Makes the same tryAcquire/enqueue/schedule calls, in the
+     * same order, as `co_await acquire(); co_await delay(d); release();`
+     * in the awaiting coroutine, so it costs the same events — but a
+     * contended grant runs a small callback instead of resuming the
+     * caller's frame, and no child coroutine is ever created.
+     */
+    auto
+    hold(Time d)
+    {
+        struct Awaiter
+        {
+            Resource &res;
+            Time d;
+
+            bool await_ready() const noexcept { return false; }
+            void
+            await_suspend(std::coroutine_handle<> h)
+            {
+                res.holdThen(d, h);
+            }
+            void await_resume() const noexcept {}
+        };
+        return Awaiter{*this, d};
+    }
+
+    /**
+     * Frameless hold: acquire a unit (queueing FIFO), keep it @p d ns
+     * (> 0), release it, then run @p k in the same event. @p k is a
+     * coroutine handle (resumed) or a callable of at most 8 bytes.
+     */
+    template <typename K>
+    void
+    holdThen(Time d, K k)
+    {
+        assert(d > 0);
+        if (tryAcquire())
+            occupy(d, k);
+        else
+            enqueue([this, d, k] { occupy(d, k); });
+    }
+
+    /**
      * Queue @p fn to run once a unit frees up; the unit is already held
      * when @p fn is invoked (same handoff as a granted acquire()). Only
      * valid right after tryAcquire() returned false — frameless awaiters
-     * (rnic's DMA/egress paths) use this instead of suspending a
-     * coroutine. FIFO order with coroutine waiters is preserved: both
-     * kinds share one queue.
+     * use this instead of suspending a coroutine. FIFO order with
+     * coroutine waiters is preserved: both kinds share one queue.
      */
+    template <typename F>
     void
-    enqueue(EventFn &&fn)
+    enqueue(F &&fn)
     {
         assert(inUse_ >= capacity_);
-        waiters_.park(std::move(fn));
+        waiters_.park(std::forward<F>(fn));
     }
 
     /**
@@ -235,6 +280,17 @@ class Resource
     const std::string &name() const { return name_; }
 
   private:
+    template <typename K>
+    void
+    occupy(Time d, K k)
+    {
+        sim_.schedule(d, [this, k] {
+            release();
+            k(); // a coroutine handle's operator() resumes it
+        });
+    }
+
+    Simulator &sim_;
     std::uint32_t capacity_;
     std::uint32_t inUse_ = 0;
     // Mixed queue: coroutine waiters enter as EventFn::resume, frameless

@@ -43,18 +43,20 @@ class Simulator
     /** @return current virtual time in nanoseconds. */
     Time now() const { return now_; }
 
-    /** Schedule @p cb to run @p delay ns from now. */
+    /** Schedule @p cb (a callable or an EventFn) @p delay ns from now. */
+    template <typename F>
     void
-    schedule(Time delay, EventQueue::Callback &&cb)
+    schedule(Time delay, F &&cb)
     {
-        events_.scheduleAt(now_ + delay, std::move(cb));
+        events_.scheduleAt(now_ + delay, std::forward<F>(cb));
     }
 
     /** Schedule @p cb at absolute time @p when (must be >= now). */
+    template <typename F>
     void
-    scheduleAt(Time when, EventQueue::Callback &&cb)
+    scheduleAt(Time when, F &&cb)
     {
-        events_.scheduleAt(when < now_ ? now_ : when, std::move(cb));
+        events_.scheduleAt(when < now_ ? now_ : when, std::forward<F>(cb));
     }
 
     /** Resume @p h at current time, via the event queue (no recursion). */
@@ -153,7 +155,12 @@ class Simulator
      * (Resource waiters). The node must be woken or dropped on this
      * Simulator's thread, before the Simulator is destroyed.
      */
-    EventNode *park(EventFn &&cb) { return events_.park(std::move(cb)); }
+    template <typename F>
+    EventNode *
+    park(F &&cb)
+    {
+        return events_.park(std::forward<F>(cb));
+    }
 
     /** Run parked node @p n now; its FIFO seq is drawn at this call. */
     void wake(EventNode *n) { events_.link(now_, n); }

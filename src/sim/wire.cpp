@@ -165,7 +165,7 @@ void
 WireEndpoint::send(Simulator &dst, Time dtime, EventFn &&fn)
 {
     assert(dtime >= sim_.now());
-    WireMsg m{dtime, seq_++, srcId_, std::move(fn)};
+    WireMsg m{dtime, srcId_, std::move(fn)};
     if (&dst == &sim_) {
         sim_.wireInbox().push(std::move(m));
         return;

@@ -5,7 +5,8 @@
  * Every interaction that crosses a simulated wire goes through a
  * timestamped WireMsg delivered to the destination Simulator's WireInbox,
  * never by scheduling directly into a peer EventQueue. Messages carry a
- * globally-ordered (deliveryTime, srcId, perSourceSeq) key; the inbox
+ * globally-ordered (deliveryTime, srcId, perSourceSeq) key, perSourceSeq
+ * being the source's send order (outboxes and inboxes keep it); the inbox
  * parks them in pooled event nodes until the destination clock reaches
  * deliveryTime and then links them — sorted by that key — into its event
  * queue as ordinary events. Because the key and the injection discipline
@@ -58,21 +59,28 @@ class ShardGroup;
  */
 struct WireMsg
 {
-    /** Delivery key, ordered lexicographically (dtime, srcId, seq). */
+    /** Delivery key, ordered lexicographically (dtime, srcId, send
+     *  order); the send order is implicit in the order of delivery to
+     *  the inbox. */
     Time dtime = 0;
-    std::uint64_t seq = 0;
     std::uint32_t srcId = 0;
     EventFn fn;
 };
 
 /**
- * Per-Simulator holding pen for in-flight wire messages: a min-heap on
- * (dtime, srcId, seq) whose entries refer to parked nodes of the
+ * Per-Simulator holding pen for in-flight wire messages, ordered by
+ * (dtime, srcId, send order), whose entries refer to parked nodes of the
  * Simulator's EventQueue. A message's callable is moved into its node
  * once, on arrival; the run loop links the node into the queue only when
  * the local clock first reaches its delivery time — never eagerly — so
  * injected events draw their local FIFO sequence at a moment that is
  * invariant across shard assignments.
+ *
+ * Messages wait in one lane per source, kept sorted by (dtime, send
+ * order); lanes are kept sorted by srcId. A source's sends arrive in order
+ * and, for an RNIC endpoint, with nondecreasing dtime (its egress link
+ * serializes them), so a push is an append. An out-of-order dtime is
+ * still placed correctly, by a backward scan of its lane.
  */
 class WireInbox
 {
@@ -82,8 +90,9 @@ class WireInbox
     /** Destroys the callables of messages that never arrived. */
     ~WireInbox()
     {
-        for (const Entry &e : heap_)
-            q_.release(e.node);
+        for (Lane &l : lanes_)
+            for (std::size_t i = l.head; i < l.q.size(); ++i)
+                q_.release(l.q[i].node);
     }
 
     WireInbox(const WireInbox &) = delete;
@@ -92,7 +101,7 @@ class WireInbox
     /** Earliest pending delivery time, or kTimeNever when empty. */
     Time minTime() const noexcept { return min_; }
 
-    bool empty() const noexcept { return heap_.empty(); }
+    bool empty() const noexcept { return size_ == 0; }
 
     /**
      * Park @p m until the destination clock reaches m.dtime. Call on the
@@ -101,58 +110,104 @@ class WireInbox
     void
     push(WireMsg &&m)
     {
-        heap_.push_back(Entry{m.dtime, m.seq, m.srcId,
-                              q_.park(std::move(m.fn))});
-        std::push_heap(heap_.begin(), heap_.end(), Later{});
-        min_ = heap_.front().dtime;
+        Lane &lane = laneOf(m.srcId);
+        std::vector<Entry> &q = lane.q;
+        Entry e{m.dtime, q_.park(std::move(m.fn))};
+        if (q.empty() || q.back().dtime <= e.dtime) {
+            q.push_back(e);
+        } else {
+            // Insert after every entry due at or before e.dtime: entries
+            // with an equal dtime were sent earlier.
+            auto at = q.end();
+            const auto live =
+                q.begin() + static_cast<std::ptrdiff_t>(lane.head);
+            while (at > live && (at - 1)->dtime > e.dtime)
+                --at;
+            q.insert(at, e);
+        }
+        ++size_;
+        min_ = std::min(min_, m.dtime);
     }
 
     /**
      * Link every pending message with dtime <= @p t into the queue as an
-     * ordinary event at its delivery time, in (dtime, srcId, seq) order.
+     * ordinary event at its delivery time, in (dtime, srcId, send order).
      * Call only when the run loop has exhausted all local events
-     * strictly before the inbox minimum.
+     * strictly before the inbox minimum (so every linked message is due
+     * at exactly the minimum, and lane order is srcId order).
      */
     void
     injectUpTo(Time t)
     {
-        while (!heap_.empty() && heap_.front().dtime <= t) {
-            std::pop_heap(heap_.begin(), heap_.end(), Later{});
-            q_.link(heap_.back().dtime, heap_.back().node);
-            heap_.pop_back();
+        Time next = kTimeNever;
+        for (Lane &l : lanes_) {
+            while (l.head < l.q.size() && l.q[l.head].dtime <= t) {
+                q_.link(l.q[l.head].dtime, l.q[l.head].node);
+                ++l.head;
+                --size_;
+            }
+            if (l.head == l.q.size()) {
+                l.q.clear();
+                l.head = 0;
+                continue;
+            }
+            if (l.head >= kCompactAt && 2 * l.head >= l.q.size()) {
+                l.q.erase(l.q.begin(),
+                          l.q.begin() + static_cast<std::ptrdiff_t>(l.head));
+                l.head = 0;
+            }
+            next = std::min(next, l.q[l.head].dtime);
         }
-        min_ = heap_.empty() ? kTimeNever : heap_.front().dtime;
+        min_ = next;
     }
 
-    /** Pre-grow heap storage (alloc-sensitive callers). */
-    void reserve(std::size_t n) { heap_.reserve(n); }
+    /** Pre-grow every lane's storage (alloc-sensitive callers). */
+    void
+    reserve(std::size_t n)
+    {
+        reserve_ = n;
+        for (Lane &l : lanes_)
+            l.q.reserve(n);
+    }
 
   private:
-    /** A WireMsg's delivery key plus the node holding its callable. */
+    /** A pending message: its delivery time and the node holding its
+     *  callable (srcId is the lane's; the send order is the position in
+     *  it). */
     struct Entry
     {
         Time dtime;
-        std::uint64_t seq;
-        std::uint32_t srcId;
         EventNode *node;
     };
 
-    /** Min-heap order: true if @p a delivers after @p b. */
-    struct Later
+    /** One source's pending messages; [head, q.size()) are live. */
+    struct Lane
     {
-        bool
-        operator()(const Entry &a, const Entry &b) const noexcept
-        {
-            if (a.dtime != b.dtime)
-                return a.dtime > b.dtime;
-            if (a.srcId != b.srcId)
-                return a.srcId > b.srcId;
-            return a.seq > b.seq;
-        }
+        std::uint32_t srcId;
+        std::size_t head = 0;
+        std::vector<Entry> q;
     };
 
+    /** Delivered prefix a lane drops once it is half the lane. */
+    static constexpr std::size_t kCompactAt = 64;
+
+    Lane &
+    laneOf(std::uint32_t src)
+    {
+        auto it = std::lower_bound(
+            lanes_.begin(), lanes_.end(), src,
+            [](const Lane &l, std::uint32_t id) { return l.srcId < id; });
+        if (it == lanes_.end() || it->srcId != src) {
+            it = lanes_.insert(it, Lane{src, 0, {}});
+            it->q.reserve(reserve_);
+        }
+        return *it;
+    }
+
     EventQueue &q_;
-    std::vector<Entry> heap_;
+    std::vector<Lane> lanes_;
+    std::size_t size_ = 0;
+    std::size_t reserve_ = 0;
     Time min_ = kTimeNever;
 };
 
@@ -252,8 +307,8 @@ class ShardGroup
 };
 
 /**
- * A named sender on the wire: owns a process-globally ordered source id
- * and the per-source delivery sequence. Construction order (always on
+ * A named sender on the wire: owns a process-globally ordered source id;
+ * its sends keep their order per destination. Construction order (always on
  * the setup thread) fixes srcId, so ids — and with them all same-time
  * delivery tie-breaks — do not depend on shard assignment.
  */
@@ -285,7 +340,6 @@ class WireEndpoint
 
     Simulator &sim_;
     std::uint32_t srcId_;
-    std::uint64_t seq_ = 0;
 };
 
 } // namespace smart::sim

@@ -180,6 +180,9 @@ class MembershipPlane
 
         const std::string &faultTargetName() const override { return name; }
         void applyFault(sim::FaultKind kind, sim::Time duration) override;
+        /** Never down itself: the blade a churn fault crashes is its own
+         *  target and reports the outage. */
+        bool faultedNow() const override { return false; }
     };
 
     void enqueue(PendingOp op);

@@ -48,13 +48,13 @@ SmartCtx::scratch(std::uint32_t bytes)
 }
 
 void
-SmartCtx::stage(const RemotePtr &p, rnic::WorkReq wr)
+SmartCtx::stage(const RemotePtr &p, rnic::WorkReq &wr)
 {
     stageKeyed(p, wr, scratchTransKey_);
 }
 
 void
-SmartCtx::stageKeyed(const RemotePtr &p, rnic::WorkReq wr,
+SmartCtx::stageKeyed(const RemotePtr &p, rnic::WorkReq &wr,
                      std::uint64_t trans_key)
 {
     std::uint32_t idx = bladeIndex(p);
@@ -174,7 +174,7 @@ SmartCtx::stageCacheWrite(const RemotePtr &line_dst, ConstMemSpan frame,
     stageKeyed(line_dst, wr, rt_.cacheTransKey(thr_.id(), frame.bytes()));
 }
 
-Task
+std::suspend_never
 SmartCtx::postSend()
 {
     // Kick the thread's flusher for every blade this coroutine staged
@@ -186,45 +186,7 @@ SmartCtx::postSend()
             thr_.kickFlush(blade);
         }
     }
-    co_return;
-}
-
-Task
-SmartCtx::awaitRound()
-{
-    if (syncState_.pending > 0) {
-        if (rt_.sim().faultPlane() != nullptr) {
-            // Arm the verb timeout for this round. armId_ is bumped on
-            // normal completion, so a late firing is a no-op.
-            std::uint64_t arm = ++armId_;
-            rt_.sim().schedule(kVerbTimeoutNs,
-                               [this, arm] { onSyncTimeout(arm); });
-        }
-        // Park until the dispatch path counts this coroutine's last CQE.
-        struct Awaiter
-        {
-            SyncState &state;
-            bool await_ready() const noexcept { return state.done; }
-            void
-            await_suspend(std::coroutine_handle<> h) noexcept
-            {
-                state.waiter = h;
-            }
-            void await_resume() const noexcept {}
-        };
-        co_await Awaiter{syncState_};
-        ++armId_;
-    }
-    // Pay the polling costs for the CQEs consumed on our behalf.
-    if (syncState_.sinceCharge > 0) {
-        std::uint32_t n = syncState_.sinceCharge;
-        syncState_.sinceCharge = 0;
-        Time t0 = sim().now();
-        co_await rt_.cqFor(thr_.id()).chargePoll(thr_.simThread(), n);
-        if (opSpan_ != 0)
-            rt_.sim().spans()->record(track_, sim::Stage::CqePoll,
-                                      currentSpan(), t0, sim().now());
-    }
+    return {};
 }
 
 void
@@ -305,35 +267,74 @@ SmartCtx::restage(TrackedWr t)
 Task
 SmartCtx::sync()
 {
-    co_await awaitRound();
-    bool timed_out = timedOut_;
-    timedOut_ = false;
-    if (failed_.empty() && failedUntracked_ == 0) [[likely]] {
-        endVerbSpan();
-        co_return;
-    }
+    // One pass per round: the posted round, then each retry round.
+    bool timed_out = false;
+    for (std::uint32_t attempt = 0;; ++attempt) {
+        if (syncState_.pending > 0) {
+            if (rt_.sim().faultPlane() != nullptr) {
+                // Arm the verb timeout for this round. armId_ is bumped
+                // on normal completion, so a late firing is a no-op.
+                std::uint64_t arm = ++armId_;
+                rt_.sim().schedule(kVerbTimeoutNs,
+                                   [this, arm] { onSyncTimeout(arm); });
+            }
+            // Park until the dispatch path counts this coroutine's last
+            // CQE.
+            struct Awaiter
+            {
+                SyncState &state;
+                bool await_ready() const noexcept { return state.done; }
+                void
+                await_suspend(std::coroutine_handle<> h) noexcept
+                {
+                    state.waiter = h;
+                }
+                void await_resume() const noexcept {}
+            };
+            co_await Awaiter{syncState_};
+            ++armId_;
+        }
+        // Pay the polling costs for the CQEs consumed on our behalf.
+        if (syncState_.sinceCharge > 0) {
+            std::uint32_t n = syncState_.sinceCharge;
+            syncState_.sinceCharge = 0;
+            Time t0 = sim().now();
+            co_await rt_.cqFor(thr_.id()).chargePoll(thr_.simThread(), n);
+            if (opSpan_ != 0)
+                rt_.sim().spans()->record(track_, sim::Stage::CqePoll,
+                                          currentSpan(), t0, sim().now());
+        }
+        if (retrySpan_ != 0) {
+            rt_.sim().spans()->end(retrySpan_);
+            retrySpan_ = 0;
+        }
+        timed_out = timed_out || timedOut_;
+        timedOut_ = false;
+        if (failed_.empty() && (attempt > 0 || failedUntracked_ == 0))
+            [[likely]] {
+            endVerbSpan();
+            co_return;
+        }
 
-    // Failure policy: re-post failed WRs with truncated-exponential
-    // spacing (reusing the §4.3 backoff machinery), transparently
-    // reconnecting QPs the device reset under. Only after the retry
-    // budget is spent does the application see a typed VerbError.
-    if (failedUntracked_ > 0) {
-        failedUntracked_ = 0;
-        failed_.clear();
-        thr_.verbExhausted.add();
-        error_ = {timed_out ? VerbError::Kind::Timeout
-                            : VerbError::Kind::RetriesExhausted,
-                  lastFailStatus_};
-        endVerbSpan();
-        co_return;
-    }
-    std::uint32_t attempt = 0;
-    while (!failed_.empty()) {
+        // Failure policy: re-post failed WRs with truncated-exponential
+        // spacing (reusing the §4.3 backoff machinery), transparently
+        // reconnecting QPs the device reset under. Only after the retry
+        // budget is spent does the application see a typed VerbError.
+        if (attempt == 0 && failedUntracked_ > 0) {
+            failedUntracked_ = 0;
+            failed_.clear();
+            thr_.verbExhausted.add();
+            error_ = {timed_out ? VerbError::Kind::Timeout
+                                : VerbError::Kind::RetriesExhausted,
+                      lastFailStatus_};
+            endVerbSpan();
+            co_return;
+        }
         // Epoch fence inside the retry loop: WRs whose target blade the
         // cluster view declared Dead will never succeed — surface
         // StaleView immediately instead of spending the whole budget
-        // (this is what abandons in-flight doorbell batches to a
-        // fenced blade).
+        // (this is what abandons in-flight doorbell batches to a fenced
+        // blade).
         if (ClusterView *cv = rt_.clusterView()) {
             bool fenced = false;
             for (const TrackedWr &t : failed_) {
@@ -368,7 +369,6 @@ SmartCtx::sync()
         std::uint64_t cycles = backoffCycles(
             kBackoffUnitCycles, kBackoffUnitCycles * kBackoffMaxFactor,
             attempt, thr_.rng());
-        ++attempt;
         Time backoff_t0 = sim().now();
         co_await sim().delay(sim::cyclesToNs(cycles));
         if (sp != nullptr)
@@ -381,8 +381,7 @@ SmartCtx::sync()
         ++syncState_.epoch;
         retryBuf_.clear();
         retryBuf_.swap(failed_);
-        std::vector<TrackedWr> &batch = retryBuf_;
-        for (TrackedWr &t : batch) {
+        for (TrackedWr &t : retryBuf_) {
             verbs::Qp &qp = rt_.qpFor(thr_.id(), t.blade);
             if (qp.needsReconnect()) {
                 thr_.qpReconnects.add();
@@ -391,15 +390,7 @@ SmartCtx::sync()
             restage(std::move(t));
         }
         co_await postSend();
-        co_await awaitRound();
-        if (retrySpan_ != 0) {
-            sp->end(retrySpan_);
-            retrySpan_ = 0;
-        }
-        timed_out = timed_out || timedOut_;
-        timedOut_ = false;
     }
-    endVerbSpan();
 }
 
 Task

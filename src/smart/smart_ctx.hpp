@@ -26,6 +26,7 @@
 #ifndef SMART_SMART_CTX_HPP
 #define SMART_SMART_CTX_HPP
 
+#include <coroutine>
 #include <cstdint>
 #include <vector>
 
@@ -142,8 +143,12 @@ class SmartCtx
     /** Stage an 8-byte fetch-and-add on @p dst (invalidates like cas). */
     void faa(RemotePtr dst, std::uint64_t add, std::uint64_t *result);
 
-    /** Post all staged WRs (SMARTPOSTSEND: waits for credits if needed). */
-    sim::Task postSend();
+    /**
+     * Post all staged WRs (SMARTPOSTSEND): kicks the thread's flushers,
+     * which wait for credits if needed. Never suspends the caller; it
+     * returns an awaitable so call sites read `co_await ctx.postSend()`.
+     */
+    std::suspend_never postSend();
 
     /** Suspend until every WR this coroutine posted has completed. */
     sim::Task sync();
@@ -212,11 +217,11 @@ class SmartCtx
         rnic::WorkReq wr;
     };
 
-    void stage(const RemotePtr &p, rnic::WorkReq wr);
+    void stage(const RemotePtr &p, rnic::WorkReq &wr);
 
     /** stage() with an explicit local MTT key (cache frames live in a
      *  different MR than coroutine scratch). */
-    void stageKeyed(const RemotePtr &p, rnic::WorkReq wr,
+    void stageKeyed(const RemotePtr &p, rnic::WorkReq &wr,
                     std::uint64_t trans_key);
 
     /** Stage a cache fill READ landing directly in @p frame. */
@@ -235,9 +240,6 @@ class SmartCtx
     sim::Task casAccess(RemotePtr dst, std::uint64_t expect,
                         std::uint64_t desired, std::uint64_t &old_value,
                         bool &success);
-
-    /** Park until the current round completes (or times out). */
-    sim::Task awaitRound();
 
     /**
      * Epoch fence + overload admission for one access to @p blade_idx

@@ -68,17 +68,6 @@ SmartThread::~SmartThread()
     rt_.sim().metrics().unregisterOwner(this);
 }
 
-Task
-SmartThread::acquireCredit(std::uint32_t want, std::uint32_t &granted)
-{
-    assert(want > 0);
-    while (credit_ <= 0)
-        co_await creditWaiters_.wait();
-    granted = static_cast<std::uint32_t>(
-        std::min<std::int64_t>(credit_, want));
-    credit_ -= granted;
-}
-
 void
 SmartThread::replenish(std::uint32_t n)
 {
@@ -97,12 +86,10 @@ SmartThread::updateCmax(std::uint32_t target)
 }
 
 void
-SmartThread::stageWr(std::uint32_t blade_idx, rnic::WorkReq wr)
+SmartThread::stageWr(std::uint32_t blade_idx, const rnic::WorkReq &wr)
 {
     if (staged_.size() <= blade_idx)
         staged_.resize(blade_idx + 1);
-    wr.wqeMissCounter = &wqeRefetches;
-    wr.bladeIdx = blade_idx;
     // Outstanding accounting feeds the degradation ladder: +1 here,
     // -1 when the CQE dispatches (every staged WR gets exactly one).
     if (rt_.bladeOutstanding_.size() > blade_idx) {
@@ -112,7 +99,9 @@ SmartThread::stageWr(std::uint32_t blade_idx, rnic::WorkReq wr)
     StagedQueue &q = staged_[blade_idx];
     if (q.wrs.size() == q.wrs.capacity())
         ++stageBufGrowths_; // warm-up only; steady state must not grow
-    q.wrs.push_back(wr);
+    rnic::WorkReq &staged = q.wrs.emplace_back(wr);
+    staged.wqeMissCounter = &wqeRefetches;
+    staged.bladeIdx = blade_idx;
 }
 
 void

@@ -12,6 +12,9 @@
 #ifndef SMART_SMART_RUNTIME_HPP
 #define SMART_SMART_RUNTIME_HPP
 
+#include <algorithm>
+#include <cassert>
+#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -95,10 +98,44 @@ class SmartThread
     // ---- Algorithm 1: credit-based work request throttling ----
 
     /**
-     * Take between 1 and @p want credits, waiting if none are available.
-     * Only called when throttling is enabled.
+     * Awaitable: take between 1 and @p want credits into @p granted,
+     * waiting while none are available. Only called when throttling is
+     * enabled. Frameless: with credit available it does not suspend; a
+     * waiter parks a callback that re-checks at each wake.
      */
-    sim::Task acquireCredit(std::uint32_t want, std::uint32_t &granted);
+    auto
+    acquireCredit(std::uint32_t want, std::uint32_t &granted)
+    {
+        struct Awaiter
+        {
+            SmartThread &t;
+            std::uint32_t want;
+            std::uint32_t &granted;
+            std::coroutine_handle<> h{};
+
+            bool await_ready() { return t.takeCredit(want, granted); }
+            void
+            await_suspend(std::coroutine_handle<> caller)
+            {
+                h = caller;
+                park();
+            }
+            void await_resume() const noexcept {}
+
+            void
+            park()
+            {
+                t.creditWaiters_.park([this] {
+                    if (t.takeCredit(want, granted))
+                        h.resume();
+                    else
+                        park();
+                });
+            }
+        };
+        assert(want > 0);
+        return Awaiter{*this, want, granted};
+    }
 
     /** Return @p n credits and wake throttled posters. */
     void replenish(std::uint32_t n);
@@ -119,7 +156,7 @@ class SmartThread
     // under load (Sherman-style doorbell batching).
 
     /** Stage a WR for @p blade_idx (called by SmartCtx verbs). */
-    void stageWr(std::uint32_t blade_idx, rnic::WorkReq wr);
+    void stageWr(std::uint32_t blade_idx, const rnic::WorkReq &wr);
 
     /** Ensure a flusher is draining the buffer of @p blade_idx. */
     void kickFlush(std::uint32_t blade_idx);
@@ -166,6 +203,19 @@ class SmartThread
     ConflictController ctrl_;
 
     sim::Task flushLoop(std::uint32_t blade_idx);
+
+    /** Take min(credit, @p want) credits into @p granted if any are
+     *  available. @return false (nothing taken) when credit <= 0. */
+    bool
+    takeCredit(std::uint32_t want, std::uint32_t &granted)
+    {
+        if (credit_ <= 0)
+            return false;
+        granted = static_cast<std::uint32_t>(
+            std::min<std::int64_t>(credit_, want));
+        credit_ -= granted;
+        return true;
+    }
 
     struct StagedQueue
     {

@@ -28,15 +28,34 @@ Cq::pollUntil(SimThread &thr, const bool &done)
                                                                 256)));
 }
 
-Task
-Cq::chargePoll(SimThread &thr, std::uint32_t ncqes)
+void
+Cq::PollCharge::await_suspend(std::coroutine_handle<> h)
 {
-    co_await thr.cpu().acquire();
-    co_await lock_.acquire();
-    Time penalty = rnic::kLockBaseNs + lockHoldPenalty(cfg_, lock_);
-    co_await sim_.delay(penalty + rnic::kCqePollNs * ncqes);
-    lock_.release();
-    thr.cpu().release();
+    h_ = h;
+    if (thr_.cpu().tryAcquire())
+        cpuHeld();
+    else
+        thr_.cpu().enqueue([this] { cpuHeld(); });
+}
+
+void
+Cq::PollCharge::cpuHeld()
+{
+    if (cq_.lock_.tryAcquire())
+        lockHeld();
+    else
+        cq_.lock_.enqueue([this] { lockHeld(); });
+}
+
+void
+Cq::PollCharge::lockHeld()
+{
+    Time penalty = rnic::kLockBaseNs + lockHoldPenalty(cq_.cfg_, cq_.lock_);
+    cq_.sim_.schedule(penalty + rnic::kCqePollNs * ncqes_, [this] {
+        cq_.lock_.release();
+        thr_.cpu().release();
+        h_.resume();
+    });
 }
 
 Qp::Qp(Context &ctx, Cq &cq, Rnic *target, Uar *uar)
@@ -78,93 +97,126 @@ Qp::reconnect(SimThread &thr)
     reconnectWaiters_.wakeAll();
 }
 
-Task
-Qp::postSend(SimThread &thr, std::vector<WorkReq> wrs)
+bool
+Qp::PostSend::await_ready()
 {
-    const RnicConfig &cfg = ctx_.config();
-    Simulator &sim = ctx_.sim();
-
-    for (WorkReq &wr : wrs) {
-        wr.sink = cq_;
-        wr.icmBase = ctx_.icmBase();
+    for (WorkReq &wr : wrs_) {
+        wr.sink = qp_.cq_;
+        wr.icmBase = qp_.ctx_.icmBase();
     }
+    if (!qp_.needsReconnect())
+        return false;
+    // The QP left RTS (explicit Error move or device reset): posted WRs
+    // never reach the hardware and flush in error. Parked pollers are
+    // resumed by the CQ's deferred drain event, so delivering from here
+    // cannot reenter the caller.
+    if (qp_.state_ == QpState::Rts)
+        qp_.state_ = QpState::Error;
+    for (const WorkReq &wr : wrs_)
+        qp_.cq_->complete(wr, 0, WcStatus::FlushedInError);
+    qp_.ctx_.rnic().recycleBatchBuffer(std::move(wrs_));
+    return true;
+}
 
-    if (needsReconnect()) {
-        // The QP left RTS (explicit Error move or device reset): posted
-        // WRs never reach the hardware and flush in error. Parked pollers
-        // are resumed by the CQ's deferred drain event, so delivering
-        // from here cannot reenter the caller.
-        if (state_ == QpState::Rts)
-            state_ = QpState::Error;
-        for (const WorkReq &wr : wrs)
-            cq_->complete(wr, 0, WcStatus::FlushedInError);
-        ctx_.rnic().recycleBatchBuffer(std::move(wrs));
-        co_return;
-    }
-
+void
+Qp::PostSend::await_suspend(std::coroutine_handle<> h)
+{
+    h_ = h;
     // The whole post path runs on (and burns) the caller's CPU: building
     // WQEs, spinning on the QP lock, spinning on the doorbell lock.
-    co_await thr.cpu().acquire();
+    if (thr_.cpu().tryAcquire())
+        cpuHeld();
+    else
+        thr_.cpu().enqueue([this] { cpuHeld(); });
+}
 
-    co_await qpLock_.acquire();
+void
+Qp::PostSend::cpuHeld()
+{
+    if (qp_.qpLock_.tryAcquire())
+        qpLockHeld();
+    else
+        qp_.qpLock_.enqueue([this] { qpLockHeld(); });
+}
+
+void
+Qp::PostSend::qpLockHeld()
+{
+    Simulator &sim = qp_.ctx_.sim();
     // QP-lock bouncing: threads that share this QP (multiplexing, shared
     // QP) keep pulling the lock line between their caches.
     std::uint32_t qp_sharers = std::max(
-        qpLock_.waiters(),
-        qpSharers_.activeSharers(&thr, sim.now(), rnic::kBounceWindowNs));
+        qp_.qpLock_.waiters(),
+        qp_.qpSharers_.noteUse(&thr_, sim.now(), rnic::kBounceWindowNs));
     qp_sharers = std::min(qp_sharers, rnic::kLockBounceWaiterCap);
-    qpSharers_.noteUse(&thr, sim.now());
     Time qp_cost = rnic::kLockBaseNs +
-                   cfg.lockBouncePerWaiterNs * qp_sharers +
-                   rnic::kWqeBuildNs * static_cast<Time>(wrs.size());
-    co_await sim.delay(qp_cost);
+                   qp_.ctx_.config().lockBouncePerWaiterNs * qp_sharers +
+                   rnic::kWqeBuildNs * static_cast<Time>(wrs_.size());
+    sim.schedule(qp_cost, [this] { qpCostPaid(); });
+}
 
+void
+Qp::PostSend::qpCostPaid()
+{
     // Doorbell arbitration attributes to the first traced WR's op (the
     // ring serves the whole batch). Scanned only with a tracer installed.
-    sim::SpanId traced = 0;
-    sim::SpanTracer *sp = sim.spans();
-    if (sp != nullptr) {
-        for (const WorkReq &wr : wrs) {
+    if (qp_.ctx_.sim().spans() != nullptr) {
+        for (const WorkReq &wr : wrs_) {
             if (wr.traceSpan != 0) {
-                traced = wr.traceSpan;
+                traced_ = wr.traceSpan;
                 break;
             }
         }
     }
-
     // Ring the doorbell: MMIO write under the UAR spinlock. When several
     // threads' QPs share this UAR the handoff serializes them — the
     // paper's "implicit doorbell contention".
-    Time wait_start = sim.now();
-    co_await uar_->lock.acquire();
-    Time waited = sim.now() - wait_start;
-    if (traced != 0)
-        sp->record(sp->trackOf(traced), sim::Stage::DoorbellWait, traced,
-                   wait_start, sim.now());
-    ctx_.rnic().perf().doorbellWaitNs.add(waited);
-    ctx_.rnic().perf().doorbellRings.add();
-    if (dbWaitSink_)
-        dbWaitSink_->add(waited);
-    if (dbRingSink_)
-        dbRingSink_->add();
+    waitStart_ = qp_.ctx_.sim().now();
+    Resource &lock = qp_.uar_->lock;
+    if (lock.tryAcquire())
+        uarHeld();
+    else
+        lock.enqueue([this] { uarHeld(); });
+}
+
+void
+Qp::PostSend::uarHeld()
+{
+    Simulator &sim = qp_.ctx_.sim();
+    Uar &uar = *qp_.uar_;
+    Time waited = sim.now() - waitStart_;
+    if (traced_ != 0) {
+        sim::SpanTracer *sp = sim.spans();
+        sp->record(sp->trackOf(traced_), sim::Stage::DoorbellWait, traced_,
+                   waitStart_, sim.now());
+    }
+    rnic::PerfCounters &perf = qp_.ctx_.rnic().perf();
+    perf.doorbellWaitNs.add(waited);
+    perf.doorbellRings.add();
+    if (qp_.dbWaitSink_)
+        qp_.dbWaitSink_->add(waited);
+    if (qp_.dbRingSink_)
+        qp_.dbRingSink_->add();
     // Bounce cost scales with the number of other QPs actively ringing
     // this doorbell (their cores' caches hold the lock line), or with
     // queued spinners if that is momentarily larger.
     std::uint32_t sharers = std::max(
-        uar_->lock.waiters(),
-        uar_->sharers.activeSharers(this, sim.now(),
-                                    rnic::kBounceWindowNs));
+        uar.lock.waiters(),
+        uar.sharers.noteUse(&qp_, sim.now(), rnic::kBounceWindowNs));
     sharers = std::min(sharers, rnic::kLockBounceWaiterCap);
-    uar_->sharers.noteUse(this, sim.now());
-    Time ring_cost =
-        rnic::kDoorbellRingNs + cfg.lockBouncePerWaiterNs * sharers;
-    co_await sim.delay(ring_cost);
-    uar_->lock.release();
+    Time ring_cost = rnic::kDoorbellRingNs +
+                     qp_.ctx_.config().lockBouncePerWaiterNs * sharers;
+    sim.schedule(ring_cost, [this] { rung(); });
+}
 
-    qpLock_.release();
-    thr.cpu().release();
-
-    ctx_.rnic().postBatch(target_, std::move(wrs));
+void
+Qp::PostSend::rung()
+{
+    qp_.uar_->lock.release();
+    qp_.qpLock_.release();
+    thr_.cpu().release();
+    qp_.ctx_.rnic().postBatch(qp_.target_, std::move(wrs_));
+    h_.resume();
 }
 
 Context::Context(Simulator &sim, Rnic &rnic, std::uint32_t total_uars)

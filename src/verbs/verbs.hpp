@@ -13,7 +13,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "rnic/rnic.hpp"
@@ -45,23 +44,38 @@ using sim::Time;
 class SharerTracker
 {
   public:
-    /** Count *other* recent users within @p window ending at @p now. */
+    /**
+     * Record that @p self took the lock at @p now.
+     * @return the number of *other* users seen within @p window ending at
+     *         @p now (before this use)
+     */
     std::uint32_t
-    activeSharers(const void *self, Time now, Time window) const
+    noteUse(const void *self, Time now, Time window)
     {
         std::uint32_t n = 0;
-        for (const auto &[user, when] : lastUse_) {
-            if (user != self && when + window >= now)
+        bool seen = false;
+        for (Use &u : uses_) {
+            if (u.user == self) {
+                u.when = now;
+                seen = true;
+            } else if (u.when + window >= now) {
                 ++n;
+            }
         }
+        if (!seen)
+            uses_.push_back({self, now});
         return n;
     }
 
-    /** Record that @p user took the lock at @p now. */
-    void noteUse(const void *user, Time now) { lastUse_[user] = now; }
-
   private:
-    std::unordered_map<const void *, Time> lastUse_;
+    struct Use
+    {
+        const void *user;
+        Time when;
+    };
+
+    /** One entry per user ever seen (a handful of threads or QPs). */
+    std::vector<Use> uses_;
 };
 
 /**
@@ -136,17 +150,47 @@ class Cq : public rnic::CompletionSink
      */
     Task pollUntil(SimThread &thr, const bool &done);
 
+    /** Awaitable returned by chargePoll(). */
+    class PollCharge
+    {
+      public:
+        PollCharge(Cq &cq, SimThread &thr, std::uint32_t ncqes)
+            : cq_(cq), thr_(thr), ncqes_(ncqes)
+        {
+        }
+
+        bool await_ready() const noexcept { return false; }
+        void await_suspend(std::coroutine_handle<> h);
+        void await_resume() const noexcept {}
+
+      private:
+        void cpuHeld();
+        void lockHeld();
+
+        Cq &cq_;
+        SimThread &thr_;
+        std::uint32_t ncqes_;
+        std::coroutine_handle<> h_{};
+    };
+
     /**
-     * Charge CPU + CQ-lock cost for polling @p ncqes completions: the
-     * poller spins on the CQ lock (contended when the CQ is shared) and
-     * processes each CQE.
+     * Awaitable: charge CPU + CQ-lock cost for polling @p ncqes
+     * completions: the poller spins on the CQ lock (contended when the
+     * CQ is shared) and processes each CQE. Frameless: it makes the
+     * calls a coroutine would (CPU, then lock, then one delay).
      */
-    Task chargePoll(SimThread &thr, std::uint32_t ncqes);
+    PollCharge
+    chargePoll(SimThread &thr, std::uint32_t ncqes)
+    {
+        return {*this, thr, ncqes};
+    }
 
     /** @return total CQEs ever delivered. */
     std::uint64_t delivered() const { return delivered_; }
 
   private:
+    friend class PollCharge;
+
     void
     drainWaiters()
     {
@@ -209,14 +253,48 @@ class Qp
   public:
     Qp(Context &ctx, Cq &cq, Rnic *target, Uar *uar);
 
+    /** Awaitable returned by postSend(); lives in the awaiting frame,
+     *  which is where the batch waits while the locks are taken. */
+    class PostSend
+    {
+      public:
+        PostSend(Qp &qp, SimThread &thr, std::vector<WorkReq> wrs)
+            : qp_(qp), thr_(thr), wrs_(std::move(wrs))
+        {
+        }
+
+        bool await_ready();
+        void await_suspend(std::coroutine_handle<> h);
+        void await_resume() const noexcept {}
+
+      private:
+        void cpuHeld();
+        void qpLockHeld();
+        void qpCostPaid();
+        void uarHeld();
+        void rung();
+
+        Qp &qp_;
+        SimThread &thr_;
+        std::vector<WorkReq> wrs_;
+        std::coroutine_handle<> h_{};
+        Time waitStart_ = 0;
+        sim::SpanId traced_ = 0;
+    };
+
     /**
-     * Post a batch of work requests and ring the doorbell. Charges the
-     * posting thread's CPU for the entire critical path (building WQEs and
-     * spinning on locks both burn cycles). On a QP that is not in RTS
-     * (or whose device reset under it), the batch is flushed in error
-     * instead of reaching the hardware.
+     * Awaitable: post a batch of work requests and ring the doorbell.
+     * Charges the posting thread's CPU for the entire critical path
+     * (building WQEs and spinning on locks both burn cycles). On a QP
+     * that is not in RTS (or whose device reset under it), the batch is
+     * flushed in error instead of reaching the hardware. Frameless: each
+     * lock grant and delay end runs a small callback.
      */
-    Task postSend(SimThread &thr, std::vector<WorkReq> wrs);
+    PostSend
+    postSend(SimThread &thr, std::vector<WorkReq> wrs)
+    {
+        return {*this, thr, std::move(wrs)};
+    }
 
     /** @return current QP state (Error once the device reset under it). */
     QpState
@@ -266,6 +344,8 @@ class Qp
     Rnic *target() { return target_; }
 
   private:
+    friend class PostSend;
+
     /** True when the device reset/recovered after this QP last connected. */
     bool stale() const;
 

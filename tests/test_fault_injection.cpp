@@ -202,3 +202,15 @@ TEST(FaultInjection, FaultyRunIsDeterministicUnderFixedSeed)
     EXPECT_GT(a.wrErrors, 0u);
     EXPECT_GT(a.ops, 0u);
 }
+
+TEST(FaultInjectionDeathTest, ProbabilisticErrorsNeedAnInitiatorPath)
+{
+    // A memory blade only responds: it completes no work requests of its
+    // own, so a completion-error rate on it would never fire.
+    EXPECT_DEATH(
+        {
+            Testbed tb(smallConfig());
+            tb.faultPlane(1).probabilistic("mb0", 0.1);
+        },
+        "no injected-error path");
+}

@@ -91,9 +91,9 @@ TEST(ArrivalProcess, SameSeedSameSequenceEveryKind)
          {ArrivalKind::Poisson, ArrivalKind::Diurnal, ArrivalKind::Spike}) {
         ArrivalConfig cfg = kindConfig(k);
         EXPECT_EQ(arrivals(cfg, 42, 1000), arrivals(cfg, 42, 1000))
-            << arrivalKindName(k);
+            << static_cast<int>(k);
         EXPECT_NE(arrivals(cfg, 42, 1000), arrivals(cfg, 43, 1000))
-            << arrivalKindName(k);
+            << static_cast<int>(k);
     }
 }
 
@@ -103,7 +103,7 @@ TEST(ArrivalProcess, ArrivalsStrictlyIncrease)
          {ArrivalKind::Poisson, ArrivalKind::Diurnal, ArrivalKind::Spike}) {
         std::vector<Time> a = arrivals(kindConfig(k), 7, 5000);
         for (std::size_t i = 1; i < a.size(); ++i)
-            ASSERT_LT(a[i - 1], a[i]) << arrivalKindName(k);
+            ASSERT_LT(a[i - 1], a[i]) << static_cast<int>(k);
     }
 }
 

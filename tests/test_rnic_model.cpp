@@ -8,12 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <list>
+#include <unordered_map>
 #include <vector>
 
 #include "rnic/cache_model.hpp"
 #include "rnic/rnic.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "sim/span.hpp"
 
 using namespace smart;
 using namespace smart::rnic;
@@ -53,9 +58,11 @@ struct RnicPair
     const MrRecord *remoteMr;
     TestSink sink;
 
-    RnicPair()
-        : initiator(sim, cfg, "cb"), target(sim, cfg, "mb"),
-          localMem(4096, 0), remoteMem(8192, 0)
+    explicit RnicPair(std::size_t local_bytes = 4096,
+                      std::size_t remote_bytes = 8192,
+                      const RnicConfig &c = {})
+        : cfg(c), initiator(sim, cfg, "cb"), target(sim, cfg, "mb"),
+          localMem(local_bytes, 0), remoteMem(remote_bytes, 0)
     {
         localMr = &initiator.registerMemory(localMem.data(), localMem.size());
         remoteMr = &target.registerMemory(remoteMem.data(), remoteMem.size());
@@ -292,6 +299,250 @@ TEST(LruCache, EvictsLeastRecentlyUsed)
     EXPECT_TRUE(cache.access(1));
     EXPECT_TRUE(cache.access(3));
     EXPECT_FALSE(cache.access(2)); // was evicted
+}
+
+namespace {
+
+/** Textbook LRU (list + map): the reference LruCache must match. */
+class ReferenceLru
+{
+  public:
+    explicit ReferenceLru(std::uint32_t capacity) : capacity_(capacity) {}
+
+    bool
+    access(std::uint64_t key)
+    {
+        auto it = index_.find(key);
+        if (it != index_.end()) {
+            order_.splice(order_.begin(), order_, it->second);
+            return true;
+        }
+        if (order_.size() >= capacity_) {
+            index_.erase(order_.back());
+            order_.pop_back();
+        }
+        order_.push_front(key);
+        index_[key] = order_.begin();
+        return false;
+    }
+
+  private:
+    std::uint32_t capacity_;
+    std::list<std::uint64_t> order_;
+    std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
+        index_;
+};
+
+} // namespace
+
+TEST(LruCache, MatchesReferenceModelOnSeededStream)
+{
+    // Equal hit/miss answers on every access mean equal resident sets at
+    // every step, i.e. the same eviction order. Keys mix small ids with
+    // the RNIC's tagged ICM keys and 2 MB-page translation keys.
+    for (std::uint32_t capacity : {1u, 3u, 64u, 1024u}) {
+        LruCache cache(capacity);
+        ReferenceLru ref(capacity);
+        sim::Rng rng(capacity);
+        std::uint64_t universe = 3ull * capacity + 5;
+        for (int i = 0; i < 200000; ++i) {
+            std::uint64_t k = rng.uniform(universe);
+            switch (rng.uniform(3)) {
+            case 0:
+                break;
+            case 1:
+                k |= 1ull << 62; // ICM tag
+                break;
+            default:
+                k = Rnic::transKey(static_cast<std::uint32_t>(k % 7),
+                                   (k / 7) << 21);
+                break;
+            }
+            ASSERT_EQ(cache.access(k), ref.access(k))
+                << "capacity " << capacity << " access " << i;
+        }
+    }
+}
+
+// ------------------------------------------------------------ the wire
+
+namespace {
+
+/** Link spans @p sp holds on @p nic's device track, in start order. */
+std::vector<sim::SpanRecord>
+linkSpans(sim::SpanTracer &sp, Rnic &nic)
+{
+    std::vector<sim::SpanRecord> out;
+    for (sim::SpanId id = 1; id <= sp.size(); ++id) {
+        const sim::SpanRecord &r = sp.at(id);
+        if (r.stage == sim::Stage::Link && r.track == nic.spanTrack(sp))
+            out.push_back(r);
+    }
+    std::stable_sort(out.begin(), out.end(),
+                     [](const sim::SpanRecord &a, const sim::SpanRecord &b) {
+                         return a.start < b.start;
+                     });
+    return out;
+}
+
+} // namespace
+
+TEST(RnicWire, BackToBackSendsQueueOnTheEgressLink)
+{
+    RnicPair p;
+    // Warm the ICM entries (16 per context) and the translations so the
+    // measured batch runs on hits only.
+    std::vector<WorkReq> warm;
+    for (int i = 0; i < 16; ++i)
+        warm.push_back(p.makeWr(Op::Read, 0, p.localMem.data(), 8));
+    p.initiator.postBatch(&p.target, std::move(warm));
+    p.sim.run();
+
+    sim::SpanTracer sp(p.sim);
+    sim::SpanId parent =
+        sp.begin(sp.internTrack("app", "t0"), sim::Stage::Verb, 0);
+    // 30 B header + 1970 B payload = 2000 B: 80 ns on a 25 B/ns link.
+    constexpr std::uint32_t kPayload = 1970;
+    constexpr Time kSer = 80;
+    std::vector<WorkReq> batch;
+    for (std::uint64_t i = 0; i < 4; ++i) {
+        WorkReq wr = p.makeWr(Op::Write, 2048 * i, p.localMem.data(),
+                              kPayload);
+        wr.wrId = 100 + i;
+        wr.traceSpan = parent;
+        batch.push_back(wr);
+    }
+    p.sink.wrIds.clear();
+    p.initiator.postBatch(&p.target, std::move(batch));
+    p.sim.run();
+
+    // The issue pipeline hands the link one request every 5 ns, faster
+    // than it drains: request i leaves at serEnd_i = max(t_i,
+    // serEnd_{i-1}) + 80 and arrives a propagation delay later.
+    std::vector<sim::SpanRecord> req = linkSpans(sp, p.initiator);
+    ASSERT_EQ(req.size(), 4u);
+    Time free_at = 0;
+    for (std::size_t i = 0; i < req.size(); ++i) {
+        if (i > 0) {
+            EXPECT_EQ(req[i].start, req[i - 1].start + kPipeIssueNs);
+        }
+        free_at = std::max(free_at, req[i].start) + kSer;
+        EXPECT_EQ(req[i].end, free_at + kPropagationNs) << "request " << i;
+        EXPECT_EQ(req[i].end,
+                  req[0].start + kSer * (i + 1) + kPropagationNs);
+    }
+    EXPECT_EQ(p.sink.wrIds,
+              (std::vector<std::uint64_t>{100, 101, 102, 103}));
+}
+
+namespace {
+
+/** Records each completion's time, status and the initiator's WQE
+ *  refetch count at that moment. */
+struct TimedSink : CompletionSink
+{
+    Simulator *sim = nullptr;
+    Rnic *nic = nullptr;
+    struct Seen
+    {
+        std::uint64_t wrId;
+        WcStatus status;
+        Time at;
+        std::uint64_t refetches;
+    };
+    std::vector<Seen> seen;
+
+    void
+    complete(const WorkReq &wr, std::uint64_t, WcStatus status) override
+    {
+        seen.push_back({wr.wrId, status, sim->now(),
+                        nic->perf().wqeRefetches.value()});
+    }
+};
+
+} // namespace
+
+TEST(RnicWire, CrashedResponderLegBeatsSameTimeEgressLeg)
+{
+    // One READ's response leaves the responder's egress at t1 and needs
+    // 19750 ns to serialize (30 B + 493720 B at 25 B/ns), so it lands at
+    // t1 + 20000. A second WR reaches the responder at t1, after the
+    // responder crashed: its retry-expired return leg also lands at
+    // t1 + kTransportRetryNs = t1 + 20000, from the same responder. When
+    // the egress stage was an event, the response drew its wire sequence
+    // number at serialization end, after the crash leg's, so the crash
+    // leg is delivered first; it must still be.
+    constexpr std::uint32_t kBig = 493720;
+    static_assert((kHeaderBytes + kBig) % 25 == 0 &&
+                  (kHeaderBytes + kBig) / 25 + kPropagationNs ==
+                      kTransportRetryNs);
+    RnicConfig cfg;
+    cfg.wqeCacheCapacity = 0; // every completion refetches its WQE
+    auto bigRead = [](RnicPair &p, CompletionSink *sink) {
+        WorkReq wr = p.makeWr(Op::Read, 0, p.localMem.data(), kBig);
+        wr.wrId = 1;
+        wr.sink = sink;
+        return wr;
+    };
+    auto smallRead = [](RnicPair &p, CompletionSink *sink) {
+        WorkReq wr = p.makeWr(Op::Read, 1 << 20, nullptr, 8);
+        wr.wrId = 2;
+        wr.sink = sink;
+        return wr;
+    };
+
+    // Probe the two legs' timing on healthy pairs.
+    Time t1 = 0;
+    {
+        RnicPair p(kBig, 2 << 20, cfg);
+        sim::SpanTracer sp(p.sim);
+        WorkReq wr = bigRead(p, &p.sink);
+        wr.traceSpan = sp.begin(sp.internTrack("app", "t0"),
+                                sim::Stage::Verb, 0);
+        p.initiator.postBatch(&p.target, {wr});
+        p.sim.run();
+        std::vector<sim::SpanRecord> resp = linkSpans(sp, p.target);
+        ASSERT_EQ(resp.size(), 1u);
+        t1 = resp[0].start;
+        ASSERT_EQ(resp[0].end, t1 + kTransportRetryNs);
+    }
+    Time small_arrival = 0;
+    {
+        RnicPair p(kBig, 2 << 20, cfg);
+        sim::SpanTracer sp(p.sim);
+        WorkReq wr = smallRead(p, &p.sink);
+        wr.traceSpan = sp.begin(sp.internTrack("app", "t0"),
+                                sim::Stage::Verb, 0);
+        p.initiator.postBatch(&p.target, {wr});
+        p.sim.run();
+        std::vector<sim::SpanRecord> req = linkSpans(sp, p.initiator);
+        ASSERT_EQ(req.size(), 1u);
+        small_arrival = req[0].end;
+    }
+    ASSERT_GT(t1, small_arrival + 1000);
+
+    RnicPair p(kBig, 2 << 20, cfg);
+    TimedSink sink;
+    sink.sim = &p.sim;
+    sink.nic = &p.initiator;
+    p.initiator.postBatch(&p.target, {bigRead(p, &sink)});
+    p.sim.scheduleAt(t1 - small_arrival, [&p, &sink, smallRead] {
+        p.initiator.postBatch(&p.target, {smallRead(p, &sink)});
+    });
+    // Down after the small READ left the initiator, before it arrives.
+    p.sim.scheduleAt(t1 - 100, [&p] { p.target.setDown(true); });
+    p.sim.run();
+
+    ASSERT_EQ(sink.seen.size(), 2u);
+    EXPECT_EQ(sink.seen[0].wrId, 2u);
+    EXPECT_EQ(sink.seen[0].status, WcStatus::RetryExceeded);
+    EXPECT_EQ(sink.seen[0].at, t1 + kTransportRetryNs);
+    // The response's completion half had not started: its WQE refetch
+    // (the first thing it does on delivery) is not counted yet.
+    EXPECT_EQ(sink.seen[0].refetches, 0u);
+    EXPECT_EQ(sink.seen[1].wrId, 1u);
+    EXPECT_EQ(sink.seen[1].status, WcStatus::Success);
+    EXPECT_EQ(sink.seen[1].refetches, 1u);
 }
 
 // ------------------------------------------------------- platform limits

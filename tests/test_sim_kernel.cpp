@@ -391,6 +391,84 @@ TEST(Resource, SerializesCapacityOne)
     EXPECT_EQ(res.inUse(), 0u);
 }
 
+namespace {
+
+Task
+holdResource(Simulator &sim, Resource &res, Time hold,
+             std::vector<std::pair<int, Time>> &log, int id)
+{
+    co_await res.hold(hold);
+    log.push_back({id, sim.now()});
+}
+
+Task
+acquireDelayRelease(Simulator &sim, Resource &res, Time hold,
+                    std::vector<std::pair<int, Time>> &log, int id)
+{
+    co_await res.acquire();
+    co_await sim.delay(hold);
+    res.release();
+    log.push_back({id, sim.now()});
+}
+
+} // namespace
+
+TEST(Resource, FramelessHoldMatchesAcquireDelayRelease)
+{
+    // N holders contend for one unit from t0: they resume at t0 + d,
+    // t0 + 2d, ... in arrival order, exactly when (and after exactly as
+    // many events as) the coroutine formulation does.
+    constexpr Time kT0 = 100;
+    constexpr Time kD = 7;
+    std::vector<std::pair<int, Time>> expected;
+    for (int i = 0; i < 6; ++i)
+        expected.push_back({i, kT0 + kD * (i + 1)});
+    std::vector<std::pair<int, Time>> logs[2];
+    std::uint64_t events[2];
+    for (int v = 0; v < 2; ++v) {
+        struct Bench
+        {
+            Simulator sim;
+            Resource res{sim, 1};
+            std::vector<std::pair<int, Time>> log;
+            bool frameless = false;
+
+            void
+            start()
+            {
+                for (int i = 0; i < 6; ++i)
+                    sim.spawnDetached(
+                        frameless
+                            ? holdResource(sim, res, kD, log, i)
+                            : acquireDelayRelease(sim, res, kD, log, i));
+            }
+        } b;
+        b.frameless = v == 0;
+        Bench *bp = &b;
+        b.sim.scheduleAt(kT0, [bp] { bp->start(); });
+        b.sim.run();
+        events[v] = b.sim.eventsProcessed();
+        logs[v] = b.log;
+        EXPECT_EQ(b.res.inUse(), 0u);
+    }
+    EXPECT_EQ(logs[0], expected);
+    EXPECT_EQ(logs[1], expected);
+    EXPECT_EQ(events[0], events[1]);
+}
+
+TEST(Resource, HoldAndAcquireShareOneFifo)
+{
+    Simulator sim;
+    Resource res(sim, 1);
+    std::vector<std::pair<int, Time>> log;
+    for (int i = 0; i < 4; ++i)
+        sim.spawn(i % 2 == 0 ? holdResource(sim, res, 10, log, i)
+                             : acquireDelayRelease(sim, res, 10, log, i));
+    sim.run();
+    EXPECT_EQ(log, (std::vector<std::pair<int, Time>>{
+                       {0, 10}, {1, 20}, {2, 30}, {3, 40}}));
+}
+
 TEST(Resource, CapacityNOverlaps)
 {
     Simulator sim;
@@ -611,6 +689,16 @@ TEST(Rng, Deterministic)
     Rng a(123), b(123);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(a.next64(), b.next64());
+}
+
+TEST(Rng, Next64IsTheHighDrawThenTheLowDraw)
+{
+    Rng a(77, 5), b(77, 5);
+    for (int i = 0; i < 100; ++i) {
+        std::uint64_t hi = b.next32();
+        std::uint64_t lo = b.next32();
+        ASSERT_EQ(a.next64(), (hi << 32) | lo) << "draw " << i;
+    }
 }
 
 TEST(Rng, UniformWithinBounds)

@@ -297,18 +297,16 @@ BtreeClient::readNode(SmartCtx &ctx, std::uint64_t ptr, NodeImage &img,
 
 Task
 BtreeClient::traverse(SmartCtx &ctx, std::uint64_t key,
-                      std::uint64_t &leaf_ptr,
-                      std::vector<std::uint64_t> &path, BtOpResult &res)
+                      std::uint64_t &leaf_ptr, BtOpResult &res)
 {
     for (int attempt = 0; attempt < 64; ++attempt) {
-        path.clear();
         if (cachedRoot_ == 0)
             co_await refreshRoot(ctx, res);
         std::uint64_t ptr = cachedRoot_;
         bool restart = false;
         for (int depth = 0; depth < 32 && !restart; ++depth) {
-            auto it = nodeCache_.find(ptr);
-            if (it == nodeCache_.end()) {
+            const NodeImage *node = nodeCache_.find(ptr);
+            if (node == nullptr) {
                 NodeImage img;
                 co_await readNode(ctx, ptr, img, res);
                 if (key >= img.header.highFence) {
@@ -329,27 +327,27 @@ BtreeClient::traverse(SmartCtx &ctx, std::uint64_t key,
                     leaf_ptr = ptr;
                     co_return;
                 }
-                it = nodeCache_.emplace(ptr, img).first;
+                // Another coroutine may have cached this node while the
+                // read was in flight: its image wins, as with try_emplace.
+                node = nodeCache_.emplace(ptr, img).first;
             }
-            const NodeImage &node = it->second;
-            if (key < node.header.lowFence ||
-                key >= node.header.highFence) {
+            if (key < node->header.lowFence ||
+                key >= node->header.highFence) {
                 // Stale cached image: drop and re-read next attempt.
-                nodeCache_.erase(it);
+                nodeCache_.erase(ptr);
                 restart = true;
                 break;
             }
-            if (node.header.level == 0) {
+            if (node->header.level == 0) {
                 leaf_ptr = ptr;
                 co_return;
             }
-            std::uint64_t child = findChild(node, key);
+            std::uint64_t child = findChild(*node, key);
             if (child == 0) {
-                nodeCache_.erase(it);
+                nodeCache_.erase(ptr);
                 restart = true;
                 break;
             }
-            path.push_back(ptr);
             ptr = child;
         }
     }
@@ -422,14 +420,13 @@ BtreeClient::lookup(SmartCtx &ctx, std::uint64_t key, BtOpResult &res)
 
     // Speculative fast path (§5.2): read just the cached 64 B entry line.
     if (index_.config().speculativeLookup) {
-        auto it = specCache_.find(key);
-        if (it != specCache_.end()) {
-            SpecEntry spec = it->second;
+        if (const SpecEntry *hit = specCache_.find(key)) {
+            SpecEntry spec = *hit;
             EntryLine line;
-            co_await ctx.access(rptr(spec.leafPtr) + lineOffset(spec.line),
+            co_await ctx.access(rptr(spec.leafPtr()) + lineOffset(spec.line()),
                                 AccessOp::read(MemSpan::of(line)));
             ++res.rdmaOps;
-            const Entry &e = line.entries[spec.slot];
+            const Entry &e = line.entries[spec.slot()];
             if (e.key == key) {
                 res.ok = true;
                 res.value = e.value;
@@ -444,10 +441,9 @@ BtreeClient::lookup(SmartCtx &ctx, std::uint64_t key, BtOpResult &res)
         ++specMisses_;
     }
 
-    std::vector<std::uint64_t> path;
     for (int attempt = 0; attempt < 64; ++attempt) {
         std::uint64_t leaf_ptr = 0;
-        co_await traverse(ctx, key, leaf_ptr, path, res);
+        co_await traverse(ctx, key, leaf_ptr, res);
         if (leaf_ptr == 0)
             break;
 
@@ -476,7 +472,8 @@ BtreeClient::lookup(SmartCtx &ctx, std::uint64_t key, BtOpResult &res)
                     if (index_.config().speculativeLookup) {
                         if (specCache_.size() >= kSpecCacheCapacity)
                             specCache_.clear();
-                        specCache_[key] = SpecEntry{leaf_ptr, l, s};
+                        specCache_.insertOrAssign(key,
+                                                  SpecEntry{leaf_ptr, l, s});
                     }
                     ctx.opEnd();
                     co_return;
@@ -496,10 +493,9 @@ BtreeClient::insert(SmartCtx &ctx, std::uint64_t key, std::uint64_t value,
                     BtOpResult &res)
 {
     co_await ctx.opBegin();
-    std::vector<std::uint64_t> path;
     for (int attempt = 0; attempt < 64; ++attempt) {
         std::uint64_t leaf_ptr = 0;
-        co_await traverse(ctx, key, leaf_ptr, path, res);
+        co_await traverse(ctx, key, leaf_ptr, res);
         if (leaf_ptr == 0)
             break;
 
@@ -554,7 +550,7 @@ BtreeClient::insert(SmartCtx &ctx, std::uint64_t key, std::uint64_t value,
         }
 
         // Leaf full: split (releases the lock), then retry.
-        co_await splitNode(ctx, leaf_ptr, img, path, res);
+        co_await splitNode(ctx, leaf_ptr, img, res);
     }
     res.ok = false;
     ctx.opEnd();
@@ -564,10 +560,9 @@ Task
 BtreeClient::remove(SmartCtx &ctx, std::uint64_t key, BtOpResult &res)
 {
     co_await ctx.opBegin();
-    std::vector<std::uint64_t> path;
     for (int attempt = 0; attempt < 64; ++attempt) {
         std::uint64_t leaf_ptr = 0;
-        co_await traverse(ctx, key, leaf_ptr, path, res);
+        co_await traverse(ctx, key, leaf_ptr, res);
         if (leaf_ptr == 0)
             break;
         co_await hoclAcquire(ctx, leaf_ptr, res);
@@ -610,9 +605,8 @@ BtreeClient::scan(SmartCtx &ctx, std::uint64_t start,
                   BtOpResult &res)
 {
     co_await ctx.opBegin();
-    std::vector<std::uint64_t> path;
     std::uint64_t leaf_ptr = 0;
-    co_await traverse(ctx, start, leaf_ptr, path, res);
+    co_await traverse(ctx, start, leaf_ptr, res);
     while (leaf_ptr != 0 && out.size() < max_count) {
         NodeImage img;
         co_await readNode(ctx, leaf_ptr, img, res);
@@ -629,9 +623,8 @@ BtreeClient::scan(SmartCtx &ctx, std::uint64_t start,
 
 Task
 BtreeClient::splitNode(SmartCtx &ctx, std::uint64_t ptr, NodeImage img,
-                       std::vector<std::uint64_t> path, BtOpResult &res)
+                       BtOpResult &res)
 {
-    (void)path;
     std::vector<Entry> entries = liveEntries(img);
     assert(entries.size() >= 2);
     std::size_t mid = entries.size() / 2;
@@ -672,17 +665,14 @@ BtreeClient::splitNode(SmartCtx &ctx, std::uint64_t ptr, NodeImage img,
     co_await hoclRelease(ctx, ptr, res);
     ++splits_;
 
-    co_await insertUpwards(ctx, img.header.level + 1, sep, right_ptr,
-                           path, ptr, res);
+    co_await insertUpwards(ctx, img.header.level + 1, sep, right_ptr, res);
 }
 
 Task
 BtreeClient::insertUpwards(SmartCtx &ctx, std::uint64_t target_level,
                            std::uint64_t sep, std::uint64_t new_ptr,
-                           std::vector<std::uint64_t> path,
-                           std::uint64_t old_child, BtOpResult &res)
+                           BtOpResult &res)
 {
-    (void)path;
     for (int attempt = 0; attempt < 64; ++attempt) {
         // Fresh root view.
         co_await refreshRoot(ctx, res);
@@ -749,7 +739,7 @@ BtreeClient::insertUpwards(SmartCtx &ctx, std::uint64_t target_level,
 
         std::vector<Entry> entries = liveEntries(img);
         if (entries.size() >= kNodeCapacity) {
-            co_await splitNode(ctx, ptr, img, {}, res);
+            co_await splitNode(ctx, ptr, img, res);
             continue; // parent split; retry the insert
         }
         bool dup = false;
@@ -772,7 +762,6 @@ BtreeClient::insertUpwards(SmartCtx &ctx, std::uint64_t target_level,
         }
         co_await hoclRelease(ctx, ptr, res);
         co_return;
-        (void)old_child;
     }
 }
 

@@ -21,6 +21,7 @@
 #ifndef SMART_APPS_SHERMAN_BTREE_HPP
 #define SMART_APPS_SHERMAN_BTREE_HPP
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -28,6 +29,7 @@
 
 #include "apps/sherman/btree_layout.hpp"
 #include "memblade/memory_blade.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/resource.hpp"
 #include "smart/smart_ctx.hpp"
 #include "smart/smart_runtime.hpp"
@@ -155,11 +157,28 @@ class BtreeClient
     std::uint64_t leaseBreaks() const { return leaseBreaks_; }
 
   private:
+    /** Where a key was last seen: leaf, entry line and slot. Nodes are
+     *  kNodeBytes-aligned, so line and slot ride in the leaf pointer's
+     *  low bits and a cache slot stays 24 bytes. */
     struct SpecEntry
     {
-        std::uint64_t leafPtr = 0;
-        std::uint32_t line = 0;
-        std::uint32_t slot = 0;
+        std::uint64_t bits = 0;
+
+        SpecEntry(std::uint64_t leaf_ptr, std::uint32_t line,
+                  std::uint32_t slot)
+            : bits(leaf_ptr | line << 2 | slot)
+        {
+            static_assert(kEntriesPerLine <= 4 && kEntryLines <= 256);
+            assert(leaf_ptr % kNodeBytes == 0);
+        }
+        SpecEntry() = default;
+
+        std::uint64_t leafPtr() const { return bits & ~kLowMask; }
+        std::uint32_t line() const { return (bits & kLowMask) >> 2; }
+        std::uint32_t slot() const { return bits & 3; }
+
+      private:
+        static constexpr std::uint64_t kLowMask = kNodeBytes - 1;
     };
 
     RemotePtr rptr(std::uint64_t packed) const;
@@ -167,8 +186,7 @@ class BtreeClient
 
     /** Walk cached internals to the leaf covering @p key. */
     sim::Task traverse(SmartCtx &ctx, std::uint64_t key,
-                       std::uint64_t &leaf_ptr,
-                       std::vector<std::uint64_t> &path, BtOpResult &res);
+                       std::uint64_t &leaf_ptr, BtOpResult &res);
 
     /** RDMA-read a whole node with version validation. The first attempt
      *  may hit the compute-side cache tier; validation retries bypass it
@@ -188,22 +206,23 @@ class BtreeClient
 
     /** Split a full locked leaf; updates the parent (recursively). */
     sim::Task splitNode(SmartCtx &ctx, std::uint64_t ptr, NodeImage img,
-                        std::vector<std::uint64_t> path, BtOpResult &res);
+                        BtOpResult &res);
 
     /** Insert (sep, new child) at @p target_level after a split below. */
     sim::Task insertUpwards(SmartCtx &ctx, std::uint64_t target_level,
                             std::uint64_t sep, std::uint64_t new_ptr,
-                            std::vector<std::uint64_t> path,
-                            std::uint64_t old_child, BtOpResult &res);
+                            BtOpResult &res);
 
     BtreeIndex &index_;
     SmartRuntime &rt_;
 
     std::uint64_t cachedRoot_ = 0;
-    std::unordered_map<std::uint64_t, NodeImage> nodeCache_;
+    /** Internal-node images by packed node pointer. */
+    sim::FlatMap<NodeImage> nodeCache_;
     /** HOCL level 1: one capacity-1 lock per node this blade writes. */
     std::unordered_map<std::uint64_t, sim::Resource> localLocks_;
-    std::unordered_map<std::uint64_t, SpecEntry> specCache_;
+    /** Speculative lookup: key -> entry line that last held it. */
+    sim::FlatMap<SpecEntry> specCache_;
 
     struct ThreadArena
     {

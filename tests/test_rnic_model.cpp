@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstring>
 #include <list>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -543,6 +544,76 @@ TEST(RnicWire, CrashedResponderLegBeatsSameTimeEgressLeg)
     EXPECT_EQ(sink.seen[1].wrId, 1u);
     EXPECT_EQ(sink.seen[1].status, WcStatus::Success);
     EXPECT_EQ(sink.seen[1].refetches, 1u);
+}
+
+TEST(RnicFault, CrashWithDurationComesBackAndStillChecksMrs)
+{
+    // Crash with a duration: the responder is down for kDown, then the
+    // scheduled setDown(false) brings it back. WRs posted inside the
+    // window give up after the transport retry budget. After it, good WRs
+    // succeed, and a stale rkey or an out-of-bounds offset still NAKs:
+    // the responder forms no pointer into memory (a prefetch included)
+    // before the MR check passes.
+    constexpr Time kDown = sim::usec(100);
+    RnicPair p;
+    TimedSink sink;
+    sink.sim = &p.sim;
+    sink.nic = &p.initiator;
+    const char msg[8] = "crashed";
+    std::memcpy(p.remoteMem.data() + 128, msg, 8);
+    std::memcpy(p.localMem.data() + 512, msg, 8);
+
+    auto post = [&p, &sink](std::uint64_t id, Op op, std::uint64_t off,
+                            std::uint8_t *local) {
+        WorkReq wr = p.makeWr(op, off, local, 8);
+        wr.wrId = id;
+        wr.sink = &sink;
+        return wr;
+    };
+    p.target.applyFault(sim::FaultKind::Crash, kDown);
+    ASSERT_TRUE(p.target.down());
+    // Inside the window: a READ and a WRITE at once, a READ half-way.
+    p.initiator.postBatch(&p.target,
+                          {post(1, Op::Read, 128, p.localMem.data()),
+                           post(2, Op::Write, 256, p.localMem.data() + 512)});
+    p.sim.scheduleAt(kDown / 2, [&] {
+        p.initiator.postBatch(&p.target,
+                              {post(3, Op::Read, 128, p.localMem.data())});
+    });
+    // After the window: two good WRs, a stale rkey, a span running off
+    // the MR's end, and an offset far past it.
+    p.sim.scheduleAt(kDown + sim::usec(1), [&] {
+        EXPECT_FALSE(p.target.down());
+        WorkReq stale = post(6, Op::Read, 128, p.localMem.data() + 64);
+        stale.rkey = p.remoteMr->rkey + (1u << 12); // no such MR id
+        p.initiator.postBatch(
+            &p.target,
+            {post(4, Op::Read, 128, p.localMem.data() + 64),
+             post(5, Op::Write, 256, p.localMem.data() + 512), stale,
+             post(7, Op::Read, p.remoteMem.size() - 4,
+                  p.localMem.data() + 64),
+             post(8, Op::Write, std::uint64_t{1} << 40,
+                  p.localMem.data() + 512)});
+    });
+    p.sim.run();
+
+    std::map<std::uint64_t, WcStatus> status;
+    for (const TimedSink::Seen &s : sink.seen) {
+        EXPECT_TRUE(status.emplace(s.wrId, s.status).second);
+        if (s.wrId <= 3) {
+            EXPECT_GE(s.at, kTransportRetryNs);
+        }
+    }
+    ASSERT_EQ(status.size(), 8u);
+    for (std::uint64_t id : {1, 2, 3})
+        EXPECT_EQ(status[id], WcStatus::RetryExceeded) << "wr " << id;
+    for (std::uint64_t id : {4, 5})
+        EXPECT_EQ(status[id], WcStatus::Success) << "wr " << id;
+    for (std::uint64_t id : {6, 7, 8})
+        EXPECT_EQ(status[id], WcStatus::RemoteAccessError) << "wr " << id;
+    EXPECT_EQ(std::memcmp(p.localMem.data() + 64, msg, 8), 0);
+    EXPECT_EQ(std::memcmp(p.remoteMem.data() + 256, msg, 8), 0);
+    EXPECT_EQ(p.initiator.owrNow(), 0u);
 }
 
 // ------------------------------------------------------- platform limits
